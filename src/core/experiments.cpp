@@ -174,10 +174,14 @@ std::vector<TimingRow> experiment_table2_timing(
     TimingRow row;
     row.packets = n;
 
+    // Each link runs one untimed packet first, so the lazy set-up its
+    // first packet pays (workspaces, FFT plans, filter taps) stays out of
+    // the steady-state time the paper compares.
     LinkConfig sys = base;
     sys.rf_engine = RfEngine::kSystemLevel;
     {
       WlanLink link(sys);
+      (void)link.run_packet(0);
       const double t0 = now_seconds();
       (void)link.run_ber(n);
       row.system_seconds = now_seconds() - t0;
@@ -187,6 +191,7 @@ std::vector<TimingRow> experiment_table2_timing(
     co.rf_engine = RfEngine::kCosim;
     {
       WlanLink link(co);
+      (void)link.run_packet(0);
       const double t0 = now_seconds();
       (void)link.run_ber(n);
       row.cosim_seconds = now_seconds() - t0;

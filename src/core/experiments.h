@@ -74,6 +74,7 @@ sim::SweepResult experiment_ber_waterfall_adaptive(
 // ---------------------------------------------------------------------------
 // TAB2 — "Comparison of simulation time"
 // ---------------------------------------------------------------------------
+/// Both runs are timed after one untimed warm-up packet on their link.
 struct TimingRow {
   std::size_t packets = 0;
   double system_seconds = 0.0;  ///< SPW-style system-level run

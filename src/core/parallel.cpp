@@ -38,15 +38,15 @@ WlanLink& worker_link(const LinkConfig& cfg, const std::string& key) {
 /// A sweep worker holds one link per sweep point (keyed by the full config
 /// fingerprint), unlike worker_link's single slot: the joint schedule
 /// alternates points within a chunk, and rebuilding a link per item would
-/// dwarf the memoization win.
+/// dwarf the memoization win. The map dies with its thread, so the
+/// dedicated pool of a `threads > 0` call frees its links when it joins.
 WlanLink& sweep_worker_link(const LinkConfig& cfg, const std::string& key) {
-  thread_local std::unordered_map<std::string, std::unique_ptr<WlanLink>>*
-      links = new std::unordered_map<std::string,
-                                     std::unique_ptr<WlanLink>>();  // immortal
-  auto it = links->find(key);
-  if (it == links->end()) {
-    if (links->size() >= 64) links->clear();  // bound long-lived growth
-    it = links->emplace(key, std::make_unique<WlanLink>(cfg)).first;
+  thread_local std::unordered_map<std::string, std::unique_ptr<WlanLink>>
+      links;
+  auto it = links.find(key);
+  if (it == links.end()) {
+    if (links.size() >= 64) links.clear();  // bound long-lived growth
+    it = links.emplace(key, std::make_unique<WlanLink>(cfg)).first;
   }
   return *it->second;
 }

@@ -14,14 +14,14 @@ namespace wlansim::dsp {
 namespace {
 
 // Per-thread streaming filter reused across calls. reset() before each use
-// makes it equivalent to a freshly constructed FirFilter.
+// makes it equivalent to a freshly constructed FirFilter. The map dies with
+// its thread, so short-lived pool threads do not leak their filters.
 FirFilter& cached_filter(std::size_t factor, double atten_db) {
-  thread_local std::map<std::pair<std::size_t, double>, FirFilter>* filters =
-      new std::map<std::pair<std::size_t, double>, FirFilter>();  // immortal
+  thread_local std::map<std::pair<std::size_t, double>, FirFilter> filters;
   const auto key = std::make_pair(factor, atten_db);
-  auto it = filters->find(key);
-  if (it == filters->end())
-    it = filters->emplace(key, FirFilter(resampling_taps(factor, atten_db)))
+  auto it = filters.find(key);
+  if (it == filters.end())
+    it = filters.emplace(key, FirFilter(resampling_taps(factor, atten_db)))
              .first;
   it->second.reset();
   return it->second;

@@ -1,55 +1,25 @@
 #include "scenario/trace.h"
 
-#include <cstdio>
+#include "core/numfmt.h"
 
 namespace wlansim::scenario {
 
 namespace {
 
-/// Shortest round-trippable decimal: stable for identical doubles, and
-/// integral values print without a spurious fraction.
-std::string fmt(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Prefer the shortest precision that round-trips (matches how the rest
-  // of the toolchain prints sweep output; keeps 0.5 as "0.5" not
-  // "0.5000000000000000").
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[40];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-    double back = 0.0;
-    std::sscanf(shorter, "%lf", &back);
-    if (back == v) return shorter;
-  }
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
+void append_json_escaped(std::string& out, const std::string& s) {
   for (char c : s) {
     if (c == '"' || c == '\\') out.push_back('\\');
     if (static_cast<unsigned char>(c) < 0x20) continue;  // keep rows one-line
     out.push_back(c);
   }
-  return out;
 }
 
 const char* source_of(const StationSample& s) {
   return s.result.from_surrogate ? "surrogate" : "mc";
 }
 
-}  // namespace
-
-std::string trace_csv_header() {
-  return "run_tag,step,station,x_m,y_m,dist_m,path_loss_db,shadowing_db,"
-         "snr_db,snr_bin_db,adj_level_db,ber,per,evm,goodput_mbps,packets,"
-         "source";
-}
-
-std::string trace_csv_row(const std::string& run_tag, const StationSample& s) {
-  std::string row;
-  row.reserve(200);
+void append_csv_row(std::string& row, const std::string& run_tag,
+                    const StationSample& s) {
   row += run_tag;
   row += ',';
   row += std::to_string(s.step);
@@ -58,28 +28,25 @@ std::string trace_csv_row(const std::string& run_tag, const StationSample& s) {
   for (double v : {s.pos.x, s.pos.y, s.dist_m, s.path_loss_db, s.shadowing_db,
                    s.snr_db, s.snr_bin_db}) {
     row += ',';
-    row += fmt(v);
+    core::append_shortest(row, v);
   }
   row += ',';
-  if (s.adj_level_db.has_value()) row += fmt(*s.adj_level_db);
+  if (s.adj_level_db.has_value()) core::append_shortest(row, *s.adj_level_db);
   for (double v : {s.result.ber(), s.result.per(), s.result.evm_rms_avg,
                    s.goodput_mbps}) {
     row += ',';
-    row += fmt(v);
+    core::append_shortest(row, v);
   }
   row += ',';
   row += std::to_string(s.result.packets);
   row += ',';
   row += source_of(s);
-  return row;
 }
 
-std::string trace_jsonl_row(const std::string& run_tag,
-                            const StationSample& s) {
-  std::string row;
-  row.reserve(300);
+void append_jsonl_row(std::string& row, const std::string& run_tag,
+                      const StationSample& s) {
   row += "{\"run_tag\":\"";
-  row += json_escape(run_tag);
+  append_json_escaped(row, run_tag);
   row += "\",\"step\":";
   row += std::to_string(s.step);
   row += ",\"station\":";
@@ -88,7 +55,7 @@ std::string trace_jsonl_row(const std::string& run_tag,
     row += ",\"";
     row += key;
     row += "\":";
-    row += fmt(v);
+    core::append_shortest(row, v);
   };
   field("x_m", s.pos.x);
   field("y_m", s.pos.y);
@@ -107,6 +74,28 @@ std::string trace_jsonl_row(const std::string& run_tag,
   row += ",\"source\":\"";
   row += source_of(s);
   row += "\"}";
+}
+
+}  // namespace
+
+std::string trace_csv_header() {
+  return "run_tag,step,station,x_m,y_m,dist_m,path_loss_db,shadowing_db,"
+         "snr_db,snr_bin_db,adj_level_db,ber,per,evm,goodput_mbps,packets,"
+         "source";
+}
+
+std::string trace_csv_row(const std::string& run_tag, const StationSample& s) {
+  std::string row;
+  row.reserve(200);
+  append_csv_row(row, run_tag, s);
+  return row;
+}
+
+std::string trace_jsonl_row(const std::string& run_tag,
+                            const StationSample& s) {
+  std::string row;
+  row.reserve(300);
+  append_jsonl_row(row, run_tag, s);
   return row;
 }
 
@@ -117,9 +106,13 @@ TraceWriter::TraceWriter(std::ostream& out, TraceFormat format,
 }
 
 void TraceWriter::write(const StationSample& s) {
-  out_ << (format_ == TraceFormat::kCsv ? trace_csv_row(run_tag_, s)
-                                        : trace_jsonl_row(run_tag_, s))
-       << '\n';
+  line_.clear();
+  if (format_ == TraceFormat::kCsv)
+    append_csv_row(line_, run_tag_, s);
+  else
+    append_jsonl_row(line_, run_tag_, s);
+  line_ += '\n';
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
 SampleSink TraceWriter::sink() {

@@ -2,10 +2,13 @@
 // one row per StationSample, tagged with a run identifier so concatenated
 // traces from different runs stay distinguishable.
 //
-// Byte-stability contract: rows are formatted with fixed printf conversions
-// of deterministic sample fields only (wall-clock never appears), so two
-// drops with the same (config, seed) produce byte-identical trace files
-// regardless of thread count — pinned by tests/scenario/test_drop.cpp.
+// Byte-stability contract: rows hold deterministic sample fields only
+// (wall-clock never appears), and every double prints through
+// core::append_shortest — printf's `%.{p}g` at the smallest round-tripping
+// p, a pure function of the value's bits — so two drops with the same
+// (config, seed) produce byte-identical trace files regardless of thread
+// count. Pinned by tests/scenario/test_drop.cpp, which also holds golden
+// rows byte for byte.
 #pragma once
 
 #include <ostream>
@@ -42,6 +45,7 @@ class TraceWriter {
   std::ostream& out_;
   TraceFormat format_;
   std::string run_tag_;
+  std::string line_;  ///< row buffer, reused across write() calls
 };
 
 }  // namespace wlansim::scenario

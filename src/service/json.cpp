@@ -1,30 +1,16 @@
 #include "service/json.h"
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
+#include "core/numfmt.h"
+
 namespace wlansim::service {
 
 namespace {
-
-/// Shortest decimal that round-trips to the identical double — the same
-/// scheme as the scenario trace writer, so every layer of the toolchain
-/// prints 0.5 as "0.5" and a parsed-back value is bit-identical.
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[40];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-    double back = 0.0;
-    std::sscanf(shorter, "%lf", &back);
-    if (back == v) return shorter;
-  }
-  return buf;
-}
 
 void dump_string(const std::string& s, std::string& out) {
   out.push_back('"');
@@ -310,19 +296,23 @@ class Parser {
       while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
         ++pos_;
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    if (integral && token[0] != '-') {
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    if (integral && *first != '-') {
       // Keep the exact-integer channel when the token fits in a u64.
-      errno = 0;
-      char* end = nullptr;
-      const unsigned long long u = std::strtoull(token.c_str(), &end, 10);
-      if (errno == 0 && end == token.c_str() + token.size())
-        return Json::number_u64(static_cast<std::uint64_t>(u));
+      std::uint64_t u = 0;
+      const auto [end, ec] = std::from_chars(first, last, u);
+      if (ec == std::errc() && end == last) return Json::number_u64(u);
     }
-    errno = 0;
-    char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
+    double d = 0.0;
+    auto [end, ec] = std::from_chars(first, last, d);
+    if (ec == std::errc::result_out_of_range) {
+      // Overflow and underflow keep strtod's answers (+-inf, +-0), where
+      // from_chars leaves d unset.
+      d = std::strtod(std::string(first, last).c_str(), nullptr);
+      ec = std::errc();
+    }
+    if (ec != std::errc() || end != last) {
       fail("invalid number");
       return std::nullopt;
     }
@@ -442,22 +432,29 @@ void Json::push_back(Json v) {
 
 std::string Json::dump() const {
   std::string out;
+  dump_to(out);
+  return out;
+}
+
+void Json::dump_to(std::string& out) const {
   switch (type_) {
     case Type::kNull:
-      out = "null";
+      out += "null";
       break;
     case Type::kBool:
-      out = bool_ ? "true" : "false";
+      out += bool_ ? "true" : "false";
       break;
     case Type::kNumber:
       if (has_u64_) {
-        out = std::to_string(u64_);
+        out += std::to_string(u64_);
       } else if (std::isfinite(num_)) {
-        out = fmt_double(num_);
+        // The shortest `%.{p}g` text that parses back to the identical
+        // bits — the scenario traces print through the same function.
+        core::append_shortest(out, num_);
       } else {
         // JSON has no inf/nan tokens; the protocol layer wraps these
         // (service/protocol.cpp number_or_special) before they get here.
-        out = "null";
+        out += "null";
       }
       break;
     case Type::kString:
@@ -469,7 +466,7 @@ std::string Json::dump() const {
       for (const Json& v : arr_) {
         if (!first) out.push_back(',');
         first = false;
-        out += v.dump();
+        v.dump_to(out);
       }
       out.push_back(']');
       break;
@@ -482,13 +479,12 @@ std::string Json::dump() const {
         first = false;
         dump_string(k, out);
         out.push_back(':');
-        out += v.dump();
+        v.dump_to(out);
       }
       out.push_back('}');
       break;
     }
   }
-  return out;
 }
 
 std::optional<Json> Json::parse(std::string_view text, std::string* err) {

@@ -5,10 +5,10 @@
 // protocol needs one property most general-purpose parsers do not
 // guarantee — numeric round-trips that preserve the engine's determinism
 // contract. Doubles serialize with the shortest decimal representation
-// that parses back to the identical bit pattern (the same scheme as the
-// scenario trace writer), and unsigned 64-bit integers (config seeds) keep
-// an exact integer channel rather than being squeezed through a double's
-// 53-bit mantissa.
+// that parses back to the identical bit pattern (core::append_shortest, the
+// one number printer the scenario traces use too), and unsigned 64-bit
+// integers (config seeds) keep an exact integer channel rather than being
+// squeezed through a double's 53-bit mantissa.
 #pragma once
 
 #include <cstdint>
@@ -76,6 +76,10 @@ class Json {
                                    std::string* err = nullptr);
 
  private:
+  /// dump() appending into one buffer, so nested values build no
+  /// temporary strings.
+  void dump_to(std::string& out) const;
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   double num_ = 0.0;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <sstream>
 
@@ -236,6 +237,78 @@ TEST(Trace, JsonlRowsAreWellFormedObjects) {
   const std::string row2 = trace_jsonl_row("t", s);
   EXPECT_NE(row2.find("\"adj_level_db\":-4"), std::string::npos);
   EXPECT_NE(row2.find("\"source\":\"surrogate\""), std::string::npos);
+}
+
+/// Rows whose numbers exercise every shape the formatter prints: 17
+/// significant digits, exponents, -0, integral values and a missing
+/// adjacent level.
+StationSample golden_sample() {
+  StationSample s;
+  s.step = 3;
+  s.station = 17;
+  s.pos = {12.345678901234567, -40.0 / 3.0};
+  s.dist_m = 18.1732;
+  s.path_loss_db = 71.25;
+  s.shadowing_db = -0.0;
+  s.snr_db = 0.1 + 0.2;
+  s.snr_bin_db = 18.0;
+  s.adj_level_db = -6.0;
+  s.result.model_ber = 1.2345e-05;
+  s.result.model_per = 0.1;
+  s.result.evm_rms_avg = 0.1 * 0.3;
+  s.result.from_surrogate = true;
+  s.goodput_mbps = 100000.0;
+  return s;
+}
+
+StationSample golden_mc_sample() {
+  StationSample s = golden_sample();
+  s.adj_level_db.reset();
+  s.result = core::BerResult{};
+  s.result.packets = 48;
+  s.result.bits = 48 * 480;
+  s.result.bit_errors = 37;
+  s.result.packet_errors = 5;
+  s.result.evm_rms_avg = std::sqrt(2.0) / 33.0;
+  s.goodput_mbps = 24.0 * (1.0 - 5.0 / 48.0);
+  return s;
+}
+
+// Golden rows, byte for byte: a drift in any number's text fails here,
+// where the round-trip and substring checks above would not notice.
+constexpr const char* kGoldenJsonl =
+    "{\"run_tag\":\"run-\\\"7\\\"\",\"step\":3,\"station\":17,"
+    "\"x_m\":12.345678901234567,\"y_m\":-13.333333333333334,"
+    "\"dist_m\":18.1732,\"path_loss_db\":71.25,\"shadowing_db\":-0,"
+    "\"snr_db\":0.30000000000000004,\"snr_bin_db\":18,\"adj_level_db\":-6,"
+    "\"ber\":1.2345e-05,\"per\":0.1,\"evm\":0.03,\"goodput_mbps\":1e+05,"
+    "\"packets\":0,\"source\":\"surrogate\"}";
+constexpr const char* kGoldenCsv =
+    "ci,3,17,12.345678901234567,-13.333333333333334,18.1732,71.25,-0,"
+    "0.30000000000000004,18,,0.0016059027777777777,0.10416666666666667,"
+    "0.04285495643554834,21.5,48,mc";
+
+TEST(Trace, GoldenRowsAreByteStable) {
+  EXPECT_EQ(trace_jsonl_row("run-\"7\"", golden_sample()), kGoldenJsonl);
+  EXPECT_EQ(trace_csv_row("ci", golden_mc_sample()), kGoldenCsv);
+}
+
+TEST(Trace, WriterStreamsTheRowsItFormats) {
+  // The writer reuses one row buffer; consecutive rows must not bleed.
+  std::ostringstream jsonl;
+  TraceWriter jw(jsonl, TraceFormat::kJsonl, "run-\"7\"");
+  jw.write(golden_sample());
+  jw.write(golden_mc_sample());
+  EXPECT_EQ(jsonl.str(),
+            std::string(kGoldenJsonl) + "\n" +
+                trace_jsonl_row("run-\"7\"", golden_mc_sample()) + "\n");
+
+  std::ostringstream csv;
+  TraceWriter cw(csv, TraceFormat::kCsv, "ci");
+  cw.write(golden_mc_sample());
+  cw.write(golden_mc_sample());
+  EXPECT_EQ(csv.str(), trace_csv_header() + "\n" + kGoldenCsv + "\n" +
+                           kGoldenCsv + "\n");
 }
 
 }  // namespace

@@ -4,8 +4,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <optional>
+#include <random>
 #include <string>
 
 #include "service/json.h"
@@ -77,6 +81,54 @@ TEST(ServiceJson, ParserPutsIntegralsInTheU64Channel) {
   EXPECT_THROW(parse_ok("42.5").as_u64(), std::runtime_error);
   EXPECT_THROW(parse_ok("-3").as_u64(), std::runtime_error);
   EXPECT_EQ(parse_ok("-3").as_double(), -3.0);
+}
+
+TEST(ServiceJson, NumberTokensAtTheEdges) {
+  // The u64 channel holds up to 2^64 - 1; one more falls back to a double.
+  const Json max = parse_ok("18446744073709551615");
+  EXPECT_EQ(max.as_u64(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(max.dump(), "18446744073709551615");
+  const Json over = parse_ok("18446744073709551616");
+  EXPECT_EQ(over.as_double(), 18446744073709551616.0);
+  EXPECT_THROW(over.as_u64(), std::runtime_error);
+  // -0 keeps its sign through parse and dump.
+  const Json neg_zero = parse_ok("-0");
+  EXPECT_EQ(neg_zero.as_double(), 0.0);
+  EXPECT_TRUE(std::signbit(neg_zero.as_double()));
+  EXPECT_EQ(neg_zero.dump(), "-0");
+  // Overflow reads as +-inf and underflow as +-0, as strtod reads them.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(parse_ok("1e999").as_double(), inf);
+  EXPECT_EQ(parse_ok("-1e999").as_double(), -inf);
+  EXPECT_EQ(parse_ok("1e-400").as_double(), 0.0);
+  EXPECT_FALSE(std::signbit(parse_ok("1e-400").as_double()));
+  EXPECT_TRUE(std::signbit(parse_ok("-1e-400").as_double()));
+  // Subnormals and exponent spellings parse exactly.
+  EXPECT_EQ(parse_ok("5e-324").as_double(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(parse_ok("2.2250738585072014e-308").as_double(),
+            std::numeric_limits<double>::min());
+  EXPECT_EQ(parse_ok("1E5").as_double(), 1e5);
+  EXPECT_EQ(parse_ok("1.5e+3").as_double(), 1500.0);
+  EXPECT_EQ(parse_ok("-2.5E-1").as_double(), -0.25);
+}
+
+TEST(ServiceJson, NumbersParseBitIdenticalToStrtod) {
+  std::mt19937_64 rng(11);
+  for (int i = 0; i < 50000; ++i) {
+    const std::uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    if (!std::isfinite(v)) continue;
+    char full[40];
+    std::snprintf(full, sizeof full, "%.17g", v);
+    for (const std::string& text :
+         {Json::number(v).dump(), std::string(full)}) {
+      const double got = parse_ok(text).as_double();
+      const double want = std::strtod(text.c_str(), nullptr);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << text;
+    }
+  }
 }
 
 TEST(ServiceJson, StringEscapes) {

@@ -188,6 +188,46 @@ TEST(ServiceProtocol, ResultsResponseRoundTrip) {
   EXPECT_EQ(reply.stats.cold, 1u);
 }
 
+TEST(ServiceProtocol, ResultsResponseBytesAreStable) {
+  // Clients compare warm replies byte for byte, so the text of every
+  // number is part of the protocol: a golden reply pins it.
+  core::BerResult mc;
+  mc.packets = 48;
+  mc.packets_lost = 1;
+  mc.packet_errors = 5;
+  mc.bits = 48 * 480;
+  mc.bit_errors = 37;
+  mc.evm_rms_avg = std::sqrt(2.0) / 33.0;
+  mc.ber_ci_rel = 0.32171717171717;
+  mc.wall_seconds = 0.125;
+  mc.converged = true;
+  core::BerResult sur;
+  sur.model_ber = 3.3e-4;
+  sur.model_per = 1.0 / 81.0;
+  sur.from_surrogate = true;  // ber_ci_rel stays +inf: the "inf" string
+  core::DedupStats stats;
+  stats.queries = 3;
+  stats.distinct = 2;
+  stats.warm = 1;
+  stats.cold = 1;
+  const std::string mc_json =
+      "{\"packets\":48,\"packets_lost\":1,\"packet_errors\":5,"
+      "\"bits\":23040,\"bit_errors\":37,"
+      "\"evm_rms_avg\":0.04285495643554834,\"ber_ci_rel\":0.32171717171717,"
+      "\"wall_seconds\":0.125,\"converged\":true,\"model_ber\":-1,"
+      "\"model_per\":-1,\"from_surrogate\":false}";
+  const std::string sur_json =
+      "{\"packets\":0,\"packets_lost\":0,\"packet_errors\":0,\"bits\":0,"
+      "\"bit_errors\":0,\"evm_rms_avg\":0,\"ber_ci_rel\":\"inf\","
+      "\"wall_seconds\":0,\"converged\":false,\"model_ber\":0.00033,"
+      "\"model_per\":0.012345679012345678,\"from_surrogate\":true}";
+  EXPECT_EQ(results_response({6.0, 7.5, 0.1}, {mc, sur, mc}, stats).dump(),
+            "{\"ok\":true,\"values\":[6,7.5,0.1],\"results\":[" + mc_json +
+                "," + sur_json + "," + mc_json +
+                "],\"stats\":{\"queries\":3,\"distinct\":2,\"warm\":1,"
+                "\"cold\":1}}");
+}
+
 TEST(ServiceProtocol, ErrorResponseThrowsClientSide) {
   try {
     results_reply_from_json(error_response("store melted"));
