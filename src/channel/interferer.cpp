@@ -1,5 +1,6 @@
 #include "channel/interferer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,8 +12,21 @@
 
 namespace wlansim::channel {
 
+bool offset_fits_rate(double offset_hz, double sample_rate_hz) {
+  return std::abs(offset_hz) + 10e6 <= sample_rate_hz / 2.0;
+}
+
 dsp::CVec make_interferer(std::size_t length, double sample_rate_hz,
                           double wanted_power_watts,
+                          const InterfererConfig& cfg, dsp::Rng& rng) {
+  dsp::CVec out;
+  make_interferer_into(out, length, sample_rate_hz, wanted_power_watts, cfg,
+                       rng);
+  return out;
+}
+
+void make_interferer_into(dsp::CVec& out, std::size_t length,
+                          double sample_rate_hz, double wanted_power_watts,
                           const InterfererConfig& cfg, dsp::Rng& rng) {
   if (sample_rate_hz < phy::kSampleRate)
     throw std::invalid_argument("make_interferer: rate below 20 Msps");
@@ -20,14 +34,15 @@ dsp::CVec make_interferer(std::size_t length, double sample_rate_hz,
   const auto factor = static_cast<std::size_t>(std::lround(ratio));
   if (std::abs(ratio - static_cast<double>(factor)) > 1e-9)
     throw std::invalid_argument("make_interferer: need integer oversampling");
-  // The shifted spectrum must stay inside Nyquist: |offset| + 10 MHz <= fs/2.
-  if (std::abs(cfg.offset_hz) + 10e6 > sample_rate_hz / 2.0)
+  if (!offset_fits_rate(cfg.offset_hz, sample_rate_hz))
     throw std::invalid_argument(
         "make_interferer: offset violates the sampling theorem at this rate");
 
   // Tile transmitter frames (fresh random payload each) until long enough.
+  // The 20 Msps tiling buffer is per thread and keeps its capacity.
   phy::Transmitter tx({.scrambler_seed = 0x13, .output_power_dbm = 0.0});
-  dsp::CVec base;
+  thread_local dsp::CVec base;
+  base.clear();
   base.reserve(length / factor + 2048);
   while (base.size() * factor < length) {
     const phy::Bytes payload = phy::random_bytes(cfg.psdu_bytes, rng);
@@ -37,16 +52,18 @@ dsp::CVec make_interferer(std::size_t length, double sample_rate_hz,
     base.insert(base.end(), 40, dsp::Cplx{0.0, 0.0});
   }
 
-  dsp::CVec over = factor > 1 ? dsp::upsample(base, factor) : std::move(base);
-  over.resize(length);
+  // The first `length` oversampled samples never read the tail of the last
+  // frame, so only the prefix they depend on is interpolated.
+  const std::size_t used =
+      std::min(base.size(), dsp::upsample_inputs_needed(length, factor));
+  dsp::upsample_into(std::span<const dsp::Cplx>(base).first(used), factor,
+                     out);
+  out.resize(length);
 
   // Shift to the adjacent channel and set the level.
-  const double f_norm = cfg.offset_hz / sample_rate_hz;
-  dsp::CVec shifted =
-      dsp::frequency_shift(over, f_norm, rng.uniform(0.0, dsp::kTwoPi));
-  const double target = wanted_power_watts * dsp::from_db(cfg.level_db);
-  dsp::set_mean_power(shifted, target);
-  return shifted;
+  dsp::frequency_shift_in_place(out, cfg.offset_hz / sample_rate_hz,
+                                rng.uniform(0.0, dsp::kTwoPi));
+  dsp::set_mean_power(out, wanted_power_watts * dsp::from_db(cfg.level_db));
 }
 
 dsp::CVec make_dsss_interferer(std::size_t length, double sample_rate_hz,

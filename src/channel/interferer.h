@@ -23,12 +23,24 @@ struct InterfererConfig {
   std::size_t psdu_bytes = 400;
 };
 
+/// True when an 802.11a channel shifted by `offset_hz` fits a scene sampled
+/// at `sample_rate_hz`: |offset| + 10 MHz <= fs/2 (the sampling theorem of
+/// §4.1). make_interferer() throws std::invalid_argument otherwise.
+bool offset_fits_rate(double offset_hz, double sample_rate_hz);
+
 /// Generate `length` samples of interferer signal at the oversampled rate
 /// `sample_rate_hz`, frequency-shifted and scaled to `level_db` above
 /// `wanted_power_watts`. Continuous OFDM frames are tiled (with random data
 /// per frame) so the interferer is always on.
 dsp::CVec make_interferer(std::size_t length, double sample_rate_hz,
                           double wanted_power_watts,
+                          const InterfererConfig& cfg, dsp::Rng& rng);
+
+/// make_interferer() into a caller-owned buffer: `out` is resized to
+/// `length` and overwritten, so a warm buffer is reused. Same samples and
+/// the same draws from `rng`.
+void make_interferer_into(dsp::CVec& out, std::size_t length,
+                          double sample_rate_hz, double wanted_power_watts,
                           const InterfererConfig& cfg, dsp::Rng& rng);
 
 /// Legacy 802.11b DSSS interferer: Barker-spread DBPSK traffic at

@@ -10,6 +10,7 @@
 #include "dsp/resample.h"
 #include "phy80211a/bits.h"
 #include "rf/amplifier.h"
+#include "rf/filters.h"
 #include "rf/mixer.h"
 #include "rf/receiver_chain.h"
 #include "sim/sweep.h"
@@ -31,13 +32,37 @@ constexpr std::size_t kFlushTail = 64;
 
 }  // namespace
 
+void validate(const LinkConfig& cfg) {
+  if (cfg.oversample == 0)
+    throw std::invalid_argument("link: zero oversampling factor");
+  if (cfg.psdu_bytes == 0 || cfg.psdu_bytes > 4095)
+    throw std::invalid_argument("link: psdu_bytes must be 1..4095");
+  const double fs = phy::kSampleRate * static_cast<double>(cfg.oversample);
+  if (cfg.interferer.has_value() &&
+      !channel::offset_fits_rate(cfg.interferer->offset_hz, fs))
+    throw std::invalid_argument(
+        "link: adjacent channel needs |offset_hz| + 10 MHz <= fs/2");
+  // The clock-offset resampling ratio 1 + ppm * 1e-6 must be positive, and
+  // below 2 so one packet cannot stretch its scene without bound.
+  if (!(std::abs(cfg.sco_ppm) < 1e6))
+    throw std::invalid_argument("link: sco_ppm must lie in (-1e6, 1e6)");
+  // The baseband filter is designed at the rate its front-end runs at.
+  double rf_fs = 0.0;
+  if (cfg.rf_engine == RfEngine::kSystemLevel) rf_fs = fs;
+  if (cfg.rf_engine == RfEngine::kCosim)
+    rf_fs = fs * static_cast<double>(cfg.cosim.analog_oversample);
+  if (rf_fs > 0.0 &&
+      !rf::corner_fits_rate(
+          cfg.rf.bb_filter_edge_hz * cfg.rf.bb_bandwidth_factor, rf_fs))
+    throw std::invalid_argument(
+        "link: bb_bandwidth_factor puts the baseband filter corner outside "
+        "(0, fs/2)");
+}
+
 WlanLink::WlanLink(LinkConfig cfg) : cfg_(std::move(cfg)), rx_(cfg_.receiver) {
-  if (cfg_.oversample == 0)
-    throw std::invalid_argument("WlanLink: zero oversampling factor");
+  validate(cfg_);
   cfg_.rf.sample_rate_hz =
       phy::kSampleRate * static_cast<double>(cfg_.oversample);
-  if (cfg_.psdu_bytes == 0 || cfg_.psdu_bytes > 4095)
-    throw std::invalid_argument("WlanLink: PSDU must be 1..4095 bytes");
 }
 
 PacketResult WlanLink::run_packet(std::uint64_t packet_index) {
@@ -314,8 +339,8 @@ std::size_t WlanLink::build_scene_prenoise(const dsp::CVec& padded,
 
   if (cfg_.interferer.has_value()) {
     dsp::Rng irng = rng.fork();
-    ws_.jam = channel::make_interferer(over_len, fs_over, p_sig,
-                                       *cfg_.interferer, irng);
+    channel::make_interferer_into(ws_.jam, over_len, fs_over, p_sig,
+                                  *cfg_.interferer, irng);
     const std::size_t n = std::min(ws_.jam.size(), a.size());
     for (std::size_t i = 0; i < n; ++i) a[i] += ws_.jam[i];
   }

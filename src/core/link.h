@@ -135,6 +135,15 @@ struct BerResult {
 
 struct PacketBatch;  // core/packet_batch.h
 
+/// Throws std::invalid_argument when no packet of `cfg` can run: zero
+/// oversampling, a PSDU outside 1..4095 bytes, an adjacent channel that
+/// breaks the sampling theorem at the oversampled rate, a sampling-clock
+/// offset outside (-1e6, 1e6) ppm, or a baseband filter corner outside
+/// (0, fs/2) of the RF model that runs. WlanLink's constructor calls it;
+/// code that accepts links from outside the process calls it to reject a
+/// bad link before it joins a pass shared with other links.
+void validate(const LinkConfig& cfg);
+
 class WlanLink {
  public:
   explicit WlanLink(LinkConfig cfg);

@@ -1,6 +1,7 @@
 #include "core/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 
 namespace wlansim::core {
 
@@ -34,7 +35,17 @@ void ThreadPool::drain(std::size_t worker) {
       end = std::min(n_, begin + chunk_);
       next_ = end;
     }
-    for (std::size_t i = begin; i < end; ++i) (*fn_)(worker, i);
+    try {
+      for (std::size_t i = begin; i < end; ++i) (*fn_)(worker, i);
+    } catch (...) {
+      // Fail the job: keep the first error and hand out no more indices.
+      // Workers already inside `fn` finish their chunk; the caller waits
+      // for them before it rethrows.
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!error_) error_ = std::current_exception();
+      next_ = n_;
+      return;
+    }
   }
 }
 
@@ -78,25 +89,29 @@ bool ThreadPool::parallel_for(
       ++generation_;
     }
   }
+  std::exception_ptr error;
   if (size_ <= 1) {
     // Inline pool: still an in-flight job — shutdown() waits for it.
-    for (std::size_t i = 0; i < n; ++i) fn(0, i);
+    try {
+      for (std::size_t i = 0; i < n; ++i) fn(0, i);
+    } catch (...) {
+      error = std::current_exception();
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       in_flight_ = false;
     }
-    cv_done_.notify_all();
-    return true;
-  }
-  cv_start_.notify_all();
-  drain(/*worker=*/0);  // the caller works too
-  {
+  } else {
+    cv_start_.notify_all();
+    drain(/*worker=*/0);  // the caller works too
     std::unique_lock<std::mutex> lock(mu_);
     cv_done_.wait(lock, [&] { return active_ == 0; });
     fn_ = nullptr;
     in_flight_ = false;
+    std::swap(error, error_);
   }
   cv_done_.notify_all();
+  if (error) std::rethrow_exception(error);
   return true;
 }
 

@@ -9,6 +9,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -36,6 +37,12 @@ class ThreadPool {
   /// done and returns true. Not reentrant — one parallel_for at a time per
   /// pool. After shutdown() the call is rejected: returns false with NO
   /// index invoked (callers owning result buffers must check).
+  ///
+  /// Exceptions: if `fn` throws on any worker, the pool stops handing out
+  /// indices, waits until every worker has left `fn`, resets the job and
+  /// rethrows the first exception on the calling thread. Other workers
+  /// finish the chunk they are in; unclaimed indices never run. The pool
+  /// stays usable for the next parallel_for.
   bool parallel_for(std::size_t n, std::size_t chunk,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -70,6 +77,7 @@ class ThreadPool {
   std::size_t generation_ = 0;  ///< bumped per parallel_for
   std::size_t active_ = 0;      ///< helpers still inside the current job
   bool in_flight_ = false;      ///< a parallel_for is between entry and exit
+  std::exception_ptr error_;    ///< first exception thrown by the current job
   bool draining_ = false;       ///< shutdown requested; reject new submits
   bool stop_ = false;
 };

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "dsp/fir.h"
+#include "dsp/kernels.h"
 #include "dsp/mathutil.h"
 
 namespace wlansim::dsp {
@@ -25,21 +26,6 @@ FirFilter& cached_filter(std::size_t factor, double atten_db) {
              .first;
   it->second.reset();
   return it->second;
-}
-
-// Run `f` over the virtual input produced by `sample(j)` for j in [0, n),
-// writing the group-delay-aligned output (same length n) into out.
-template <typename SampleFn>
-void filter_aligned_into(FirFilter& f, std::size_t n, SampleFn sample,
-                         CVec& out) {
-  out.resize(n);
-  const std::size_t delay = (f.num_taps() - 1) / 2;
-  std::size_t oi = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const Cplx y = f.step(sample(j));
-    if (j >= delay) out[oi++] = y;
-  }
-  for (std::size_t j = 0; j < delay; ++j) out[oi++] = f.step(Cplx{0.0, 0.0});
 }
 
 }  // namespace
@@ -77,14 +63,24 @@ void upsample_into(std::span<const Cplx> in, std::size_t factor, CVec& out,
     out.assign(in.begin(), in.end());
     return;
   }
-  FirFilter& f = cached_filter(factor, atten_db);
-  const double scale = static_cast<double>(factor);  // keep amplitude
-  filter_aligned_into(
-      f, in.size() * factor,
-      [&](std::size_t j) {
-        return (j % factor == 0) ? in[j / factor] * scale : Cplx{0.0, 0.0};
-      },
-      out);
+  // Zero-stuff (scaled by factor to keep amplitude), stream through the
+  // image-reject lowpass from cleared state, flush with `delay` zeros and
+  // keep outputs [delay, delay + n): the group-delay-aligned signal.
+  // fir_interp is exactly that stream minus its structurally-zero products.
+  const RVec& taps = resampling_taps(factor, atten_db);
+  const std::size_t delay = (taps.size() - 1) / 2;
+  const std::size_t n = in.size() * factor;
+  out.resize(n + delay);
+  kernels::fir_interp(taps.data(), taps.size(), factor, in.data(), in.size(),
+                      static_cast<double>(factor), out.data(), n + delay);
+  out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(delay));
+}
+
+std::size_t upsample_inputs_needed(std::size_t out_len, std::size_t factor,
+                                   double atten_db) {
+  if (factor <= 1) return out_len;
+  const std::size_t delay = (resampling_taps(factor, atten_db).size() - 1) / 2;
+  return (out_len + delay + factor - 1) / factor;
 }
 
 CVec downsample(std::span<const Cplx> in, std::size_t factor, double atten_db) {
@@ -121,15 +117,20 @@ void downsample_into(std::span<const Cplx> in, std::size_t factor, CVec& out,
 
 CVec frequency_shift(std::span<const Cplx> in, double freq_norm,
                      double start_phase) {
-  CVec out(in.size());
+  CVec out(in.begin(), in.end());
+  frequency_shift_in_place(out, freq_norm, start_phase);
+  return out;
+}
+
+void frequency_shift_in_place(std::span<Cplx> x, double freq_norm,
+                              double start_phase) {
   double phase = start_phase;
   const double dphi = kTwoPi * freq_norm;
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = in[i] * Cplx{std::cos(phase), std::sin(phase)};
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = x[i] * Cplx{std::cos(phase), std::sin(phase)};
     phase += dphi;
     if (phase > kPi * 64.0 || phase < -kPi * 64.0) phase = wrap_phase(phase);
   }
-  return out;
 }
 
 CVec fractional_resample(std::span<const Cplx> in, double ratio) {

@@ -24,13 +24,20 @@ CVec downsample(std::span<const Cplx> in, std::size_t factor,
 
 /// Caller-provided-output variants of the above. `out` is resized to the
 /// result length; once its capacity is warm these perform no heap
-/// allocation (the anti-alias taps and filter state come from per-thread
-/// caches keyed by (factor, atten_db)). Results are bit-identical to the
-/// returning versions.
+/// allocation (the taps come from the resampling_taps() cache, the
+/// decimator's filter state from a per-thread one, both keyed by
+/// (factor, atten_db)). Results are bit-identical to the returning versions.
 void upsample_into(std::span<const Cplx> in, std::size_t factor, CVec& out,
                    double atten_db = 60.0);
 void downsample_into(std::span<const Cplx> in, std::size_t factor, CVec& out,
                      double atten_db = 60.0);
+
+/// How many leading input samples outputs [0, out_len) of upsample() read:
+/// ceil((out_len + delay) / factor), with delay the lowpass group delay.
+/// Upsampling only that prefix of a longer input gives the same first
+/// out_len samples bit for bit.
+std::size_t upsample_inputs_needed(std::size_t out_len, std::size_t factor,
+                                   double atten_db = 60.0);
 
 /// The shared anti-alias/anti-image lowpass used by the resamplers for a
 /// given factor (process-wide cache; the reference lives for the process).
@@ -41,6 +48,10 @@ const RVec& resampling_taps(std::size_t factor, double atten_db = 60.0);
 /// is the oscillator phase at the first sample, in radians.
 CVec frequency_shift(std::span<const Cplx> in, double freq_norm,
                      double start_phase = 0.0);
+
+/// frequency_shift() applied to `x` in place (same oscillator, same bits).
+void frequency_shift_in_place(std::span<Cplx> x, double freq_norm,
+                              double start_phase = 0.0);
 
 /// Arbitrary-ratio resampling by cubic (Catmull-Rom) interpolation:
 /// output sample k is the input evaluated at t = k / ratio. Used to move

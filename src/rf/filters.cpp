@@ -7,13 +7,17 @@
 
 namespace wlansim::rf {
 
+bool corner_fits_rate(double f_hz, double fs_hz) {
+  const double fn = f_hz / fs_hz;
+  return fs_hz > 0.0 && fn > 0.0 && fn < 0.5;
+}
+
 namespace {
 double checked_norm(double f_hz, double fs_hz) {
   if (fs_hz <= 0.0) throw std::invalid_argument("RF filter: bad sample rate");
-  const double fn = f_hz / fs_hz;
-  if (fn <= 0.0 || fn >= 0.5)
+  if (!corner_fits_rate(f_hz, fs_hz))
     throw std::invalid_argument("RF filter: corner beyond Nyquist");
-  return fn;
+  return f_hz / fs_hz;
 }
 
 // Width-W form of BiquadCascade::process_into: gain pre-scale pass, then

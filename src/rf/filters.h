@@ -8,6 +8,11 @@
 
 namespace wlansim::rf {
 
+/// True when a filter corner at `f_hz` can be designed at `fs_hz`:
+/// fs_hz > 0 and 0 < f_hz / fs_hz < 0.5. Every filter block below throws
+/// std::invalid_argument on a corner outside this range.
+bool corner_fits_rate(double f_hz, double fs_hz);
+
 /// Chebyshev-I lowpass channel-select filter. The SpectreRF rflib has no
 /// wideband bandpass model (paper §4.2), so — exactly like the authors —
 /// we realize channel selection with low/high-pass sections.

@@ -272,12 +272,15 @@ std::vector<core::BerResult> run_cold_pass_checkpointed(
   };
 
   std::vector<core::BerResult> results;
+  const bool resuming = !resume.progress.empty();
   try {
     results = core::sweep_ber_adaptive_resumable(configs, rule, opts, &resume);
   } catch (const std::invalid_argument&) {
     // A checkpoint that passed parsing but fails the engine's resume
     // validation (e.g. written under a colliding key with different
-    // semantics) is treated like any other corrupt file: cold start.
+    // semantics) is treated like any other corrupt file: cold start. A
+    // cold run that throws would only throw again.
+    if (!resuming) throw;
     resume.progress.clear();
     resume.preempted = false;
     results = core::sweep_ber_adaptive_resumable(configs, rule, opts, &resume);

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/experiments.h"
+#include "core/link.h"
 #include "phy80211a/params.h"
 
 namespace wlansim::service {
@@ -141,6 +142,9 @@ core::LinkConfig link_from_json(const Json& j) {
     cfg.interferer = ic;
   }
   cfg.seed = get_u64(j, "seed", cfg.seed);
+  // A link no packet can run fails here, on its own request, instead of
+  // inside the pooled pass it would share with other clients' links.
+  core::validate(cfg);
   return cfg;
 }
 

@@ -41,7 +41,9 @@ namespace wlansim::service {
 // and the seed. Unlisted LinkConfig fields keep core::default_link_config()
 // values on both sides, so client and daemon agree on the full config.
 Json link_to_json(const core::LinkConfig& cfg);
-core::LinkConfig link_from_json(const Json& j);  // throws on malformed input
+/// Throws on malformed input and, through core::validate, on a link no
+/// packet can run.
+core::LinkConfig link_from_json(const Json& j);
 
 // --- StoppingRule <-> JSON --------------------------------------------------
 Json rule_to_json(const sim::StoppingRule& rule);

@@ -179,11 +179,14 @@ bool serve_shard(int fd, const ShardRequest& req,
   };
 
   std::vector<core::BerResult> results;
+  const bool resuming = !seed.empty();
   try {
     results = run_once(std::move(seed));
   } catch (const std::invalid_argument&) {
     // Stale or incompatible resume state (e.g. saved under a different
     // cap): clean cold re-run, exactly as the single-process path does.
+    // A cold run that throws would only throw again.
+    if (!resuming) throw;
     resumed = 0;
     results = run_once({});
   }
@@ -443,6 +446,7 @@ std::vector<core::BerResult> ShardCoordinator::run(
       results = core::sweep_ber_adaptive_resumable(links, rule, sweep_opts,
                                                    &resume);
     } catch (const std::invalid_argument&) {
+      if (!any) throw;  // a cold run that throws would only throw again
       resume = core::AdaptiveResume{};
       resume.on_wave = [&](std::span<const core::SweepPointProgress> ps) {
         if (!stopping()) return true;
@@ -461,87 +465,99 @@ std::vector<core::BerResult> ShardCoordinator::run(
     ++done_count;
   };
 
-  assign_pending();
+  // However the pass ends early (a worker's error reply, bad JSON, a
+  // preemption), no worker may keep this pass's shard and connection: the
+  // next pass would read its late reply into a task of its own.
+  try {
+    assign_pending();
 
-  while (done_count < tasks.size()) {
-    if (stopping()) {
-      save_merged();
-      for (Worker& w : workers_) close_worker(w);
-      throw PreemptedError(
-          "sharded cold pass preempted: progress checkpointed");
-    }
+    while (done_count < tasks.size()) {
+      if (stopping()) {
+        save_merged();
+        throw PreemptedError(
+            "sharded cold pass preempted: progress checkpointed");
+      }
 
-    // Nothing running and nothing dispatchable: fall back to in-process
-    // execution of the remaining shards rather than spinning forever.
-    const bool any_active = [&] {
-      for (const Worker& w : workers_)
-        if (w.shard != -1) return true;
-      return false;
-    }();
-    if (!any_active) {
-      if (pending.empty()) break;  // all done
-      std::vector<int> rest;
-      std::swap(rest, pending);
-      for (const int t : rest) run_local(tasks[t]);
-      continue;
-    }
-
-    std::vector<pollfd> pfds;
-    std::vector<Worker*> polled;
-    for (Worker& w : workers_) {
-      if (w.shard == -1) continue;
-      pfds.push_back({w.fd, POLLIN, 0});
-      polled.push_back(&w);
-    }
-    const int rc = ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/200);
-    if (rc < 0 && errno != EINTR)
-      throw std::runtime_error(std::string("shard poll(): ") +
-                               std::strerror(errno));
-
-    for (std::size_t p = 0; p < pfds.size(); ++p) {
-      if (!(pfds[p].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-      Worker& w = *polled[p];
-      char chunk[4096];
-      const ssize_t nr = ::recv(w.fd, chunk, sizeof(chunk), 0);
-      if (nr <= 0) {
-        if (nr < 0 && errno == EINTR) continue;
-        // Worker lost mid-shard (SIGKILL, crash, socket teardown): its
-        // last progress report seeds the reassignment — at most
-        // report_every_waves quanta redone.
-        const int t = w.shard;
-        close_worker(w);
-        if (w.spawned) respawn(w);
-        if (t >= 0 && !tasks[t].done) {
-          pending.push_back(t);
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.reassigned;
-        }
+      // Nothing running and nothing dispatchable: fall back to in-process
+      // execution of the remaining shards rather than spinning forever.
+      const bool any_active = [&] {
+        for (const Worker& w : workers_)
+          if (w.shard != -1) return true;
+        return false;
+      }();
+      if (!any_active) {
+        if (pending.empty()) break;  // all done
+        std::vector<int> rest;
+        std::swap(rest, pending);
+        for (const int t : rest) run_local(tasks[t]);
         continue;
       }
-      w.rx.append(chunk, static_cast<std::size_t>(nr));
-      std::size_t nl;
-      while (w.shard != -1 && (nl = w.rx.find('\n')) != std::string::npos) {
-        const std::string line = w.rx.substr(0, nl);
-        w.rx.erase(0, nl + 1);
-        if (line.empty()) continue;
-        std::string perr;
-        const std::optional<Json> j = Json::parse(line, &perr);
-        if (!j) throw std::runtime_error("shard worker sent bad JSON: " + perr);
-        const ShardReply reply = shard_reply_from_json(*j);
-        Task& t = tasks[w.shard];
-        t.progress = reply.progress;
-        if (reply.done) {
-          t.results = reply.results;
-          t.resumed_packets = reply.resumed_packets;
-          t.done = true;
-          ++done_count;
-          w.shard = -1;
-        } else {
-          save_merged();
+
+      std::vector<pollfd> pfds;
+      std::vector<Worker*> polled;
+      for (Worker& w : workers_) {
+        if (w.shard == -1) continue;
+        pfds.push_back({w.fd, POLLIN, 0});
+        polled.push_back(&w);
+      }
+      const int rc = ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/200);
+      if (rc < 0 && errno != EINTR)
+        throw std::runtime_error(std::string("shard poll(): ") +
+                                 std::strerror(errno));
+
+      for (std::size_t p = 0; p < pfds.size(); ++p) {
+        if (!(pfds[p].revents & (POLLIN | POLLHUP | POLLERR))) continue;
+        Worker& w = *polled[p];
+        char chunk[4096];
+        const ssize_t nr = ::recv(w.fd, chunk, sizeof(chunk), 0);
+        if (nr <= 0) {
+          if (nr < 0 && errno == EINTR) continue;
+          // Worker lost mid-shard (SIGKILL, crash, socket teardown): its
+          // last progress report seeds the reassignment — at most
+          // report_every_waves quanta redone.
+          const int t = w.shard;
+          close_worker(w);
+          if (w.spawned) respawn(w);
+          if (t >= 0 && !tasks[t].done) {
+            pending.push_back(t);
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.reassigned;
+          }
+          continue;
+        }
+        w.rx.append(chunk, static_cast<std::size_t>(nr));
+        std::size_t nl;
+        while (w.shard != -1 && (nl = w.rx.find('\n')) != std::string::npos) {
+          const std::string line = w.rx.substr(0, nl);
+          w.rx.erase(0, nl + 1);
+          if (line.empty()) continue;
+          std::string perr;
+          const std::optional<Json> j = Json::parse(line, &perr);
+          if (!j)
+            throw std::runtime_error("shard worker sent bad JSON: " + perr);
+          const ShardReply reply = shard_reply_from_json(*j);
+          Task& t = tasks[w.shard];
+          if (reply.progress.size() != t.indices.size() ||
+              (reply.done && reply.results.size() != t.indices.size()))
+            throw std::runtime_error(
+                "shard worker replied for a different number of links");
+          t.progress = reply.progress;
+          if (reply.done) {
+            t.results = reply.results;
+            t.resumed_packets = reply.resumed_packets;
+            t.done = true;
+            ++done_count;
+            w.shard = -1;
+          } else {
+            save_merged();
+          }
         }
       }
+      assign_pending();
     }
-    assign_pending();
+  } catch (...) {
+    for (Worker& w : workers_) close_worker(w);
+    throw;
   }
 
   std::vector<core::BerResult> out(n);

@@ -1,4 +1,6 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -6,8 +8,11 @@
 #include "channel/fading.h"
 #include "channel/interferer.h"
 #include "dsp/mathutil.h"
+#include "dsp/resample.h"
 #include "dsp/spectrum.h"
+#include "phy80211a/bits.h"
 #include "phy80211a/params.h"
+#include "phy80211a/transmitter.h"
 
 namespace wlansim::channel {
 namespace {
@@ -147,6 +152,81 @@ TEST(Interferer, NegativeOffsetSupported) {
   const dsp::CVec jam = make_interferer(1 << 15, 80e6, 1e-6, cfg, rng);
   const dsp::PsdEstimate psd = dsp::welch_psd(jam, {.nfft = 1024});
   EXPECT_GT(psd.band_power(-0.25, 0.2), 10.0 * psd.band_power(0.25, 0.2));
+}
+
+// make_interferer written the long way: interpolate every tiled frame in
+// full, then cut, shift and scale copies.
+dsp::CVec make_interferer_reference(std::size_t length, double sample_rate_hz,
+                                    double wanted_power_watts,
+                                    const InterfererConfig& cfg,
+                                    dsp::Rng& rng) {
+  const auto factor =
+      static_cast<std::size_t>(std::lround(sample_rate_hz / phy::kSampleRate));
+  phy::Transmitter tx({.scrambler_seed = 0x13, .output_power_dbm = 0.0});
+  dsp::CVec base;
+  while (base.size() * factor < length) {
+    const phy::Bytes payload = phy::random_bytes(cfg.psdu_bytes, rng);
+    const dsp::CVec frame = tx.modulate({cfg.rate, payload});
+    base.insert(base.end(), frame.begin(), frame.end());
+    base.insert(base.end(), 40, dsp::Cplx{0.0, 0.0});
+  }
+  dsp::CVec over = factor > 1 ? dsp::upsample(base, factor) : std::move(base);
+  over.resize(length);
+  dsp::CVec shifted = dsp::frequency_shift(over, cfg.offset_hz / sample_rate_hz,
+                                           rng.uniform(0.0, dsp::kTwoPi));
+  dsp::set_mean_power(shifted,
+                      wanted_power_watts * dsp::from_db(cfg.level_db));
+  return shifted;
+}
+
+void expect_same_bits(const dsp::CVec& got, const dsp::CVec& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].real()),
+              std::bit_cast<std::uint64_t>(want[i].real()))
+        << "re at " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].imag()),
+              std::bit_cast<std::uint64_t>(want[i].imag()))
+        << "im at " << i;
+  }
+}
+
+TEST(Interferer, BitIdenticalToFullFrameReference) {
+  struct Scene {
+    double fs;
+    double offset_hz;
+  };
+  const Scene scenes[] = {{80e6, 20e6},   {80e6, -20e6}, {160e6, 20e6},
+                          {160e6, -20e6}, {160e6, 40e6}};
+  const double wanted_w = dsp::dbm_to_watts(-65.0);
+  std::uint64_t seed = 100;
+  for (const Scene& sc : scenes) {
+    for (const std::size_t psdu : {60u, 400u}) {
+      for (const std::size_t length :
+           {1u, 59u, 1000u, 10240u, 10241u, 40000u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "fs " << sc.fs << " offset " << sc.offset_hz
+                     << " psdu " << psdu << " length " << length);
+        InterfererConfig cfg;
+        cfg.offset_hz = sc.offset_hz;
+        cfg.psdu_bytes = psdu;
+        ++seed;
+        dsp::Rng ref_rng(seed), rng(seed), into_rng(seed);
+        const dsp::CVec want =
+            make_interferer_reference(length, sc.fs, wanted_w, cfg, ref_rng);
+        expect_same_bits(make_interferer(length, sc.fs, wanted_w, cfg, rng),
+                         want);
+        // A dirty, oversized buffer comes back as the same samples.
+        dsp::CVec out(length + 777, dsp::Cplx{-3.0, 5.0});
+        make_interferer_into(out, length, sc.fs, wanted_w, cfg, into_rng);
+        expect_same_bits(out, want);
+        // The caller's stream is left where the reference leaves it.
+        const double next = ref_rng.uniform();
+        EXPECT_EQ(rng.uniform(), next);
+        EXPECT_EQ(into_rng.uniform(), next);
+      }
+    }
+  }
 }
 
 TEST(Interferer, RejectsSamplingTheoremViolation) {

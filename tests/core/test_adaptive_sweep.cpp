@@ -173,5 +173,48 @@ TEST(AdaptiveSweep, DedicatedPoolThreadsFreeTheirLinks) {
       << " bytes over 20 calls";
 }
 
+TEST(AdaptiveSweep, BadConfigFailsClosedAtEveryPosition) {
+  // Configs that each throw inside a packet or a worker's link build. The
+  // sweep must hand the exception to its caller wherever the config sits
+  // and whichever worker draws it, and leave the pool fit for the next
+  // sweep.
+  std::vector<LinkConfig> bad(5, waterfall({16.0}).front());
+  bad[0].psdu_bytes = 0;
+  bad[1].psdu_bytes = 5000;
+  bad[2].interferer =
+      channel::InterfererConfig{.offset_hz = 4e7};  // > fs/2 - 10 MHz at 4x
+  bad[3].rf.bb_bandwidth_factor = 0.0;
+  bad[4].sco_ppm = -2e6;
+
+  const std::vector<LinkConfig> valid =
+      waterfall({10.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0, 24.0});
+  sim::StoppingRule fixed;
+  fixed.target_rel_ci = 0.0;
+  fixed.max_packets = 8;
+  SweepOptions fresh;
+  fresh.threads = 2;
+  const auto expected = sweep_ber_adaptive(valid, fixed, fresh);
+
+  for (const std::size_t threads : {0u, 3u}) {  // shared pool, dedicated pool
+    SweepOptions opts;
+    opts.threads = threads;
+    for (std::size_t b = 0; b < bad.size(); ++b) {
+      for (std::size_t pos = 0; pos < valid.size(); ++pos) {
+        SCOPED_TRACE(::testing::Message() << "threads " << threads << " bad "
+                                          << b << " at " << pos);
+        std::vector<LinkConfig> configs = valid;
+        configs[pos] = bad[b];
+        EXPECT_THROW((void)sweep_ber_adaptive(configs, fixed, opts),
+                     std::exception);
+      }
+    }
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    const auto after = sweep_ber_adaptive(valid, fixed, opts);
+    ASSERT_EQ(after.size(), expected.size());
+    for (std::size_t k = 0; k < after.size(); ++k)
+      expect_identical(after[k], expected[k]);
+  }
+}
+
 }  // namespace
 }  // namespace wlansim::core

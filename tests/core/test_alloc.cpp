@@ -11,6 +11,8 @@
 //    reused rather than reallocated.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/experiments.h"
 #include "core/link.h"
 #include "dsp/rng.h"
@@ -151,6 +153,38 @@ TEST(AllocationDiscipline, DirectPathShedsGraphHeapTraffic) {
   // direct path has left.
   EXPECT_LT(na, ng) << "direct=" << na << " graph=" << ng;
   EXPECT_LT(ba * 4, bg) << "direct bytes=" << ba << " graph bytes=" << bg;
+}
+
+TEST(AllocationDiscipline, InterfererAddsLessThanOneScene) {
+  // The §4.1 adjacent channel is built into the link's workspace: what it
+  // still allocates per packet is its own 20 Msps transmit frame and bit
+  // pipeline, not copies of the oversampled scene.
+  for (const std::size_t os : {4u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << os << "x");
+    LinkConfig cfg = default_link_config();
+    cfg.psdu_bytes = 60;
+    cfg.oversample = os;
+    WlanLink plain(cfg);
+    cfg.interferer =
+        channel::InterfererConfig{.offset_hz = 20e6, .level_db = 16.0};
+    WlanLink jammed(cfg);
+
+    const auto warm_bytes = [](WlanLink& link) {
+      link.run_packet(0);
+      link.run_packet(1);
+      reset_allocation_count();
+      link.run_packet(2);
+      return testhook::allocation_bytes();
+    };
+    const std::uint64_t plain_bytes = warm_bytes(plain);
+    const std::uint64_t jammed_bytes = warm_bytes(jammed);
+    const std::uint64_t scene_bytes =
+        jammed.last_rf_input().size() * sizeof(dsp::Cplx);
+    ASSERT_GT(scene_bytes, 0u);
+    EXPECT_LT(jammed_bytes - std::min(jammed_bytes, plain_bytes), scene_bytes)
+        << "interferer link " << jammed_bytes << " B, plain link "
+        << plain_bytes << " B, scene " << scene_bytes << " B";
+  }
 }
 
 }  // namespace

@@ -105,13 +105,96 @@ TEST(WlanLink, InterfererWithIdealFilteringIsHarmless) {
   EXPECT_EQ(r.bit_errors, 0u);
 }
 
+// Packets 0-3 of four §4.1 interferer links, captured before the
+// interferer learned to interpolate only the prefix it keeps. The graph and
+// direct paths share make_interferer, so only fixed numbers catch a change
+// in its bits.
+TEST(WlanLink, InterfererPacketsMatchCapturedResults) {
+  struct Golden {
+    std::size_t bit_errors;
+    double evm_rms;
+    double cfo_norm;
+  };
+  struct Case {
+    std::size_t oversample;
+    double offset_hz;
+    double level_db;
+    Golden packets[4];
+  };
+  const Case cases[] = {
+      {4, 20e6, 16.0,
+       {{44, 0.53394764402256001, 3.5106527121790741e-05},
+        {0, 0.40365467353002066, 0.00013371002475046187},
+        {15, 0.51995483787513308, 6.0745636828633083e-07},
+        {2, 0.50101152624632483, 0.00031040836640591632}}},
+      {4, -20e6, 16.0,
+       {{49, 0.53415142782258973, 2.8307580519246428e-05},
+        {0, 0.40275160288917522, 0.00012943801913750674},
+        {15, 0.52326817230479949, -1.0784815137958553e-06},
+        {2, 0.50278677293299301, 0.00031130149796776559}}},
+      {8, 20e6, 16.0,
+       {{7, 0.47029480987658562, -2.5637281694472651e-05},
+        {40, 0.54344011445129237, -4.4064522154076314e-05},
+        {52, 0.55929667491749524, 7.4655753266670254e-05},
+        {165, 0.50704114362727215, -5.7873973375470781e-06}}},
+      {8, 40e6, 32.0,
+       {{9, 0.47106863096090296, -2.8251596377750783e-05},
+        {40, 0.5416276477129619, -4.6196527324259138e-05},
+        {44, 0.5642461328146835, 6.7632219920649798e-05},
+        {174, 0.50334727662796486, -1.0492598594430175e-05}}},
+  };
+  for (const Case& c : cases) {
+    LinkConfig cfg = default_link_config();
+    cfg.psdu_bytes = 100;
+    cfg.snr_db = 9.0;
+    cfg.oversample = c.oversample;
+    cfg.interferer = channel::InterfererConfig{.offset_hz = c.offset_hz,
+                                               .level_db = c.level_db};
+    WlanLink link(cfg);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      SCOPED_TRACE(::testing::Message() << c.oversample << "x offset "
+                                        << c.offset_hz << " packet " << i);
+      const PacketResult r = link.run_packet(i);
+      EXPECT_TRUE(r.decoded);
+      EXPECT_EQ(r.bits, 800u);
+      EXPECT_EQ(r.bit_errors, c.packets[i].bit_errors);
+      EXPECT_EQ(r.evm_rms, c.packets[i].evm_rms);
+      EXPECT_EQ(r.cfo_norm, c.packets[i].cfo_norm);
+    }
+  }
+}
+
 TEST(WlanLink, RejectsBadConfig) {
-  LinkConfig cfg = default_link_config();
-  cfg.psdu_bytes = 0;
-  EXPECT_THROW(WlanLink{cfg}, std::invalid_argument);
-  cfg = default_link_config();
-  cfg.oversample = 0;
-  EXPECT_THROW(WlanLink{cfg}, std::invalid_argument);
+  // Configs no packet can run fail at construction, through validate().
+  LinkConfig base = default_link_config();
+  base.interferer = channel::InterfererConfig{.offset_hz = 20e6};
+  std::vector<LinkConfig> bad(8, base);
+  bad[0].psdu_bytes = 0;
+  bad[1].oversample = 0;
+  bad[2].psdu_bytes = 4096;
+  bad[3].interferer->offset_hz = 30e6 + 1.0;  // |offset| + 10 MHz > fs/2
+  bad[4].rf.bb_bandwidth_factor = -1.0;
+  bad[5].rf.bb_bandwidth_factor = 5.0;  // 43 MHz corner at 80 Msps
+  bad[6].sco_ppm = -1e6;
+  bad[7].sco_ppm = 1e6;
+  for (std::size_t b = 0; b < bad.size(); ++b) {
+    SCOPED_TRACE(b);
+    EXPECT_THROW(validate(bad[b]), std::invalid_argument);
+    EXPECT_THROW(WlanLink{bad[b]}, std::invalid_argument);
+  }
+
+  // The paper's §4.1 links and the edges of each rule pass.
+  std::vector<LinkConfig> good(5, base);
+  good[1].interferer->offset_hz = -30e6;
+  good[2].oversample = 8;
+  good[2].interferer->offset_hz = 40e6;
+  good[3].rf_engine = RfEngine::kNone;
+  good[3].rf.bb_bandwidth_factor = 0.0;  // no front-end, no filter
+  good[4].sco_ppm = 999999.0;
+  for (std::size_t g = 0; g < good.size(); ++g) {
+    SCOPED_TRACE(g);
+    EXPECT_NO_THROW(validate(good[g]));
+  }
 }
 
 TEST(WlanLink, CapturesWaveformsForInspection) {

@@ -1,10 +1,12 @@
 // ThreadPool graceful shutdown: in-flight work drains to completion,
 // post-shutdown submits are rejected without invoking anything, and the
-// call is idempotent / safe from a concurrent thread.
+// call is idempotent / safe from a concurrent thread. A job that throws
+// fails closed: the caller gets the exception and the pool stays usable.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "core/thread_pool.h"
@@ -72,6 +74,81 @@ TEST(PoolShutdown, InlinePoolDrainsToo) {
   pool.shutdown();
   EXPECT_FALSE(pool.parallel_for(5, 1, [&](std::size_t, std::size_t) { ++n; }));
   EXPECT_EQ(n.load(), 5);
+}
+
+// --- Exceptions: a throwing job fails closed --------------------------------
+
+/// Spin until `flag` is set or a generous deadline passes.
+void wait_for(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+}
+
+TEST(PoolExceptions, ThrowOnSpawnedWorkerStopsTheJobAndReachesTheCaller) {
+  ThreadPool pool(4);
+  constexpr std::size_t kItems = 100000;
+  std::atomic<bool> thrown{false};
+  std::atomic<std::size_t> calls{0};
+  const auto job = [&](std::size_t worker, std::size_t) {
+    ++calls;
+    if (worker != 0) {
+      thrown.store(true);
+      throw std::runtime_error("spawned worker failed");
+    }
+    // The caller keeps working (slowly) until the failure stops the job;
+    // run to the end, it would take several seconds.
+    wait_for(thrown);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  };
+  EXPECT_THROW(pool.parallel_for(kItems, 1, job), std::runtime_error);
+  EXPECT_LT(calls.load(), kItems / 2);
+
+  std::atomic<std::size_t> ran{0};
+  EXPECT_TRUE(pool.parallel_for(100, 3, [&](std::size_t, std::size_t) {
+    ++ran;
+  }));
+  EXPECT_EQ(ran.load(), 100u);
+}
+
+TEST(PoolExceptions, ThrowOnCallerWaitsForWorkersBeforeRethrowing) {
+  ThreadPool pool(4);
+  std::atomic<bool> worker_inside{false};
+  std::atomic<int> inside{0};
+  const auto job = [&](std::size_t worker, std::size_t) {
+    if (worker == 0) {
+      wait_for(worker_inside);
+      throw std::logic_error("caller failed");
+    }
+    ++inside;
+    worker_inside.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    --inside;
+  };
+  try {
+    pool.parallel_for(64, 1, job);
+    ADD_FAILURE() << "parallel_for returned normally";
+  } catch (const std::logic_error&) {
+    // Every worker has left `job`: it may now go out of scope.
+    EXPECT_EQ(inside.load(), 0);
+  }
+  pool.shutdown();  // the failed job is no longer in flight
+  EXPECT_TRUE(pool.is_shutdown());
+}
+
+TEST(PoolExceptions, InlinePoolRethrowsAndLeavesNothingInFlight) {
+  ThreadPool pool(1);
+  int calls = 0;
+  EXPECT_THROW(pool.parallel_for(10, 1,
+                                 [&](std::size_t, std::size_t i) {
+                                   ++calls;
+                                   if (i == 3) throw std::runtime_error("x");
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(calls, 4);
+  pool.shutdown();  // waits for in-flight jobs: hangs if the failed one stayed
+  EXPECT_TRUE(pool.is_shutdown());
 }
 
 }  // namespace

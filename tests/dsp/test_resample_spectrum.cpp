@@ -1,7 +1,10 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
+#include "dsp/fir.h"
 #include "dsp/mathutil.h"
 #include "dsp/resample.h"
 #include "dsp/rng.h"
@@ -9,6 +12,83 @@
 
 namespace wlansim::dsp {
 namespace {
+
+// The interpolator upsample() is defined as, written out sample by sample:
+// zero-stuff the input (scaled by factor to keep amplitude), stream it
+// through the resampling lowpass from cleared state, flush with `delay`
+// zeros, and keep the group-delay-aligned outputs [delay, delay + n).
+CVec upsample_zero_stuffed_reference(std::span<const Cplx> in,
+                                     std::size_t factor, double atten_db) {
+  FirFilter f(resampling_taps(factor, atten_db));
+  const std::size_t delay = (f.num_taps() - 1) / 2;
+  const std::size_t n = in.size() * factor;
+  const double scale = static_cast<double>(factor);
+  CVec out;
+  out.reserve(n);
+  for (std::size_t j = 0; j < n + delay; ++j) {
+    const Cplx x = (j < n && j % factor == 0) ? in[j / factor] * scale
+                                              : Cplx{0.0, 0.0};
+    const Cplx y = f.step(x);
+    if (j >= delay) out.push_back(y);
+  }
+  return out;
+}
+
+void expect_same_bits(const CVec& got, const CVec& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].real()),
+              std::bit_cast<std::uint64_t>(want[i].real()))
+        << "re at " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].imag()),
+              std::bit_cast<std::uint64_t>(want[i].imag()))
+        << "im at " << i;
+  }
+}
+
+CVec gaussian(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  CVec x(n);
+  for (Cplx& v : x) v = rng.cgaussian(1.0);
+  return x;
+}
+
+TEST(Resample, UpsampleBitIdenticalToZeroStuffedReference) {
+  for (const std::size_t factor : {2u, 4u, 8u}) {
+    for (const double atten_db : {60.0, 80.0}) {
+      for (const std::size_t n : {0u, 1u, 2u, 117u, 3000u}) {
+        SCOPED_TRACE(::testing::Message() << "factor " << factor << " atten "
+                                          << atten_db << " n " << n);
+        const CVec x = gaussian(n, 1000 * factor + n);
+        CVec out(7, Cplx{9.0, 9.0});  // dirty: upsample_into overwrites
+        upsample_into(x, factor, out, atten_db);
+        expect_same_bits(out,
+                         upsample_zero_stuffed_reference(x, factor, atten_db));
+        expect_same_bits(upsample(x, factor, atten_db), out);
+      }
+    }
+  }
+}
+
+TEST(Resample, UpsampleOfNeededPrefixKeepsTheOutputPrefix) {
+  const CVec x = gaussian(3000, 7);
+  for (const std::size_t factor : {1u, 2u, 4u, 8u}) {
+    const CVec full = upsample(x, factor);
+    for (const std::size_t len : {1u, 59u, 1000u, 2561u}) {
+      const std::size_t need = upsample_inputs_needed(len, factor);
+      ASSERT_LE(need, x.size());
+      CVec part = upsample(std::span<const Cplx>(x).first(need), factor);
+      ASSERT_GE(part.size(), len);
+      part.resize(len);
+      expect_same_bits(part, CVec(full.begin(), full.begin() + len));
+    }
+  }
+  // One input sample fewer changes the last kept output.
+  const std::size_t need = upsample_inputs_needed(1000, 4);
+  CVec short_part = upsample(std::span<const Cplx>(x).first(need - 1), 4);
+  short_part.resize(1000);
+  EXPECT_NE(short_part.back(), upsample(x, 4)[999]);
+}
 
 CVec tone(std::size_t n, double f_norm, double amp = 1.0) {
   CVec x(n);

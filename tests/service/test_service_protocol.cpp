@@ -243,5 +243,35 @@ TEST(ServiceProtocol, MalformedLinkJsonThrows) {
   EXPECT_THROW(link_from_json(j), std::runtime_error);
 }
 
+TEST(ServiceProtocol, LinkCodecRejectsLinksNoPacketCanRun) {
+  // Each of these throws inside every packet; the codec refuses them so a
+  // bad link fails its own request and not a pass shared with others.
+  std::vector<core::LinkConfig> bad(6, fancy_link());
+  bad[0].psdu_bytes = 0;
+  bad[1].psdu_bytes = 5000;
+  bad[2].interferer->offset_hz = 4e7;  // |offset| + 10 MHz > 40 MHz at 4x
+  bad[3].rf.bb_bandwidth_factor = 0.0;
+  bad[4].rf.bb_bandwidth_factor = 5.0;  // 43 MHz corner at 80 Msps
+  bad[5].sco_ppm = -2e6;
+  for (std::size_t b = 0; b < bad.size(); ++b) {
+    const Json j = link_to_json(bad[b]);
+    EXPECT_THROW(link_from_json(j), std::invalid_argument) << b;
+  }
+
+  // The edges of each rule still pass, and an idealized front-end has no
+  // baseband filter to check.
+  std::vector<core::LinkConfig> good(4, fancy_link());
+  good[0].psdu_bytes = 4095;
+  good[1].interferer->offset_hz = -30e6;  // |offset| + 10 MHz = fs/2
+  good[2].sco_ppm = -999999.0;
+  good[3].rf_engine = core::RfEngine::kNone;
+  good[3].rf.bb_bandwidth_factor = 0.0;
+  for (std::size_t g = 0; g < good.size(); ++g) {
+    const core::LinkConfig back = link_from_json(link_to_json(good[g]));
+    EXPECT_EQ(core::link_fingerprint(back), core::link_fingerprint(good[g]))
+        << g;
+  }
+}
+
 }  // namespace
 }  // namespace wlansim::service

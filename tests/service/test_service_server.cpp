@@ -272,5 +272,60 @@ TEST(ServiceServer, ConcurrentClientsCoalesce) {
   serving.join();
 }
 
+TEST(ServiceServer, BadEvalFailsClosedAndKeepsServing) {
+  const fs::path dir = test_dir("badeval");
+  Server::Options opts = server_opts(dir, "be");
+  opts.scheduler.threads = 3;
+  opts.scheduler.start_paused = true;  // hold the valid request in the queue
+  Server server(std::move(opts));
+
+  EvalRequest eval;
+  for (int k = 0; k < 8; ++k) {
+    core::LinkConfig cfg = core::default_link_config();
+    cfg.psdu_bytes = 60;
+    cfg.snr_db = 10.0 + k;
+    eval.links.push_back(cfg);
+  }
+  eval.rule = small_rule();
+
+  // Each of these throws inside a packet; the sixth link carries it.
+  std::vector<EvalRequest> bad(5, eval);
+  bad[0].links[5].interferer =
+      channel::InterfererConfig{.offset_hz = 4e7};  // > fs/2 - 10 MHz at 4x
+  bad[1].links[5].rf.bb_bandwidth_factor = 0.0;
+  bad[2].links[5].psdu_bytes = 5000;
+  bad[3].links[5].psdu_bytes = 0;
+  bad[4].links[5].sco_ppm = -2e6;
+
+  // A valid request waits in the paused engine's queue.
+  std::string good_line;
+  std::thread client(
+      [&] { good_line = server.handle_line(eval.to_json().dump()); });
+  while (server.scheduler().stats().jobs < 1) std::this_thread::yield();
+
+  // The bad requests are answered while the engine is still paused, so
+  // none of them joined the batch that carries the valid one.
+  for (std::size_t b = 0; b < bad.size(); ++b) {
+    const Json reply =
+        parse_line(server.handle_line(bad[b].to_json().dump()));
+    EXPECT_FALSE(reply.find("ok")->as_bool()) << b << ": " << reply.dump();
+    const Json ping = parse_line(server.handle_line("{\"op\":\"ping\"}"));
+    EXPECT_TRUE(ping.find("ok")->as_bool());
+  }
+
+  server.scheduler().resume();
+  client.join();
+  const Json good = parse_line(good_line);
+  EXPECT_TRUE(good.find("ok")->as_bool()) << good.dump();
+  EXPECT_EQ(results_reply_from_json(good).results.size(), eval.links.size());
+  const SchedulerStats st = server.scheduler().stats();
+  EXPECT_EQ(st.jobs, 1u);
+  EXPECT_EQ(st.batches, 1u);
+
+  // The same engine then serves the next request.
+  const Json again = parse_line(server.handle_line(eval.to_json().dump()));
+  EXPECT_TRUE(again.find("ok")->as_bool()) << again.dump();
+}
+
 }  // namespace
 }  // namespace wlansim::service

@@ -599,6 +599,48 @@ TEST(ShardScheduler, ShardedColdPassMatchesUnshardedIncludingStoreBytes) {
   }
 }
 
+TEST(ShardScheduler, FailedPassLeavesNoWorkerHoldingAShard) {
+  if (daemon_binary().empty())
+    GTEST_SKIP() << "wlansim_daemon not found next to the test binary";
+  Scheduler::Options sopts_sched;
+  sopts_sched.store_dir = test_dir("sched-fail-shard");
+  sopts_sched.threads = 1;
+  sopts_sched.workers = 2;
+  Scheduler sharded(sopts_sched);
+  ASSERT_NE(sharded.coordinator(), nullptr);
+
+  // Shard 0 holds a link its worker's codec rejects at once; shard 1's
+  // low-SNR points are still running when that error reply arrives.
+  JobRequest bad;
+  bad.configs = study({4.0, 5.0, 6.0, 7.0});
+  bad.configs[0].rf.bb_bandwidth_factor = 0.0;
+  bad.rule = small_rule();
+  bad.rule.target_rel_ci = 0.05;
+  bad.rule.min_errors = 4000;
+  bad.rule.max_packets = 96;
+  EXPECT_THROW(sharded.submit(bad).get(), std::exception);
+  EXPECT_GE(sharded.coordinator()->stats().shards, 2u);
+
+  // The next pass must not pick up the failed pass's late replies.
+  JobRequest good;
+  good.configs = study({6.0, 8.0, 10.0, 12.0, 14.0});
+  good.rule = small_rule();
+  const JobResult shard_res = sharded.submit(good).get();
+  EXPECT_EQ(sharded.stats().sharded_passes, 1u);
+  sharded.stop();
+
+  Scheduler::Options popts;
+  popts.store_dir = test_dir("sched-fail-plain");
+  popts.threads = 1;
+  Scheduler plain(popts);
+  const JobResult plain_res = plain.submit(good).get();
+  plain.stop();
+
+  ASSERT_EQ(shard_res.results.size(), plain_res.results.size());
+  for (std::size_t i = 0; i < plain_res.results.size(); ++i)
+    expect_identical(shard_res.results[i], plain_res.results[i]);
+}
+
 TEST(ShardScheduler, SingleKeyPassesStayLocal) {
   if (daemon_binary().empty())
     GTEST_SKIP() << "wlansim_daemon not found next to the test binary";
