@@ -11,7 +11,6 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
-#include <thread>
 
 #include "core/experiments.h"
 #include "core/link.h"
@@ -28,7 +27,6 @@
 #include "rf/receiver_chain.h"
 #include "scenario/drop.h"
 #include "service/scheduler.h"
-#include "service/shard.h"
 #include "sim/graph.h"
 #include "testsupport/alloc_hook.h"
 
@@ -765,88 +763,6 @@ void BM_ServiceWarmQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 11);
 }
 BENCHMARK(BM_ServiceWarmQuery)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_ShardedColdSweep(benchmark::State& state) {
-  // One pooled cold pass fanned out across N worker processes
-  // (service/shard.h) and merged back. The in-process single-threaded
-  // sweep is timed first: it is both the bit-identity oracle (the merged
-  // results must match it exactly) and the wall-time baseline for the
-  // speedup counter. The >=1.6x gate at 2 workers only applies on
-  // multi-core hosts — on one core, two worker processes time-slice one
-  // CPU and honestly measure the fan-out overhead instead.
-  const std::size_t workers = static_cast<std::size_t>(state.range(0));
-  std::vector<core::LinkConfig> links;
-  for (int i = 0; i < 12; ++i) {
-    core::LinkConfig cfg = core::default_link_config();
-    cfg.psdu_bytes = 120;
-    cfg.snr_db = 3.0 + i;
-    links.push_back(cfg);
-  }
-  sim::StoppingRule rule;
-  rule.target_rel_ci = 0.12;
-  rule.min_errors = 150;
-  rule.min_packets = 8;
-  rule.max_packets = 240;
-  core::SweepOptions sopts;
-  sopts.threads = 1;  // parallelism comes from the workers, not MC threads
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<core::BerResult> reference =
-      core::sweep_ber_adaptive(links, rule, sopts);
-  const double single_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  const std::filesystem::path dir =
-      bench_calib_dir() / ("sharded-" + std::to_string(workers));
-  double sharded_s = 0.0;
-  for (auto _ : state) {
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    service::ShardCoordinator::Options copts;
-    copts.workers = workers;
-    copts.checkpoint_dir = dir;
-    copts.worker_threads = 1;
-    service::ShardCoordinator coord(std::move(copts));
-    const auto w0 = std::chrono::steady_clock::now();
-    const std::vector<core::BerResult> merged = coord.run(links, rule, sopts);
-    sharded_s +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - w0)
-            .count();
-    if (merged.size() != reference.size()) {
-      state.SkipWithError("sharded pass returned a wrong point count");
-      return;
-    }
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      if (merged[i].packets != reference[i].packets ||
-          merged[i].bit_errors != reference[i].bit_errors ||
-          merged[i].evm_rms_avg != reference[i].evm_rms_avg) {
-        state.SkipWithError(
-            "sharded pass diverged from the single-process reference");
-        return;
-      }
-    }
-    benchmark::DoNotOptimize(merged.data());
-  }
-  const double speedup =
-      single_s * static_cast<double>(state.iterations()) / sharded_s;
-  state.counters["speedup_vs_single"] = speedup;
-  if (workers == 2 && std::thread::hardware_concurrency() >= 2 &&
-      speedup < 1.6) {
-    state.SkipWithError(
-        "2-worker sharded cold pass not >=1.6x over single-process");
-    return;
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(links.size()));
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_ShardedColdSweep)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4);
 
 }  // namespace
 

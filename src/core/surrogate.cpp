@@ -359,11 +359,10 @@ std::vector<BerResult> sweep_ber_deduped(std::span<const LinkConfig> configs,
   // miss list and TX-scene memoization applies whenever the groups share a
   // TX fingerprint. Each point is a pure function of (config, rule) — see
   // core/parallel.h — so pooling changes nothing about any single result,
-  // and a cold_pass hook may equally run the list as one in-process sweep
-  // or shard it across worker processes: the per-point purity makes any
-  // partition merge back bit-identically. The hook sees the keys in
-  // first-appearance order (the order `cold` preserves), which is the
-  // order shard partitions and checkpoint keys are defined against.
+  // and a cold_pass hook may checkpoint and resume the pass without
+  // changing a bit. The hook sees the keys in first-appearance order (the
+  // order `cold` preserves), which is the order checkpoint keys are
+  // defined against.
   std::vector<std::size_t> cold;
   for (std::size_t k = 0; k < entries.size(); ++k)
     if (!entries[k].warm) cold.push_back(k);

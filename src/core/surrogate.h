@@ -117,9 +117,9 @@ double quantize_axis(double x, double bin_width);
 /// scenario::DropConfig::cold_pass). The contract: the function MUST return
 /// results bit-identical to sweep_ber_adaptive(cfgs, rule, sweep_opts) for
 /// every field except wall_seconds — each point is a pure function of
-/// (config, rule), so a conforming implementation may checkpoint, resume,
-/// or shard the pass across worker processes (service/shard.h) without
-/// changing a single bit of any result. A hook that cannot finish
+/// (config, rule), so a conforming implementation may checkpoint and
+/// resume the pass (service/checkpoint.h) without changing a single bit of
+/// any result. A hook that cannot finish
 /// (preemption) should throw; the exception propagates out before any
 /// store backfill.
 using ColdPassFn = std::function<std::vector<BerResult>(
@@ -141,11 +141,10 @@ struct DedupOptions {
   /// in the pooled pass and nothing is persisted (pure deduplication).
   bool use_store = true;
   /// Optional replacement for the pooled cold pass. Null (the default)
-  /// runs sweep_ber_adaptive(cfgs, rule, sweep_opts) directly; a service
-  /// layer substitutes a checkpointing wrapper (run_cold_pass_checkpointed)
-  /// or a sharded coordinator fanning the pass out across worker processes
-  /// (service/shard.h) here. The cold keys reach the hook in
-  /// first-appearance order — the order a shard partition is defined
+  /// runs sweep_ber_adaptive(cfgs, rule, sweep_opts) directly; the service
+  /// layer substitutes its checkpointing wrapper
+  /// (run_cold_pass_checkpointed) here. The cold keys reach the hook in
+  /// first-appearance order, which is the order a checkpoint is keyed
   /// against. See ColdPassFn for the bit-identity contract; the dedup
   /// layer backfills the store from the hook's results, and an exception
   /// (preemption) propagates out of sweep_ber_deduped before any backfill,

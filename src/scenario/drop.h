@@ -90,8 +90,8 @@ struct DropConfig {
   std::filesystem::path store_dir;
   /// Optional replacement for each step's pooled cold pass, forwarded into
   /// core::DedupOptions::cold_pass — the service layer routes this to its
-  /// checkpointed (and sharded, service/shard.h) executor so a drop served
-  /// over the socket checkpoints and fans out exactly like a sweep job.
+  /// checkpointed executor so a drop served over the socket checkpoints and
+  /// resumes exactly like a sweep job.
   /// Same bit-identity contract as core::ColdPassFn.
   core::ColdPassFn cold_pass;
 };

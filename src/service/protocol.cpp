@@ -398,133 +398,6 @@ DropRequest DropRequest::from_json(const Json& j) {
   return req;
 }
 
-Json progress_to_json(const core::SweepPointProgress& p) {
-  Json j = Json::object();
-  j.set("packets", Json::number_u64(p.packets));
-  j.set("packets_lost", Json::number_u64(p.packets_lost));
-  j.set("packet_errors", Json::number_u64(p.packet_errors));
-  j.set("bits", Json::number_u64(p.bits));
-  j.set("bit_errors", Json::number_u64(p.bit_errors));
-  j.set("evm_sum", Json::number(p.evm_sum));
-  j.set("evm_packets", Json::number_u64(p.evm_packets));
-  j.set("stopped", Json::boolean(p.stopped));
-  j.set("converged", Json::boolean(p.converged));
-  return j;
-}
-
-core::SweepPointProgress progress_from_json(const Json& j) {
-  if (!j.is_object())
-    throw std::runtime_error("protocol: progress entry must be an object");
-  core::SweepPointProgress p;
-  p.packets = require(j, "packets").as_u64();
-  p.packets_lost = require(j, "packets_lost").as_u64();
-  p.packet_errors = require(j, "packet_errors").as_u64();
-  p.bits = require(j, "bits").as_u64();
-  p.bit_errors = require(j, "bit_errors").as_u64();
-  p.evm_sum = require(j, "evm_sum").as_double();
-  p.evm_packets = require(j, "evm_packets").as_u64();
-  p.stopped = require(j, "stopped").as_bool();
-  p.converged = require(j, "converged").as_bool();
-  return p;
-}
-
-Json progress_array_to_json(std::span<const core::SweepPointProgress> ps) {
-  Json arr = Json::array();
-  for (const core::SweepPointProgress& p : ps)
-    arr.push_back(progress_to_json(p));
-  return arr;
-}
-
-std::vector<core::SweepPointProgress> progress_array_from_json(const Json& j) {
-  if (!j.is_array())
-    throw std::runtime_error("protocol: progress must be an array");
-  std::vector<core::SweepPointProgress> ps;
-  ps.reserve(j.as_array().size());
-  for (const Json& p : j.as_array()) ps.push_back(progress_from_json(p));
-  return ps;
-}
-
-Json ShardRequest::to_json() const {
-  Json j = Json::object();
-  j.set("op", Json::string("shard"));
-  Json arr = Json::array();
-  for (const core::LinkConfig& cfg : links) arr.push_back(link_to_json(cfg));
-  j.set("links", std::move(arr));
-  j.set("rule", rule_to_json(rule));
-  j.set("threads", Json::number_u64(threads));
-  j.set("report_every_waves", Json::number_u64(report_every_waves));
-  if (!resume.empty()) j.set("resume", progress_array_to_json(resume));
-  return j;
-}
-
-ShardRequest ShardRequest::from_json(const Json& j) {
-  ShardRequest req;
-  const Json& links = require(j, "links");
-  if (!links.is_array() || links.as_array().empty())
-    throw std::runtime_error("protocol: \"links\" must be a non-empty array");
-  req.links.reserve(links.as_array().size());
-  for (const Json& l : links.as_array()) req.links.push_back(link_from_json(l));
-  req.rule = rule_from_json(require(j, "rule"));
-  req.threads = static_cast<std::size_t>(get_u64(j, "threads", 0));
-  req.report_every_waves =
-      static_cast<std::size_t>(get_u64(j, "report_every_waves", 1));
-  if (req.report_every_waves == 0) req.report_every_waves = 1;
-  if (const Json* r = j.find("resume")) {
-    req.resume = progress_array_from_json(*r);
-    if (req.resume.size() != req.links.size())
-      throw std::runtime_error(
-          "protocol: \"resume\" must carry one entry per link");
-  }
-  return req;
-}
-
-Json shard_progress_response(std::span<const core::SweepPointProgress> ps) {
-  Json j = Json::object();
-  j.set("ok", Json::boolean(true));
-  j.set("shard", Json::string("progress"));
-  j.set("progress", progress_array_to_json(ps));
-  return j;
-}
-
-Json shard_done_response(const std::vector<core::BerResult>& results,
-                         std::span<const core::SweepPointProgress> ps,
-                         std::uint64_t resumed_packets) {
-  Json j = Json::object();
-  j.set("ok", Json::boolean(true));
-  j.set("shard", Json::string("done"));
-  Json res = Json::array();
-  for (const core::BerResult& r : results) res.push_back(result_to_json(r));
-  j.set("results", std::move(res));
-  j.set("progress", progress_array_to_json(ps));
-  j.set("resumed_packets", Json::number_u64(resumed_packets));
-  return j;
-}
-
-ShardReply shard_reply_from_json(const Json& j) {
-  if (!j.is_object())
-    throw std::runtime_error("protocol: shard reply must be an object");
-  if (!get_bool(j, "ok", false)) {
-    const Json* err = j.find("error");
-    throw std::runtime_error(err && err->is_string()
-                                 ? err->as_string()
-                                 : std::string("shard worker error"));
-  }
-  ShardReply reply;
-  const std::string kind = require(j, "shard").as_string();
-  if (kind == "done") {
-    reply.done = true;
-  } else if (kind != "progress") {
-    throw std::runtime_error("protocol: shard kind must be progress|done");
-  }
-  reply.progress = progress_array_from_json(require(j, "progress"));
-  if (reply.done) {
-    for (const Json& r : require(j, "results").as_array())
-      reply.results.push_back(result_from_json(r));
-    reply.resumed_packets = get_u64(j, "resumed_packets", 0);
-  }
-  return reply;
-}
-
 Json error_response(const std::string& message, bool resumable) {
   Json j = Json::object();
   j.set("ok", Json::boolean(false));

@@ -11,7 +11,8 @@
 //    "bin_width_db":0.5,"use_store":true}
 // Responses always carry "ok"; failures add "error" (and "resumable":true
 // when the job was preempted by a daemon shutdown and a checkpoint holds
-// its progress).
+// its progress). A request line may be at most kMaxRequestBytes
+// (service/server.h) long.
 //
 // Determinism across the wire: every double serializes as the shortest
 // decimal that round-trips to the identical bit pattern and every counter
@@ -23,7 +24,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -103,9 +103,8 @@ struct EvalRequest {
 };
 
 /// "drop": a full network-scale drop (scenario::run_drop) executed inside
-/// the daemon, so its pooled cold passes ride the same checkpointed (and
-/// sharded) executor as sweep jobs and its backfill lands in the daemon's
-/// store. Serializes the CLI-exposed DropConfig surface; `threads` and
+/// the daemon, so its pooled cold passes ride the same checkpointed
+/// executor as sweep jobs and its backfill lands in the daemon's store. Serializes the CLI-exposed DropConfig surface; `threads` and
 /// `store_dir` stay daemon-owned (they are resources of the serving
 /// process, not of the question being asked).
 struct DropRequest {
@@ -114,62 +113,6 @@ struct DropRequest {
   Json to_json() const;
   static DropRequest from_json(const Json& j);
 };
-
-// --- SweepPointProgress <-> JSON --------------------------------------------
-// Exact round trip: counters via the u64 channel, evm_sum via the
-// shortest-round-trip double codec — a progress vector shipped to a worker
-// and back resumes bit-identically to one kept in memory.
-Json progress_to_json(const core::SweepPointProgress& p);
-core::SweepPointProgress progress_from_json(const Json& j);
-
-Json progress_array_to_json(std::span<const core::SweepPointProgress> ps);
-std::vector<core::SweepPointProgress> progress_array_from_json(const Json& j);
-
-// --- Shard job (coordinator -> worker) --------------------------------------
-
-/// "shard": one shard of a pooled cold pass — an explicit config list run
-/// as a checkpointed sweep_ber_adaptive pass by a worker daemon
-/// (service/shard.h). Unlike every other op, the worker STREAMS responses:
-/// zero or more progress lines (one per report_every_waves wave
-/// boundaries), then exactly one done line (or an error line). The
-/// coordinator uses the progress lines to reseed the shard on another
-/// worker after a loss, so a worker SIGKILL costs at most
-/// report_every_waves quanta of redone work.
-struct ShardRequest {
-  std::vector<core::LinkConfig> links;
-  sim::StoppingRule rule;
-  std::size_t threads = 0;
-  /// Stream a progress line every this many wave boundaries (>= 1).
-  std::size_t report_every_waves = 1;
-  /// Resume seed: empty (cold) or one entry per link — the coordinator's
-  /// latest view of this shard (from a lost worker's progress reports or
-  /// the merged whole-pass checkpoint).
-  std::vector<core::SweepPointProgress> resume;
-
-  Json to_json() const;
-  static ShardRequest from_json(const Json& j);
-};
-
-/// One streamed worker line: {"ok":true,"shard":"progress",...} while
-/// running, {"ok":true,"shard":"done",...} on completion.
-Json shard_progress_response(std::span<const core::SweepPointProgress> ps);
-Json shard_done_response(const std::vector<core::BerResult>& results,
-                         std::span<const core::SweepPointProgress> ps,
-                         std::uint64_t resumed_packets);
-
-/// Parsed coordinator-side view of one worker line.
-struct ShardReply {
-  bool done = false;  ///< false: progress line; true: final results line
-  std::vector<core::SweepPointProgress> progress;
-  std::vector<core::BerResult> results;  ///< filled when done
-  /// Sum of the resume seed's packet counters the worker started from —
-  /// 0 means the worker ran the shard cold (tests use this to assert a
-  /// corrupt checkpoint forced a clean cold re-run).
-  std::uint64_t resumed_packets = 0;
-};
-/// Throws std::runtime_error carrying the worker's "error" text on an
-/// ok:false line.
-ShardReply shard_reply_from_json(const Json& j);
 
 // --- Responses --------------------------------------------------------------
 

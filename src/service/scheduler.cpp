@@ -39,17 +39,6 @@ Scheduler::Scheduler(Options opts)
                                                    : opts_.checkpoint_dir),
       cache_(sim::CalibrationStore(store_dir_)),
       paused_(opts_.start_paused) {
-  if (opts_.workers > 0 || !opts_.worker_sockets.empty()) {
-    ShardCoordinator::Options copts;
-    copts.workers = opts_.workers;
-    copts.attach_sockets = opts_.worker_sockets;
-    copts.worker_binary = opts_.worker_binary;
-    copts.checkpoint_dir = checkpoint_dir_;
-    copts.checkpoint_every_waves = opts_.checkpoint_every_waves;
-    copts.worker_threads = opts_.threads;
-    copts.stop = &stop_flag_;
-    coordinator_ = std::make_unique<ShardCoordinator>(std::move(copts));
-  }
   engine_ = std::thread([this] { engine_loop(); });
 }
 
@@ -112,32 +101,14 @@ std::future<scenario::DropSummary> Scheduler::submit_drop(
 }
 
 SchedulerStats Scheduler::stats() const {
-  SchedulerStats st;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    st = stats_;
-  }
-  if (coordinator_) {
-    const ShardStats ss = coordinator_->stats();
-    st.workers = coordinator_->num_workers();
-    st.sharded_passes = ss.passes;
-    st.shard_reassigned = ss.reassigned;
-    st.worker_respawns = ss.worker_respawns;
-  }
-  return st;
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 core::ColdPassFn Scheduler::cold_pass_hook() {
   return [this](std::span<const core::LinkConfig> cfgs,
                 const sim::StoppingRule& rule,
                 const core::SweepOptions& sopts) {
-    // A pass with more than one dedup key fans out across the workers;
-    // single-key passes (and unsharded daemons) run the plain checkpointed
-    // path. Both are bit-identical to sweep_ber_adaptive on `cfgs` — the
-    // coordinator shares the checkpointed path's key, so either executor
-    // resumes the other's preempted work.
-    if (coordinator_ && coordinator_->num_workers() > 0 && cfgs.size() > 1)
-      return coordinator_->run(cfgs, rule, sopts);
     return run_cold_pass_checkpointed(checkpoint_dir_, cfgs, rule, sopts,
                                       &stop_flag_,
                                       opts_.checkpoint_every_waves);

@@ -14,9 +14,10 @@
 // order contract — coalescing changes THROUGHPUT, never bits: each job's
 // results are identical to running it alone.
 //
-// Cold passes run through service/checkpoint.h: progress persists at every
-// wave boundary and a stop() preempts at the next boundary, failing the
-// affected jobs with PreemptedError while keeping their progress on disk.
+// Cold passes run on the in-process thread pool through
+// service/checkpoint.h: progress persists at every wave boundary and a
+// stop() preempts at the next boundary, failing the affected jobs with
+// PreemptedError while keeping their progress on disk.
 #pragma once
 
 #include <atomic>
@@ -24,14 +25,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/surrogate.h"
 #include "scenario/drop.h"
-#include "service/shard.h"
 #include "sim/ber_surrogate.h"
 
 namespace wlansim::service {
@@ -62,11 +61,6 @@ struct SchedulerStats {
   std::uint64_t preempted = 0; ///< jobs failed by shutdown preemption
   std::uint64_t drops = 0;     ///< drop jobs completed
   core::DedupStats dedup;      ///< accumulated over all groups and drops
-  // Shard-coordinator view (zero when sharding is not configured):
-  std::size_t workers = 0;           ///< workers configured
-  std::uint64_t sharded_passes = 0;  ///< cold passes fanned out
-  std::uint64_t shard_reassigned = 0;
-  std::uint64_t worker_respawns = 0;
 };
 
 class Scheduler {
@@ -84,15 +78,6 @@ class Scheduler {
     /// Start with the engine paused: submissions queue but do not run
     /// until resume() — deterministic coalescing for tests and benches.
     bool start_paused = false;
-    /// Local worker processes to spawn for sharded cold passes
-    /// (service/shard.h). 0 (+ no worker_sockets) = single-process cold
-    /// passes, exactly the pre-sharding behavior.
-    std::size_t workers = 0;
-    /// Sockets of already-running worker daemons to attach.
-    std::vector<std::filesystem::path> worker_sockets;
-    /// Worker binary for spawned workers; empty = auto-resolve
-    /// (ShardCoordinator::Options::worker_binary).
-    std::filesystem::path worker_binary;
   };
 
   explicit Scheduler(Options opts);
@@ -109,8 +94,8 @@ class Scheduler {
 
   /// Enqueue a full drop (scenario::run_drop) on the engine thread. The
   /// drop's threads / store_dir are overridden with the daemon's own, and
-  /// its pooled cold passes route through the same checkpointed (and
-  /// sharded, when workers are configured) executor as sweep jobs.
+  /// its pooled cold passes route through the same checkpointed executor
+  /// as sweep jobs.
   std::future<scenario::DropSummary> submit_drop(scenario::DropConfig cfg);
 
   /// Release a start_paused engine.
@@ -124,12 +109,6 @@ class Scheduler {
   SchedulerStats stats() const;
 
   const std::filesystem::path& store_dir() const { return store_dir_; }
-  const std::filesystem::path& checkpoint_dir() const {
-    return checkpoint_dir_;
-  }
-  /// The shard coordinator, or nullptr when sharding is not configured
-  /// (tests SIGKILL its worker_pids()).
-  ShardCoordinator* coordinator() { return coordinator_.get(); }
 
  private:
   struct Pending {
@@ -150,7 +129,6 @@ class Scheduler {
   std::filesystem::path store_dir_;
   std::filesystem::path checkpoint_dir_;
   sim::BerSurrogate cache_;  ///< persistent in-memory store view (engine only)
-  std::unique_ptr<ShardCoordinator> coordinator_;  ///< null = unsharded
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -2,19 +2,26 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <stdexcept>
 
 #include "service/checkpoint.h"
-#include "service/shard.h"
 
 namespace wlansim::service {
 
 namespace {
+
+/// A send() to a client that stopped reading fails after this long, so a
+/// connection thread never blocks shutdown on such a client.
+constexpr timeval kSendTimeout{10, 0};
 
 /// Write the whole buffer, riding out EINTR and partial writes. MSG_NOSIGNAL
 /// turns a vanished client into an error return instead of SIGPIPE.
@@ -32,7 +39,53 @@ bool send_all(int fd, std::string_view data) {
   return true;
 }
 
+/// The value of a scheduler job, or its exception rethrown as a copy made
+/// in this thread. `held` keeps the exception the engine thread stored
+/// alive until the copy is made: that exception's reference count lives in
+/// the uninstrumented C++ runtime, so without `held` ThreadSanitizer cannot
+/// see that this read comes before the engine thread frees it.
+template <class T>
+T await_job(std::future<T> fut) {
+  const std::shared_future<T> held = fut.share();
+  try {
+    return held.get();
+  } catch (const PreemptedError& e) {
+    throw PreemptedError(e.what());
+  } catch (const std::exception& e) {
+    throw std::runtime_error(e.what());
+  }
+}
+
 }  // namespace
+
+int connect_unix_retry(const std::filesystem::path& path, int timeout_ms) {
+  const std::string p = path.string();
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (p.empty() || p.size() >= sizeof(addr.sun_path)) return -1;
+  std::memcpy(addr.sun_path, p.c_str(), p.size() + 1);
+
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  int backoff_ms = 10;
+  for (;;) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      return fd;
+    }
+    const int err = errno;
+    ::close(fd);
+    // Retry only the startup race: socket file not yet created (ENOENT)
+    // or bound-but-not-listening leftovers (ECONNREFUSED). Anything else
+    // (EACCES, path too long, ...) will not heal by waiting.
+    if (err != ENOENT && err != ECONNREFUSED) return -1;
+    if (std::chrono::steady_clock::now() >= deadline) return -1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+    backoff_ms = std::min(backoff_ms * 2, 200);
+  }
+}
 
 Server::Server(Options opts)
     : opts_(std::move(opts)), scheduler_(opts_.scheduler) {
@@ -93,10 +146,13 @@ void Server::reap_finished() {
 }
 
 void Server::teardown_connections() {
+  // Reads only: a thread whose job the scheduler's stop just failed still
+  // sends that reply (the resumable preemption error) before it exits;
+  // kSendTimeout bounds a send to a client that stopped reading.
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (auto& c : connections_)
-      if (c->fd >= 0) ::shutdown(c->fd, SHUT_RDWR);
+      if (c->fd >= 0) ::shutdown(c->fd, SHUT_RD);
   }
   std::lock_guard<std::mutex> lock(conn_mu_);
   for (auto& c : connections_) {
@@ -119,6 +175,8 @@ void Server::run(const std::atomic<bool>* external_stop) {
     if (rc == 0 || !(pfd.revents & POLLIN)) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &kSendTimeout,
+                 sizeof(kSendTimeout));
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     Connection* raw = conn.get();
@@ -175,10 +233,6 @@ std::string Server::handle_line(const std::string& line) {
       j.set("distinct", Json::number_u64(st.dedup.distinct));
       j.set("warm", Json::number_u64(st.dedup.warm));
       j.set("cold", Json::number_u64(st.dedup.cold));
-      j.set("workers", Json::number_u64(st.workers));
-      j.set("sharded_passes", Json::number_u64(st.sharded_passes));
-      j.set("shard_reassigned", Json::number_u64(st.shard_reassigned));
-      j.set("worker_respawns", Json::number_u64(st.worker_respawns));
       return j.dump();
     }
     if (name == "shutdown") {
@@ -192,7 +246,7 @@ std::string Server::handle_line(const std::string& line) {
     if (name == "drop") {
       const DropRequest drop = DropRequest::from_json(*req);
       const scenario::DropSummary summary =
-          scheduler_.submit_drop(drop.cfg).get();
+          await_job(scheduler_.submit_drop(drop.cfg));
       return drop_response(summary).dump();
     }
 
@@ -223,7 +277,7 @@ std::string Server::handle_line(const std::string& line) {
       return error_response("unknown op \"" + name + "\"").dump();
     }
 
-    const JobResult result = scheduler_.submit(std::move(job)).get();
+    const JobResult result = await_job(scheduler_.submit(std::move(job)));
     return results_response(values, result.results, result.stats).dump();
   } catch (const PreemptedError& e) {
     return error_response(e.what(), /*resumable=*/true).dump();
@@ -232,50 +286,31 @@ std::string Server::handle_line(const std::string& line) {
   }
 }
 
-bool Server::serve_shard_line(int fd, const Json& req) {
-  try {
-    const ShardRequest shard = ShardRequest::from_json(req);
-    ShardServeOptions so;
-    so.checkpoint_dir = scheduler_.checkpoint_dir();
-    so.checkpoint_every_waves = opts_.scheduler.checkpoint_every_waves;
-    so.stop = &stop_;
-    // false = preempted (our stop flag or the coordinator vanished); the
-    // shard checkpoint is saved and the connection should close.
-    return serve_shard(fd, shard, so);
-  } catch (const std::exception& e) {
-    const std::string response = error_response(e.what()).dump() + "\n";
-    send_all(fd, response);
-    return false;
-  }
-}
-
 void Server::serve_connection(Connection* conn) {
   const int fd = conn->fd;
   std::string buffer;
+  std::size_t scanned = 0;  // prefix of `buffer` known to hold no '\n'
   char chunk[4096];
   for (;;) {
-    const std::size_t nl = buffer.find('\n');
+    const std::size_t nl = buffer.find('\n', scanned);
+    if ((nl == std::string::npos ? buffer.size() : nl) > kMaxRequestBytes) {
+      const Json err = error_response("request line exceeds " +
+                                      std::to_string(kMaxRequestBytes) +
+                                      " bytes");
+      send_all(fd, err.dump() + "\n");
+      break;
+    }
     if (nl != std::string::npos) {
       std::string line = buffer.substr(0, nl);
       buffer.erase(0, nl + 1);
+      scanned = 0;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
-      // Shard jobs break the one-request-one-response shape: the worker
-      // streams progress lines and a final done line straight to the fd
-      // (service/shard.h). Everything else goes through handle_line.
-      if (line.find("\"shard\"") != std::string::npos) {
-        std::string parse_err;
-        const std::optional<Json> req = Json::parse(line, &parse_err);
-        const Json* op = req ? req->find("op") : nullptr;
-        if (req && op && op->is_string() && op->as_string() == "shard") {
-          if (!serve_shard_line(fd, *req)) break;
-          continue;
-        }
-      }
       const std::string response = handle_line(line) + "\n";
       if (!send_all(fd, response)) break;
       continue;
     }
+    scanned = buffer.size();
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -284,9 +319,10 @@ void Server::serve_connection(Connection* conn) {
     if (n == 0) break;  // client closed (or shutdown() during stop)
     buffer.append(chunk, static_cast<std::size_t>(n));
   }
-  // The fd stays open until the owner joins this thread: closing here
-  // would let the kernel recycle the descriptor number while teardown
-  // still shutdown()s it.
+  // The peer sees EOF now; the fd itself stays open until the owner joins
+  // this thread: closing here would let the kernel recycle the descriptor
+  // number while teardown still shutdown()s it.
+  ::shutdown(fd, SHUT_RDWR);
   conn->done.store(true);
 }
 

@@ -2,17 +2,19 @@
 //
 // Accepts connections on a stream socket and speaks the newline-delimited
 // JSON protocol (service/protocol.h): each request line produces exactly
-// one response line. Every connection gets its own thread; a thread blocks
-// in Scheduler::submit(...).get() while its job runs, which is exactly the
-// mechanism that lets concurrent requests pile up in the scheduler queue
-// and coalesce into pooled passes. The accept loop polls with a short
-// timeout so a stop flag (SIGTERM in the daemon) is honored promptly;
-// shutdown preempts in-flight cold passes at the next wave boundary
-// (checkpointing them), drains the thread pool gracefully, and unlinks the
-// socket.
+// one response line, and a line longer than kMaxRequestBytes gets one
+// error line before its connection is closed. Every connection gets its
+// own thread; a thread blocks on its Scheduler job's future while the job
+// runs, which is exactly the mechanism that lets concurrent requests pile
+// up in the scheduler queue and coalesce into pooled passes. The accept
+// loop polls with a short timeout so a stop flag (SIGTERM in the daemon)
+// is honored promptly; shutdown preempts in-flight cold passes at the next
+// wave boundary (checkpointing them), drains the thread pool gracefully,
+// and unlinks the socket.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -24,6 +26,19 @@
 #include "service/scheduler.h"
 
 namespace wlansim::service {
+
+/// Longest request line the server reads, newline excluded. A pending line
+/// past it is answered with an error and its connection closed, so a client
+/// that never sends '\n' cannot grow the daemon's memory. Apart from the
+/// tests of this limit, the largest request the repository sends is an
+/// 8-link eval of about 2 KB.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
+
+/// Connect to a Unix-domain stream socket, retrying ECONNREFUSED/ENOENT
+/// with a short backoff until `timeout_ms` elapses — the daemon-startup
+/// race (socket file not yet bound) becomes a wait instead of a failure.
+/// Returns the connected fd, or -1 when the timeout expires.
+int connect_unix_retry(const std::filesystem::path& path, int timeout_ms);
 
 class Server {
  public:
@@ -69,9 +84,6 @@ class Server {
   };
 
   void serve_connection(Connection* conn);
-  /// Run an "op":"shard" request, streaming its responses to `fd`; true
-  /// when the connection may keep serving (the done line was sent).
-  bool serve_shard_line(int fd, const Json& req);
   /// Join and close connections whose threads have finished (the fd is
   /// closed only here and at teardown, so a descriptor is never recycled
   /// while another thread still holds its number).

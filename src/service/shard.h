@@ -1,168 +1,7 @@
-// Sharded cold-pass execution: one pooled adaptive pass fanned out across
-// worker processes and merged back bit-identically.
-//
-// The enabling invariant is the adaptive engine's purity contract
-// (core/parallel.h): every point's result is a pure function of (config,
-// rule), and every quantum-boundary state compresses to one
-// SweepPointProgress. So a cold pass over K first-appearance-ordered keys
-// can be cut into S shards — shard s takes keys s, s+S, s+2S, ... (strided,
-// so a monotone SNR axis spreads its expensive low-SNR points evenly) —
-// run on S independent worker processes, and the merged results are
-// bit-identical to the single-process pooled pass in every field except
-// wall_seconds. Workers stream per-point progress at stop-quantum
-// boundaries; the coordinator folds those reports into the SAME whole-pass
-// checkpoint key the single-process path uses, so a preempted sharded pass
-// resumes under any later worker count (including zero), and a worker
-// SIGKILL mid-shard costs at most report_every_waves quanta of redone
-// work: the shard is reassigned seeded from its last reported progress.
-//
-// Coordinator and worker speak the normal wire protocol (an "op":"shard"
-// request answered by streamed progress lines and one done line —
-// service/protocol.h), so a worker is just a `wlansim_daemon --worker`
-// reached over its socket: spawned locally by the coordinator or attached
-// as an already-running daemon anywhere the socket reaches.
+// Forwarding header for service/server.h, which declares
+// connect_unix_retry. It exists only because e2ebench/src/service.cpp
+// includes this path and the benchmark's sources change only in benchmark
+// changes; delete it once that include names service/server.h.
 #pragma once
 
-#include <sys/types.h>
-
-#include <atomic>
-#include <cstdint>
-#include <filesystem>
-#include <mutex>
-#include <span>
-#include <string>
-#include <vector>
-
-#include "core/parallel.h"
-#include "service/protocol.h"
-
-namespace wlansim::service {
-
-/// Connect to a Unix-domain stream socket, retrying ECONNREFUSED/ENOENT
-/// with a short backoff until `timeout_ms` elapses — the daemon-startup
-/// race (socket file not yet bound) becomes a wait instead of a failure.
-/// Returns the connected fd, or -1 when the timeout expires.
-int connect_unix_retry(const std::filesystem::path& path, int timeout_ms);
-
-/// Strided partition of indices [0, n) into at most `shards` non-empty
-/// lists: shard s gets s, s+S, s+2S, ... This is the partition rule of the
-/// sharding contract (docs/PERFORMANCE.md): deterministic for (n, shards),
-/// and interleaved so a sorted axis spreads its expensive end across all
-/// workers instead of handing it to the last one.
-std::vector<std::vector<std::size_t>> shard_partition(std::size_t n,
-                                                      std::size_t shards);
-
-/// Per-point merge of two progress vectors for the SAME (configs, rule):
-/// both are quantum-boundary states on one pure trajectory, so whichever
-/// entry has evaluated more packets is simply further along — take it.
-/// Either input may be empty (treated as all-zero). Sizes must otherwise
-/// match `n`.
-std::vector<core::SweepPointProgress> merge_progress(
-    std::span<const core::SweepPointProgress> a,
-    std::span<const core::SweepPointProgress> b, std::size_t n);
-
-// --- Worker side ------------------------------------------------------------
-
-struct ShardServeOptions {
-  /// Per-shard checkpoint directory (keys are cold_pass_key of the SHARD's
-  /// config list, distinct from the coordinator's whole-pass key).
-  std::filesystem::path checkpoint_dir;
-  std::size_t checkpoint_every_waves = 1;
-  /// Worker's own shutdown flag (the daemon's SIGTERM flag).
-  const std::atomic<bool>* stop = nullptr;
-};
-
-/// Run one shard request, streaming progress lines and the final done line
-/// to `fd` (service/protocol.h framing). Resume priority: the request's
-/// seed merged per-point (merge_progress) with any local shard checkpoint
-/// — whichever is further ahead wins, so a reassigned shard never redoes
-/// work its last report already covered, and a worker restarted in place
-/// picks up its own checkpoint even from an empty request. The pass
-/// preempts (checkpointing first) when `opts.stop` fires or the
-/// coordinator's end of the socket vanishes. Returns true when the done
-/// line was sent; false on preemption (the connection should close).
-bool serve_shard(int fd, const ShardRequest& req,
-                 const ShardServeOptions& opts);
-
-// --- Coordinator ------------------------------------------------------------
-
-struct ShardStats {
-  std::uint64_t passes = 0;          ///< sharded cold passes completed
-  std::uint64_t shards = 0;          ///< shard dispatches (incl. reassigns)
-  std::uint64_t reassigned = 0;      ///< shards re-dispatched after a loss
-  std::uint64_t worker_respawns = 0; ///< dead spawned workers replaced
-  /// Per-shard resumed_packets of the last completed pass (tests assert a
-  /// corrupt checkpoint forced resumed_packets == 0 on exactly one shard).
-  std::vector<std::uint64_t> last_resumed_packets;
-};
-
-/// Fans one cold pass out across worker daemons and merges the results.
-/// run() is a conforming core::ColdPassFn body: bit-identical to
-/// sweep_ber_adaptive(configs, rule, opts) except wall_seconds.
-class ShardCoordinator {
- public:
-  struct Options {
-    /// Local worker processes to spawn (`wlansim_daemon --worker`),
-    /// lazily on the first sharded pass. 0 = attach-only.
-    std::size_t workers = 0;
-    /// Sockets of already-running worker daemons to attach.
-    std::vector<std::filesystem::path> attach_sockets;
-    /// Worker binary for spawned workers; empty = $WLANSIM_DAEMON_BIN,
-    /// else /proc/self/exe when this process IS wlansim_daemon, else
-    /// ../tools/wlansim_daemon next to the executable (build-tree tests
-    /// and benches).
-    std::filesystem::path worker_binary;
-    /// Whole-pass checkpoint directory — the SAME directory and key the
-    /// single-process run_cold_pass_checkpointed path uses, so sharded
-    /// and unsharded runs resume each other's work.
-    std::filesystem::path checkpoint_dir;
-    std::size_t checkpoint_every_waves = 1;
-    /// MC threads per worker (ShardRequest::threads).
-    std::size_t worker_threads = 0;
-    /// Preemption flag (the scheduler's stop flag).
-    const std::atomic<bool>* stop = nullptr;
-  };
-
-  explicit ShardCoordinator(Options opts);
-  ~ShardCoordinator();  // SIGTERM + reap spawned workers
-
-  ShardCoordinator(const ShardCoordinator&) = delete;
-  ShardCoordinator& operator=(const ShardCoordinator&) = delete;
-
-  /// Workers configured (spawned slots + attached sockets).
-  std::size_t num_workers() const;
-  /// PIDs of currently-live spawned workers (tests SIGKILL one).
-  std::vector<pid_t> worker_pids() const;
-
-  /// Execute the pass sharded. Throws PreemptedError after saving the
-  /// merged whole-pass checkpoint when opts.stop fires mid-pass; throws
-  /// std::runtime_error when no worker can be reached at all.
-  std::vector<core::BerResult> run(std::span<const core::LinkConfig> configs,
-                                   const sim::StoppingRule& rule,
-                                   const core::SweepOptions& sweep_opts);
-
-  ShardStats stats() const;
-
- private:
-  struct Worker {
-    std::filesystem::path socket;
-    bool spawned = false;  ///< ours to (re)spawn and reap
-    pid_t pid = -1;
-    int fd = -1;
-    std::string rx;        ///< per-connection receive buffer
-    int shard = -1;        ///< shard currently running here (-1 = idle)
-  };
-
-  bool ensure_worker(Worker& w);  ///< spawn/connect as needed
-  void respawn(Worker& w);
-  void close_worker(Worker& w);
-  bool dispatch(Worker& w, int shard_index, const ShardRequest& req);
-
-  Options opts_;
-  std::filesystem::path spawn_dir_;  ///< sockets of spawned workers
-  std::vector<Worker> workers_;
-  mutable std::mutex mu_;  ///< guards stats_ and worker pids for readers
-  ShardStats stats_;
-};
-
-}  // namespace wlansim::service
+#include "service/server.h"

@@ -469,8 +469,8 @@ bool CalibrationStore::save(const CalibrationCurve& curve) const {
   const std::filesystem::path final_path = path_for(curve.fingerprint);
   const std::string payload = serialize_curve(curve);
 
-  // Bounded retry with exponential backoff. Concurrent daemon shards racing
-  // on the same content-addressed key write identical payloads, so
+  // Bounded retry with exponential backoff. Processes sharing a store that
+  // race on the same content-addressed key write identical payloads, so
   // last-writer-wins is safe — a transient failure (rename contention,
   // directory creation race, brief EMFILE) should be absorbed here rather
   // than surfaced to a caller that would only retry the identical write.

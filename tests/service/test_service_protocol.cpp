@@ -273,5 +273,52 @@ TEST(ServiceProtocol, LinkCodecRejectsLinksNoPacketCanRun) {
   }
 }
 
+core::LinkConfig cheap_config(double snr) {
+  core::LinkConfig cfg = core::default_link_config();
+  cfg.psdu_bytes = 60;
+  cfg.snr_db = snr;
+  return cfg;
+}
+
+sim::StoppingRule small_rule() {
+  sim::StoppingRule rule;
+  rule.target_rel_ci = 0.35;
+  rule.min_errors = 25;
+  rule.min_packets = 8;
+  rule.max_packets = 40;
+  return rule;
+}
+
+TEST(ServiceProtocol, DropRequestRoundTrip) {
+  scenario::DropConfig cfg;
+  cfg.num_stations = 7;
+  cfg.num_steps = 3;
+  cfg.area_half_m = 25.0;
+  cfg.tx_power_dbm = 14.5;
+  cfg.seed = 99;
+  cfg.link = cheap_config(0.0);
+  cfg.snr_bin_db = 1.0;
+  cfg.rule = small_rule();
+  cfg.interferers.push_back({{3.0, -4.0}, 10.0, 312.5e3});
+  DropRequest req;
+  req.cfg = cfg;
+
+  std::string err;
+  const auto j = Json::parse(req.to_json().dump(), &err);
+  ASSERT_TRUE(j.has_value()) << err;
+  const scenario::DropConfig back = DropRequest::from_json(*j).cfg;
+  EXPECT_EQ(back.num_stations, 7u);
+  EXPECT_EQ(back.num_steps, 3u);
+  EXPECT_EQ(back.area_half_m, 25.0);
+  EXPECT_EQ(back.tx_power_dbm, 14.5);
+  EXPECT_EQ(back.seed, 99u);
+  EXPECT_EQ(back.snr_bin_db, 1.0);
+  EXPECT_EQ(back.rule.max_packets, small_rule().max_packets);
+  ASSERT_EQ(back.interferers.size(), 1u);
+  EXPECT_EQ(back.interferers[0].tx_power_dbm, 10.0);
+  EXPECT_EQ(back.interferers[0].offset_hz, 312.5e3);
+  EXPECT_EQ(back.link.psdu_bytes, 60u);
+}
+
 }  // namespace
 }  // namespace wlansim::service

@@ -1,16 +1,24 @@
-// The socket front end: request handling (protocol level) and a full
-// end-to-end exchange over a real Unix-domain socket, checking that a
-// daemon-served sweep reproduces direct evaluation bit-for-bit.
+// The socket front end: request handling (protocol level), a full
+// end-to-end exchange over a real Unix-domain socket checking that a
+// daemon-served sweep reproduces direct evaluation bit-for-bit, request
+// framing (the line-length limit, byte-at-a-time writes), and
+// connect_unix_retry.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -149,6 +157,103 @@ std::string socket_round_trip(const fs::path& path,
   }
 }
 
+/// A persistent client connection. Reads time out after 10 s (SO_RCVTIMEO),
+/// so a server that never answers fails the test instead of hanging it.
+class Client {
+ public:
+  explicit Client(const fs::path& path)
+      : fd_(connect_unix_retry(path, 5000)) {
+    EXPECT_GE(fd_, 0) << std::strerror(errno);
+    timeval tv{};
+    tv.tv_sec = 10;
+    if (fd_ >= 0)
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+  ~Client() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  Client(const Client&) = delete;
+  Client& operator=(const Client&) = delete;
+
+  /// Write `data` in `piece`-byte send() calls.
+  void send_bytes(std::string_view data, std::size_t piece) {
+    for (std::size_t off = 0; off < data.size();) {
+      const ssize_t n = ::send(fd_, data.data() + off,
+                               std::min(piece, data.size() - off),
+                               MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      ASSERT_GT(n, 0) << std::strerror(errno);
+      off += static_cast<std::size_t>(n);
+    }
+  }
+
+  /// The next response line without its '\n'; nullopt on EOF (eof() then
+  /// holds), a read error or the timeout.
+  std::optional<std::string> read_line() {
+    char chunk[4096];
+    for (;;) {
+      const std::size_t nl = rx_.find('\n');
+      if (nl != std::string::npos) {
+        std::string line = rx_.substr(0, nl);
+        rx_.erase(0, nl + 1);
+        return line;
+      }
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        eof_ = n == 0;
+        return std::nullopt;
+      }
+      rx_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+  bool eof() const { return eof_; }
+
+ private:
+  int fd_;
+  std::string rx_;
+  bool eof_ = false;
+};
+
+/// Runs `server` on its own thread until stop() or scope exit, so a failed
+/// ASSERT never leaves a joinable thread behind.
+class Serving {
+ public:
+  explicit Serving(Server& server)
+      : server_(server), thread_([this] { server_.run(); }) {}
+  ~Serving() { stop(); }
+  Serving(const Serving&) = delete;
+  Serving& operator=(const Serving&) = delete;
+  void stop() {
+    if (!thread_.joinable()) return;
+    server_.request_stop();
+    thread_.join();
+  }
+
+ private:
+  Server& server_;
+  std::thread thread_;
+};
+
+/// The removed "shard" op is an unknown op like any other, and the
+/// connection that sent it keeps serving.
+void expect_shard_op_unknown(const fs::path& sock) {
+  Client client(sock);
+  client.send_bytes("{\"op\":\"shard\"}\n", 64);
+  const std::optional<std::string> reply = client.read_line();
+  ASSERT_TRUE(reply.has_value());
+  const Json shard = parse_line(*reply);
+  EXPECT_FALSE(shard.find("ok")->as_bool());
+  EXPECT_NE(shard.find("error")->as_string().find("unknown op"),
+            std::string::npos)
+      << *reply;
+  client.send_bytes("{\"op\":\"ping\"}\n", 64);
+  const std::optional<std::string> pong = client.read_line();
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_TRUE(parse_line(*pong).find("ok")->as_bool());
+}
+
 TEST(ServiceServer, EndToEndOverTheSocket) {
   const fs::path dir = test_dir("e2e");
   Server server(server_opts(dir, "e2e"));
@@ -157,6 +262,8 @@ TEST(ServiceServer, EndToEndOverTheSocket) {
 
   const Json ping = parse_line(socket_round_trip(sock, "{\"op\":\"ping\"}"));
   EXPECT_TRUE(ping.find("ok")->as_bool());
+
+  expect_shard_op_unknown(sock);
 
   SweepRequest req;
   req.param = "snr";
@@ -325,6 +432,151 @@ TEST(ServiceServer, BadEvalFailsClosedAndKeepsServing) {
   // The same engine then serves the next request.
   const Json again = parse_line(server.handle_line(eval.to_json().dump()));
   EXPECT_TRUE(again.find("ok")->as_bool()) << again.dump();
+}
+
+TEST(ServiceServer, OverlongLineGetsOneErrorThenEof) {
+  const fs::path dir = test_dir("overlong");
+  Server server(server_opts(dir, "ol"));
+  const fs::path sock = server.socket_path();
+  Serving serving(server);
+
+  // A line of exactly the limit is still read and answered.
+  {
+    const std::string head = "{\"op\":\"ping\",\"pad\":\"";
+    const std::string line =
+        head + std::string(kMaxRequestBytes - head.size() - 2, 'x') + "\"}";
+    ASSERT_EQ(line.size(), kMaxRequestBytes);
+    Client client(sock);
+    client.send_bytes(line + "\n", 1 << 16);
+    const std::optional<std::string> reply = client.read_line();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_TRUE(parse_line(*reply).find("ok")->as_bool()) << *reply;
+  }
+
+  // One byte more, unterminated: one error line naming the limit, then EOF.
+  {
+    Client client(sock);
+    client.send_bytes(std::string(kMaxRequestBytes + 1, 'x'), 1 << 16);
+    const std::optional<std::string> reply = client.read_line();
+    ASSERT_TRUE(reply.has_value());
+    const Json err = parse_line(*reply);
+    EXPECT_FALSE(err.find("ok")->as_bool());
+    EXPECT_NE(err.find("error")->as_string().find(
+                  std::to_string(kMaxRequestBytes)),
+              std::string::npos)
+        << *reply;
+    EXPECT_FALSE(client.read_line().has_value());
+    EXPECT_TRUE(client.eof());
+  }
+
+  // The server keeps accepting: a fresh connection's ping answers.
+  {
+    Client client(sock);
+    client.send_bytes("{\"op\":\"ping\"}\n", 64);
+    const std::optional<std::string> pong = client.read_line();
+    ASSERT_TRUE(pong.has_value());
+    EXPECT_TRUE(parse_line(*pong).find("ok")->as_bool());
+  }
+}
+
+TEST(ServiceServer, StopStillAnswersAWaitingClient) {
+  // A job the stop fails must reach its client as the resumable error; a
+  // closed connection would leave the client unable to tell preemption
+  // from a crash.
+  const fs::path dir = test_dir("stopreply");
+  Server::Options opts = server_opts(dir, "sr");
+  opts.scheduler.start_paused = true;  // the job waits in the queue
+  Server server(std::move(opts));
+  const fs::path sock = server.socket_path();
+  Serving serving(server);
+
+  SweepRequest req;
+  req.base = core::default_link_config();
+  req.base.psdu_bytes = 60;
+  req.from = 6.0;
+  req.to = 6.0;
+  req.rule = small_rule();
+  Client client(sock);
+  client.send_bytes(req.to_json().dump() + "\n", 1 << 16);
+  while (server.scheduler().stats().jobs < 1) std::this_thread::yield();
+
+  serving.stop();
+  const std::optional<std::string> reply = client.read_line();
+  ASSERT_TRUE(reply.has_value()) << "connection closed without a reply";
+  const Json err = parse_line(*reply);
+  EXPECT_FALSE(err.find("ok")->as_bool());
+  const Json* resumable = err.find("resumable");
+  ASSERT_NE(resumable, nullptr) << *reply;
+  EXPECT_TRUE(resumable->as_bool());
+}
+
+TEST(ServiceServer, ByteAtATimeRequestGetsTheSameReply) {
+  const fs::path dir = test_dir("bytewise");
+  Server server(server_opts(dir, "bw"));
+  const fs::path sock = server.socket_path();
+  Serving serving(server);
+
+  SweepRequest req;
+  req.param = "snr";
+  req.from = 6.0;
+  req.to = 8.0;
+  req.step = 2.0;
+  req.base = core::default_link_config();
+  req.base.psdu_bytes = 60;
+  req.rule = small_rule();
+  const std::string line = req.to_json().dump() + "\n";
+
+  // The first pass is cold and fills the store; the two compared replies
+  // are then both warm, so every byte of them is deterministic.
+  Client client(sock);
+  client.send_bytes(line, line.size());
+  ASSERT_TRUE(client.read_line().has_value());
+  client.send_bytes(line, 1);
+  const std::optional<std::string> bytewise = client.read_line();
+  client.send_bytes(line, line.size());
+  const std::optional<std::string> whole = client.read_line();
+  ASSERT_TRUE(bytewise.has_value());
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_TRUE(parse_line(*whole).find("ok")->as_bool()) << *whole;
+  EXPECT_EQ(*bytewise, *whole);
+}
+
+// --- connect_unix_retry -----------------------------------------------------
+
+TEST(ServiceConnect, TimesOutOnMissingSocket) {
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_LT(connect_unix_retry("/tmp/wlansim-no-such.sock", 80), 0);
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  EXPECT_GE(ms, 80);
+  EXPECT_LT(ms, 3000);
+}
+
+TEST(ServiceConnect, WaitsForALateBoundSocket) {
+  const std::string path = "/tmp/wlansim-late-" +
+                           std::to_string(::getpid()) + ".sock";
+  ::unlink(path.c_str());
+  std::thread binder([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(lfd, 1), 0);
+    const int cfd = ::accept(lfd, nullptr, nullptr);
+    if (cfd >= 0) ::close(cfd);
+    ::close(lfd);
+  });
+  const int fd = connect_unix_retry(path, 5000);
+  EXPECT_GE(fd, 0);
+  if (fd >= 0) ::close(fd);
+  binder.join();
+  ::unlink(path.c_str());
 }
 
 }  // namespace

@@ -43,9 +43,6 @@ DEFAULT_WATCHED = [
     "BM_DropThroughputWarm/iterations:1",
     "BM_ServiceColdCoalesced/iterations:1",
     "BM_ServiceWarmQuery/iterations:1",
-    "BM_ShardedColdSweep/1/iterations:1",
-    "BM_ShardedColdSweep/2/iterations:1",
-    "BM_ShardedColdSweep/4/iterations:1",
 ]
 
 

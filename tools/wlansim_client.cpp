@@ -34,7 +34,7 @@
 #include "cli_link.h"
 #include "core/cliargs.h"
 #include "service/protocol.h"
-#include "service/shard.h"
+#include "service/server.h"
 #include "sim/sweep.h"
 
 namespace {

@@ -3,7 +3,6 @@
 //   wlansim_daemon --socket /tmp/wlansim.sock [--store DIR]
 //                  [--checkpoint-dir DIR] [--threads N]
 //                  [--checkpoint-every N] [--paused]
-//                  [--workers N] [--attach SOCK[,SOCK...]] [--worker]
 //
 // Listens on a Unix-domain stream socket for newline-delimited JSON
 // requests (src/service/protocol.h), schedules sweep/eval/drop jobs on the
@@ -14,12 +13,10 @@
 // boundary with their progress checkpointed, so a restarted daemon resumes
 // instead of recomputing.
 //
-// Sharding (service/shard.h): --workers N spawns N local worker daemons
-// and fans every multi-key cold pass out across them; --attach joins
-// already-running worker daemons by socket. --worker runs THIS daemon as a
-// worker: it serves the full protocol (shard jobs included — every daemon
-// does) but never spawns workers of its own, so a coordinator can never
-// recurse.
+// Every cold pass runs in this process on one thread pool: --threads N
+// threads, or the shared pool at hardware concurrency when N is 0. A
+// request line longer than service::kMaxRequestBytes (1 MiB) is refused
+// and its connection closed.
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -48,34 +45,16 @@ int run(int argc, char** argv) {
   opts.scheduler.checkpoint_every_waves =
       static_cast<std::size_t>(args.get_long("checkpoint-every", 1));
   opts.scheduler.start_paused = args.has("paused");
-  const bool worker_mode = args.has("worker");
-  if (!worker_mode) {
-    opts.scheduler.workers =
-        static_cast<std::size_t>(args.get_long("workers", 0));
-    const std::string attach = args.get_string("attach", "");
-    std::size_t start = 0;
-    while (start < attach.size()) {
-      std::size_t comma = attach.find(',', start);
-      if (comma == std::string::npos) comma = attach.size();
-      if (comma > start)
-        opts.scheduler.worker_sockets.emplace_back(
-            attach.substr(start, comma - start));
-      start = comma + 1;
-    }
-  }
   tools::fail_on_unused(args);
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
   service::Server server(std::move(opts));
-  std::printf("wlansim-daemon%s listening on %s\n",
-              worker_mode ? " (worker)" : "",
+  std::printf("wlansim-daemon listening on %s\n",
               server.socket_path().string().c_str());
   std::printf("store: %s\n",
               server.scheduler().store_dir().string().c_str());
-  if (const service::ShardCoordinator* c = server.scheduler().coordinator())
-    std::printf("workers: %zu\n", c->num_workers());
   std::fflush(stdout);
   server.run(&g_stop);
   std::printf("wlansim-daemon stopped\n");
