@@ -65,6 +65,11 @@ WlanLink::WlanLink(LinkConfig cfg) : cfg_(std::move(cfg)), rx_(cfg_.receiver) {
       phy::kSampleRate * static_cast<double>(cfg_.oversample);
 }
 
+WlanLink::ThreadScratch& WlanLink::thread_scratch() {
+  thread_local ThreadScratch scratch;
+  return scratch;
+}
+
 PacketResult WlanLink::run_packet(std::uint64_t packet_index) {
   return run_packet_with_payload({}, packet_index, nullptr);
 }
@@ -145,7 +150,7 @@ PacketResult WlanLink::run_packet_impl(std::span<const std::uint8_t> psdu,
     wave = mp.apply(wave);
   }
 
-  dsp::CVec& padded = ws_.padded;
+  dsp::CVec& padded = thread_scratch().padded;
   padded.clear();
   padded.reserve(cfg_.lead_samples + wave.size() + cfg_.tail_samples);
   padded.insert(padded.end(), cfg_.lead_samples, dsp::Cplx{0.0, 0.0});
@@ -339,10 +344,11 @@ std::size_t WlanLink::build_scene_prenoise(const dsp::CVec& padded,
 
   if (cfg_.interferer.has_value()) {
     dsp::Rng irng = rng.fork();
-    channel::make_interferer_into(ws_.jam, over_len, fs_over, p_sig,
+    dsp::CVec& jam = thread_scratch().jam;
+    channel::make_interferer_into(jam, over_len, fs_over, p_sig,
                                   *cfg_.interferer, irng);
-    const std::size_t n = std::min(ws_.jam.size(), a.size());
-    for (std::size_t i = 0; i < n; ++i) a[i] += ws_.jam[i];
+    const std::size_t n = std::min(jam.size(), a.size());
+    for (std::size_t i = 0; i < n; ++i) a[i] += jam[i];
   }
 
   return base_units;
@@ -355,6 +361,7 @@ void WlanLink::finish_scene_direct(std::size_t base_units, dsp::Rng& rng,
   const std::size_t os = cfg_.oversample;
 
   dsp::CVec& a = ws_.scene_a;
+  ThreadScratch& scratch = thread_scratch();
 
   double n_total =
       cfg_.antenna_noise_density_dbm_hz > -250.0
@@ -371,11 +378,12 @@ void WlanLink::finish_scene_direct(std::size_t base_units, dsp::Rng& rng,
       // unit normals and scales each by s = sqrt(v/2), so filling the
       // normals first and applying the scaled pairs performs the exact
       // same arithmetic in the exact same stream order.
-      ws_.noise_scratch.resize(2 * a.size());
-      nrng.fill_gaussian(ws_.noise_scratch.data(), ws_.noise_scratch.size());
+      scratch.noise_scratch.resize(2 * a.size());
+      nrng.fill_gaussian(scratch.noise_scratch.data(),
+                         scratch.noise_scratch.size());
       const double s = std::sqrt(n_total / 2.0);
       dsp::kernels::add_scaled_pairs(a.data(), a.size(), s,
-                                     ws_.noise_scratch.data());
+                                     scratch.noise_scratch.data());
     } else {
       // Memoized noise: cache the unit normals on the first pass and
       // replay them at every other noise level. cgaussian(v) evaluates
@@ -404,14 +412,14 @@ void WlanLink::finish_scene_direct(std::size_t base_units, dsp::Rng& rng,
     // through the front-end cascade in L1-sized tiles (cfg_.rf.tile_size,
     // 0 = auto), bit-identical to block-at-a-time execution and to the
     // 512-chunk graph path by the tile-continuity contract.
-    ws_.frontend->process_into(a, ws_.scene_b);
-    rx_over = &ws_.scene_b;
+    ws_.frontend->process_into(a, scratch.scene_b);
+    rx_over = &scratch.scene_b;
   } else if (cfg_.rf_engine == RfEngine::kCustom) {
     // Constructed per packet, exactly like the graph's rf_frontend_custom
     // node (the factory owns any state reset policy).
     const auto frontend = cfg_.custom_rf(rng.fork());
-    frontend->process_into(a, ws_.scene_b);
-    rx_over = &ws_.scene_b;
+    frontend->process_into(a, scratch.scene_b);
+    rx_over = &scratch.scene_b;
   }
 
   if (os > 1) {

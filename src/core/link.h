@@ -105,7 +105,8 @@ struct BerResult {
   /// deterministic as the counters); +inf until the first bit error.
   double ber_ci_rel = std::numeric_limits<double>::infinity();
   /// Wall time from the measurement's start until this point's stopping
-  /// decision. Only the adaptive engines fill it; 0 elsewhere.
+  /// decision. The pooled engines of core/parallel.h fill it (fixed
+  /// budgets included); WlanLink::run_ber leaves 0.
   double wall_seconds = 0.0;
   /// True when the stopping rule was met before the packet cap (the cap and
   /// fixed-budget runs report false).
@@ -209,22 +210,33 @@ class WlanLink {
   const dsp::CVec& last_rf_input() const { return last_rf_input_; }
 
  private:
-  /// Per-link scratch state for the direct (allocation-free) packet path.
-  /// Buffers keep their capacity across packets; blocks are constructed
-  /// once and re-randomized per packet (reset + reseed), which is exactly
-  /// equivalent to the per-packet construction the graph path performs.
-  /// Every buffer is invalidated by the next run_packet call.
+  /// Per-link state of the direct (allocation-free) packet path. Blocks
+  /// are constructed once and re-randomized per packet (reset + reseed),
+  /// which is exactly equivalent to the per-packet construction the graph
+  /// path performs. `scene_a` trades places with last_rf_input_ at the end
+  /// of every packet, so the probe costs no copy.
   struct Workspace {
-    dsp::CVec padded;           ///< 20 Msps frame with lead/tail padding
-    dsp::CVec scene_a, scene_b; ///< oversampled ping-pong buffers
-    dsp::CVec jam;              ///< interferer waveform
+    dsp::CVec scene_a;          ///< oversampled scene under construction
     dsp::RVec up_taps;          ///< TX interpolation taps (polyphase kernel)
-    dsp::RVec noise_scratch;    ///< bulk unit normals for the AWGN fill
     std::unique_ptr<dsp::FirFilter> down_filt;  ///< ideal RX decimation
     std::unique_ptr<rf::Amplifier> tx_pa;
     std::unique_ptr<rf::Mixer> tx_upconverter;
     std::unique_ptr<rf::DoubleConversionReceiver> frontend;
   };
+
+  /// Packet scratch of the calling thread, shared by every link that runs
+  /// on it: each packet fills these buffers before it reads them and
+  /// leaves nothing in them the next packet needs, so a worker caching a
+  /// link per sweep point keeps one set, not one per link. A custom RF
+  /// block writes its output into `scene_b`, so it must not run a WlanLink
+  /// packet on its calling thread.
+  struct ThreadScratch {
+    dsp::CVec padded;         ///< 20 Msps frame with lead/tail padding
+    dsp::CVec scene_b;        ///< front-end output (oversampled)
+    dsp::CVec jam;            ///< interferer waveform
+    dsp::RVec noise_scratch;  ///< bulk unit normals for the AWGN fill
+  };
+  static ThreadScratch& thread_scratch();
 
   bool use_direct_path() const;
   void run_scene_direct(const dsp::CVec& padded, dsp::Rng& rng);

@@ -85,7 +85,7 @@ bool WlanLink::run_packet_wave(std::uint64_t begin_index, std::size_t count,
         wave = mp.apply(wave);
       }
 
-      dsp::CVec& padded = ws_.padded;
+      dsp::CVec& padded = thread_scratch().padded;
       padded.clear();
       padded.reserve(cfg_.lead_samples + wave.size() + cfg_.tail_samples);
       padded.insert(padded.end(), cfg_.lead_samples, dsp::Cplx{0.0, 0.0});
@@ -141,7 +141,8 @@ bool WlanLink::run_packet_wave(std::uint64_t begin_index, std::size_t count,
     // memo path, else in a per-lane segment of the batch scratch), then add
     // them all in one fused row-major pass over the SoA buffer.
     const double* units[dsp::kernels::kLaneWidth];
-    if (scenes == nullptr) ws_.noise_scratch.resize(2 * n * count);
+    dsp::RVec& noise = thread_scratch().noise_scratch;
+    if (scenes == nullptr) noise.resize(2 * n * count);
     for (std::size_t l = 0; l < count; ++l) {
       dsp::Rng nrng = batch.lane_rng[l].fork();
       if (scenes != nullptr) {
@@ -152,7 +153,7 @@ bool WlanLink::run_packet_wave(std::uint64_t begin_index, std::size_t count,
         }
         units[l] = cached.data();
       } else {
-        double* seg = ws_.noise_scratch.data() + l * 2 * n;
+        double* seg = noise.data() + l * 2 * n;
         nrng.fill_gaussian(seg, 2 * n);
         units[l] = seg;
       }

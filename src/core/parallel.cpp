@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -18,28 +17,16 @@ namespace wlansim::core {
 
 namespace {
 
-/// Packets per scheduling chunk: large enough that chunk handoff is noise
-/// next to a packet's cost, small enough to balance tail latency.
+/// Packets per chunk: the longest run a work item holds (one full lane
+/// wave) and the span of a worker's TX-scene cache. Deep waves hand out
+/// whole chunks; shallow ones cut them into shorter runs.
 constexpr std::size_t kPacketChunk = 8;
 
-/// The calling worker's cached link, rebuilt only when the key changes.
-/// Lives on the pool's persistent threads, so repeated measurements of one
-/// configuration construct each worker's link exactly once.
-WlanLink& worker_link(const LinkConfig& cfg, const std::string& key) {
-  thread_local std::string cached_key;
-  thread_local std::unique_ptr<WlanLink> link;
-  if (!link || cached_key != key) {
-    link = std::make_unique<WlanLink>(cfg);
-    cached_key = key;
-  }
-  return *link;
-}
-
-/// A sweep worker holds one link per sweep point (keyed by the full config
-/// fingerprint), unlike worker_link's single slot: the joint schedule
-/// alternates points within a chunk, and rebuilding a link per item would
-/// dwarf the memoization win. The map dies with its thread, so the
-/// dedicated pool of a `threads > 0` call frees its links when it joins.
+/// A worker holds one link per sweep point (keyed by the full config
+/// fingerprint): the joint schedule alternates points within a chunk, and
+/// rebuilding a link per item would dwarf the memoization win. The map
+/// dies with its thread, so the dedicated pool of a `threads > 0` call
+/// frees its links when it joins.
 WlanLink& sweep_worker_link(const LinkConfig& cfg, const std::string& key) {
   thread_local std::unordered_map<std::string, std::unique_ptr<WlanLink>>
       links;
@@ -60,30 +47,6 @@ struct SceneCache {
   std::vector<TxScene> scenes;
 };
 
-BerResult reduce_in_packet_order(std::span<const PacketResult> results) {
-  // Sequential fold in packet order — the exact arithmetic of
-  // WlanLink::run_ber, so the parallel result matches bit for bit.
-  BerResult agg;
-  double evm_acc = 0.0;
-  std::size_t evm_n = 0;
-  for (const PacketResult& r : results) {
-    ++agg.packets;
-    agg.bits += r.bits;
-    agg.bit_errors += r.bit_errors;
-    if (r.bit_errors > 0 || !r.decoded) ++agg.packet_errors;
-    if (!r.decoded) {
-      ++agg.packets_lost;
-    } else {
-      evm_acc += r.evm_rms;
-      ++evm_n;
-    }
-  }
-  agg.evm_rms_avg = evm_n ? evm_acc / static_cast<double>(evm_n) : 0.0;
-  agg.ber_ci_rel = sim::wilson_rel_halfwidth(agg.bit_errors, agg.bits,
-                                             kDefaultConfidenceZ);
-  return agg;
-}
-
 /// Run packets [begin, end) of one point as a lockstep lane wave when the
 /// width and configuration allow it, else packet by packet on the scalar
 /// path. `scenes` (null = unmemoized) and `out` are lane-indexed: slot p
@@ -100,158 +63,6 @@ void run_chunk(WlanLink& link, std::size_t begin, std::size_t end,
     out[p] = scenes != nullptr ? link.run_packet_memo(begin + p, scenes[p])
                                : link.run_packet(begin + p);
 }
-
-BerResult run_ber_parallel_impl(const LinkConfig& cfg, std::size_t num_packets,
-                                std::size_t threads,
-                                std::size_t batch_width) {
-  if (num_packets == 0) return {};
-
-  std::string key = link_fingerprint(cfg);
-  if (key.empty()) {
-    // Not fingerprintable: key the cache to this call so links are fresh
-    // per call but still shared by all packets of the call.
-    static std::atomic<std::uint64_t> serial{0};
-    key = "#call-" + std::to_string(++serial);
-  }
-
-  // Work items are 8-packet chunks (not packets): each chunk runs as one
-  // lockstep lane wave where the config supports it, scalar otherwise —
-  // either way bit-identical to the per-packet loop.
-  std::vector<PacketResult> results(num_packets);
-  const std::size_t nchunks = (num_packets + kPacketChunk - 1) / kPacketChunk;
-  const auto body = [&](std::size_t /*worker*/, std::size_t c) {
-    const std::size_t begin = c * kPacketChunk;
-    const std::size_t end = std::min(begin + kPacketChunk, num_packets);
-    run_chunk(worker_link(cfg, key), begin, end, nullptr, &results[begin],
-              batch_width);
-  };
-
-  // More threads than 8-packet chunks would only contend on the queue.
-  const std::size_t max_useful = nchunks;
-  if (threads == 0) {
-    ThreadPool::shared().parallel_for(nchunks, 1, body);
-  } else if (std::min(threads, max_useful) <= 1) {
-    for (std::size_t c = 0; c < nchunks; ++c) body(0, c);
-  } else {
-    ThreadPool dedicated(std::min(threads, max_useful));
-    dedicated.parallel_for(nchunks, 1, body);
-  }
-  return reduce_in_packet_order(results);
-}
-
-}  // namespace
-
-BerResult run_ber_parallel(const LinkConfig& cfg, std::size_t num_packets,
-                           std::size_t threads) {
-  return run_ber_parallel_impl(cfg, num_packets, threads, kPacketChunk);
-}
-
-namespace {
-
-/// Joint (point, packet-chunk) schedule with TX-scene memoization. Work
-/// item i covers packet chunk i/npts at sweep point i%npts; the chunk-major
-/// order means a worker draining consecutive items runs one chunk across
-/// all points — building each packet's TX scene at the first point it
-/// serves and replaying it (bit-identically) at the rest. Per-point results
-/// still reduce in packet order, so the output matches the sequential
-/// per-point sweep bit for bit.
-std::vector<BerResult> sweep_ber_memoized(std::span<const LinkConfig> configs,
-                                          std::size_t num_packets,
-                                          std::size_t threads,
-                                          std::size_t batch_width,
-                                          std::span<const std::string> keys) {
-  static std::atomic<std::uint64_t> sweep_serial{0};
-  const std::uint64_t sweep_id = ++sweep_serial;
-  const std::size_t npts = configs.size();
-  const std::size_t nchunks =
-      (num_packets + kPacketChunk - 1) / kPacketChunk;
-  const std::size_t nitems = nchunks * npts;
-
-  std::vector<std::vector<PacketResult>> results(npts);
-  for (auto& r : results) r.resize(num_packets);
-
-  const auto body = [&](std::size_t /*worker*/, std::size_t item) {
-    const std::size_t k = item % npts;
-    const std::size_t chunk = item / npts;
-    thread_local SceneCache cache;
-    if (cache.sweep_id != sweep_id || cache.chunk != chunk) {
-      cache.sweep_id = sweep_id;
-      cache.chunk = chunk;
-      cache.scenes.assign(kPacketChunk, TxScene());
-    }
-    WlanLink& link = sweep_worker_link(configs[k], keys[k]);
-    const std::size_t begin = chunk * kPacketChunk;
-    const std::size_t end = std::min(begin + kPacketChunk, num_packets);
-    run_chunk(link, begin, end, cache.scenes.data(), &results[k][begin],
-              batch_width);
-  };
-
-  // Granularity npts: a worker claims one chunk's items across all points
-  // contiguously, so it builds each scene once and replays it npts-1 times
-  // — two workers never duplicate a chunk's scene builds.
-  const std::size_t max_useful = nchunks;
-  if (threads == 0) {
-    ThreadPool::shared().parallel_for(nitems, npts, body);
-  } else if (std::min(threads, max_useful) <= 1) {
-    for (std::size_t i = 0; i < nitems; ++i) body(0, i);
-  } else {
-    ThreadPool dedicated(std::min(threads, max_useful));
-    dedicated.parallel_for(nitems, npts, body);
-  }
-
-  std::vector<BerResult> out;
-  out.reserve(npts);
-  for (const auto& r : results) out.push_back(reduce_in_packet_order(r));
-  return out;
-}
-
-}  // namespace
-
-std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
-                                          std::size_t num_packets,
-                                          const SweepOptions& opts) {
-  const std::size_t npts = configs.size();
-  if (npts == 0) return {};
-
-  // Memoize only when every point shares one TX-side fingerprint and every
-  // full config is fingerprintable (the worker link-cache key).
-  bool memo = opts.memoize_tx && npts > 1 && num_packets > 0;
-  std::vector<std::string> keys;
-  if (memo) {
-    const std::string tx0 = tx_scene_fingerprint(configs[0]);
-    if (tx0.empty()) memo = false;
-    keys.reserve(npts);
-    for (std::size_t k = 0; memo && k < npts; ++k) {
-      if (k > 0 && tx_scene_fingerprint(configs[k]) != tx0) memo = false;
-      keys.push_back(link_fingerprint(configs[k]));
-      if (keys.back().empty()) memo = false;
-    }
-  }
-  if (!memo) {
-    std::vector<BerResult> out;
-    out.reserve(npts);
-    for (const LinkConfig& cfg : configs)
-      out.push_back(run_ber_parallel_impl(cfg, num_packets, opts.threads,
-                                          opts.batch_width));
-    return out;
-  }
-  return sweep_ber_memoized(configs, num_packets, opts.threads,
-                            opts.batch_width, keys);
-}
-
-std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
-                                          std::size_t num_packets,
-                                          std::size_t threads) {
-  SweepOptions opts;
-  opts.threads = threads;
-  return sweep_ber_parallel(configs, num_packets, opts);
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive Monte-Carlo engine
-// ---------------------------------------------------------------------------
-
-namespace {
 
 /// Stopping-rule boundaries are multiples of kStopQuantum (plus the cap),
 /// so the stop index never depends on how waves happened to be sized.
@@ -281,7 +92,7 @@ std::size_t next_wave_size(const sim::StoppingRule& rule,
 
 /// Scheduler state of one sweep point. The reduction is streaming: the
 /// stopping scan folds each quantum's packets into the accumulators in
-/// packet order (the exact arithmetic of reduce_in_packet_order), so the
+/// packet order (the exact arithmetic of WlanLink::run_ber), so the
 /// state at any quantum boundary is checkpointable as a SweepPointProgress
 /// and the final BerResult needs no second pass over raw results.
 struct AdaptivePoint {
@@ -327,19 +138,58 @@ struct AdaptivePoint {
   }
 };
 
-/// One ≤8-packet chunk of one point, the unit workers claim from the shared
-/// wave queue.
+/// A run of packets [begin, end) of one point, the unit workers claim from
+/// the shared wave queue. A run never crosses an 8-packet chunk boundary.
 struct WaveItem {
   std::size_t point = 0;
   std::size_t begin = 0;
   std::size_t end = 0;
 };
 
-}  // namespace
+/// Runs of `len` packets the chunk items `chunks` cut into.
+std::size_t count_runs(const std::vector<WaveItem>& chunks, std::size_t len) {
+  std::size_t n = 0;
+  for (const WaveItem& c : chunks) n += (c.end - c.begin + len - 1) / len;
+  return n;
+}
 
-std::vector<BerResult> sweep_ber_adaptive_resumable(
-    std::span<const LinkConfig> configs, const sim::StoppingRule& rule,
-    const SweepOptions& opts, AdaptiveResume* resume) {
+/// Cut a wave's chunk items into work for `workers` workers: 8-packet runs,
+/// halved (8 -> 4 -> 2 -> 1) while the wave holds fewer runs than workers,
+/// so a shallow wave still feeds the whole pool. Runs stay inside their
+/// chunk, so the stop quantum, checkpoint boundaries and the per-chunk
+/// scene cache see the same chunks at any pool size. The result is sorted
+/// by (run begin, point): every point's copy of one run is adjacent, which
+/// is what lets one worker build a TX scene once and replay it at the
+/// points after it. For 8-packet runs this is chunk-major order.
+void cut_wave(std::vector<WaveItem>& items, std::size_t workers) {
+  std::size_t len = kPacketChunk;
+  while (len > 1 && count_runs(items, len) < workers) len /= 2;
+  if (len < kPacketChunk) {
+    std::vector<WaveItem> runs;
+    runs.reserve(count_runs(items, len));
+    for (const WaveItem& c : items)
+      for (std::size_t b = c.begin; b < c.end; b += len)
+        runs.push_back({c.point, b, std::min(b + len, c.end)});
+    items.swap(runs);
+  }
+  std::sort(items.begin(), items.end(),
+            [](const WaveItem& a, const WaveItem& b) {
+              return a.begin != b.begin ? a.begin < b.begin
+                                        : a.point < b.point;
+            });
+}
+
+/// The engine behind every entry point. With `one_wave` each point runs
+/// its whole remaining budget as a single wave. The fixed-budget wrappers
+/// use it: they have no stopping decision and no checkpoint hook to serve
+/// between waves, and every wave boundary costs a barrier and, on shallow
+/// waves, TX scenes rebuilt by split claims (an 8-point, 50-packet §4.1
+/// sweep took 148 ms in 16/16/18-packet waves against 124 ms in one;
+/// Release, 4 vCPUs).
+std::vector<BerResult> run_sweep(std::span<const LinkConfig> configs,
+                                 const sim::StoppingRule& rule,
+                                 const SweepOptions& opts,
+                                 AdaptiveResume* resume, bool one_wave) {
   const std::size_t npts = configs.size();
   if (npts == 0) return {};
   if (rule.max_packets == 0)
@@ -362,7 +212,7 @@ std::vector<BerResult> sweep_ber_adaptive_resumable(
 
   // Worker link-cache keys; a non-fingerprintable config gets a call-unique
   // key (fresh links for this call, shared by all its packets) and disables
-  // TX memoization, exactly like the fixed engines.
+  // TX memoization.
   std::vector<std::string> keys(npts);
   bool memo = opts.memoize_tx && npts > 1;
   for (std::size_t k = 0; k < npts; ++k) {
@@ -398,17 +248,36 @@ std::vector<BerResult> sweep_ber_adaptive_resumable(
     }
   }
   if (resume != nullptr) resume->preempted = false;
-  std::vector<WaveItem> items;
-  std::optional<ThreadPool> dedicated;
 
+  // The pool that runs every wave, and its size: the shared pool, or a
+  // dedicated one no larger than the packets this call can still run
+  // (1 = inline on the caller).
+  std::optional<ThreadPool> dedicated;
+  std::size_t workers = 1;
+  if (opts.threads == 0) {
+    workers = ThreadPool::shared().size();
+  } else if (opts.threads > 1) {
+    std::size_t runnable = 0;  // saturates at opts.threads
+    for (const AdaptivePoint& P : pts)
+      if (!P.stopped)
+        runnable += std::min(opts.threads - runnable,
+                             rule.max_packets - P.scheduled);
+    if (runnable > 1) {
+      dedicated.emplace(runnable);
+      workers = runnable;
+    }
+  }
+
+  std::vector<WaveItem> items;
   const auto body = [&](std::size_t /*worker*/, std::size_t i) {
     const WaveItem& it = items[i];
     WlanLink& link = sweep_worker_link(configs[it.point], keys[it.point]);
+    TxScene* scenes = nullptr;
     if (memo) {
-      // Same per-chunk scene cache as the fixed memoized sweep: with the
-      // queue ordered chunk-major, a worker draining consecutive items runs
-      // one chunk across every point still active, building each packet's
-      // TX scene once and replaying it at the rest.
+      // A worker draining consecutive items runs one packet run across the
+      // points of its claim, building each packet's TX scene at the first
+      // and replaying it at the rest. The cache spans the run's chunk, so
+      // the chunk's other runs find their slots too.
       thread_local SceneCache cache;
       const std::size_t chunk = it.begin / kPacketChunk;
       if (cache.sweep_id != sweep_id || cache.chunk != chunk) {
@@ -416,12 +285,10 @@ std::vector<BerResult> sweep_ber_adaptive_resumable(
         cache.chunk = chunk;
         cache.scenes.assign(kPacketChunk, TxScene());
       }
-      run_chunk(link, it.begin, it.end, cache.scenes.data(),
-                &pts[it.point].results[it.begin], opts.batch_width);
-    } else {
-      run_chunk(link, it.begin, it.end, nullptr,
-                &pts[it.point].results[it.begin], opts.batch_width);
+      scenes = cache.scenes.data() + (it.begin - chunk * kPacketChunk);
     }
+    run_chunk(link, it.begin, it.end, scenes,
+              &pts[it.point].results[it.begin], opts.batch_width);
   };
 
   while (true) {
@@ -431,7 +298,8 @@ std::vector<BerResult> sweep_ber_adaptive_resumable(
     for (std::size_t k = 0; k < npts; ++k) {
       AdaptivePoint& P = pts[k];
       if (P.stopped) continue;
-      const std::size_t wave = next_wave_size(rule, P.scheduled);
+      const std::size_t wave = one_wave ? rule.max_packets - P.scheduled
+                                        : next_wave_size(rule, P.scheduled);
       if (wave == 0) continue;  // at the cap; the scan below retires it
       ++active;
       const std::size_t begin = P.scheduled;
@@ -442,35 +310,29 @@ std::vector<BerResult> sweep_ber_adaptive_resumable(
             {k, b, std::min(b + kPacketChunk, P.scheduled)});
     }
     if (items.empty()) break;
-
-    // Chunk-major queue order: all points' copies of a chunk are adjacent,
-    // which is what lets one worker reuse a TX scene across points. Points
-    // at different depths simply have no queue neighbors to share with.
-    std::sort(items.begin(), items.end(),
-              [](const WaveItem& a, const WaveItem& b) {
-                const std::size_t ca = a.begin / kPacketChunk;
-                const std::size_t cb = b.begin / kPacketChunk;
-                return ca != cb ? ca < cb : a.point < b.point;
-              });
+    cut_wave(items, workers);
 
     // One shared queue per wave = cross-point work stealing: a worker done
-    // with a converged-point chunk immediately claims whatever straggler
-    // chunks remain.
-    const std::size_t granularity = memo ? std::max<std::size_t>(active, 1) : 1;
-    if (opts.threads == 0) {
-      ThreadPool::shared().parallel_for(items.size(), granularity, body);
-    } else if (opts.threads <= 1) {
-      for (std::size_t i = 0; i < items.size(); ++i) body(0, i);
+    // with a converged point's run immediately claims whatever straggler
+    // runs remain. A memoized claim takes up to one run across every
+    // active point (no scene is built twice) but never more than an even
+    // share of the wave, so a shallow wave still reaches every worker;
+    // deep waves keep whole-run claims.
+    const std::size_t claim =
+        memo ? std::clamp<std::size_t>(items.size() / workers, 1, active) : 1;
+    if (dedicated) {
+      dedicated->parallel_for(items.size(), claim, body);
+    } else if (opts.threads == 0) {
+      ThreadPool::shared().parallel_for(items.size(), claim, body);
     } else {
-      if (!dedicated) dedicated.emplace(opts.threads);
-      dedicated->parallel_for(items.size(), granularity, body);
+      for (std::size_t i = 0; i < items.size(); ++i) body(0, i);
     }
 
     // --- Deterministic stopping scan on the in-order prefix ---------------
     // The stop index is the earliest quantum boundary whose prefix meets the
     // rule (or the cap), regardless of how far the wave overshot; the
     // speculative packets past it are discarded. The fold mirrors
-    // reduce_in_packet_order term for term, so the accumulated state at any
+    // WlanLink::run_ber term for term, so the accumulated state at any
     // boundary is the bit-exact streaming reduction of the prefix.
     for (std::size_t k = 0; k < npts; ++k) {
       AdaptivePoint& P = pts[k];
@@ -551,6 +413,14 @@ std::vector<BerResult> sweep_ber_adaptive_resumable(
   return out;
 }
 
+}  // namespace
+
+std::vector<BerResult> sweep_ber_adaptive_resumable(
+    std::span<const LinkConfig> configs, const sim::StoppingRule& rule,
+    const SweepOptions& opts, AdaptiveResume* resume) {
+  return run_sweep(configs, rule, opts, resume, false);
+}
+
 std::vector<BerResult> sweep_ber_adaptive(std::span<const LinkConfig> configs,
                                           const sim::StoppingRule& rule,
                                           const SweepOptions& opts) {
@@ -565,6 +435,31 @@ BerResult run_ber_adaptive(const LinkConfig& cfg, const sim::StoppingRule& rule,
   const auto out =
       sweep_ber_adaptive(std::span<const LinkConfig>(&cfg, 1), rule, opts);
   return out.empty() ? BerResult{} : out.front();
+}
+
+std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
+                                          std::size_t num_packets,
+                                          const SweepOptions& opts) {
+  if (num_packets == 0) return std::vector<BerResult>(configs.size());
+  sim::StoppingRule fixed;
+  fixed.target_rel_ci = 0.0;  // CI test off: every point runs the budget
+  fixed.max_packets = num_packets;
+  return run_sweep(configs, fixed, opts, nullptr, true);
+}
+
+std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
+                                          std::size_t num_packets,
+                                          std::size_t threads) {
+  SweepOptions opts;
+  opts.threads = threads;
+  return sweep_ber_parallel(configs, num_packets, opts);
+}
+
+BerResult run_ber_parallel(const LinkConfig& cfg, std::size_t num_packets,
+                           std::size_t threads) {
+  return sweep_ber_parallel(std::span<const LinkConfig>(&cfg, 1), num_packets,
+                            threads)
+      .front();
 }
 
 }  // namespace wlansim::core

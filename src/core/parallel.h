@@ -21,10 +21,13 @@ namespace wlansim::core {
 
 /// Run `num_packets` through `cfg` using `threads` workers (0 = the shared
 /// persistent pool at hardware concurrency; an explicit count runs on a
-/// dedicated pool of that size). The thread count never exceeds one worker
-/// per 8-packet chunk. Results are identical to
-/// WlanLink(cfg).run_ber(num_packets) bit for bit, including the EVM
-/// average's floating-point accumulation order.
+/// dedicated pool of that size, never larger than `num_packets`). This is
+/// the adaptive engine with the CI test off and max_packets = num_packets,
+/// run as one wave, so even a short budget reaches every worker (see
+/// "Cutting waves" below).
+/// Results are identical to WlanLink(cfg).run_ber(num_packets) bit for
+/// bit, including the EVM average's floating-point accumulation order;
+/// num_packets == 0 returns a zeroed result.
 BerResult run_ber_parallel(const LinkConfig& cfg, std::size_t num_packets,
                            std::size_t threads = 0);
 
@@ -37,20 +40,24 @@ struct SweepOptions {
   /// results are identical to memoize_tx = false either way.
   bool memoize_tx = true;
   /// Lane width for the lockstep packet waves (WlanLink::run_packet_wave):
-  /// each ≤8-packet work chunk runs as one width-`count` SoA wave through
+  /// each ≤8-packet work run goes as one width-`count` SoA wave through
   /// noise + RF + decimation. Purely a throughput knob — every lane is
   /// bit-identical to the scalar path, so results never depend on it.
   /// 1 (or 0) disables batching and runs the scalar reference path.
   std::size_t batch_width = 8;
 };
 
-/// Measure every configuration of a sweep. Results are bit-identical to
-/// calling run_ber_parallel(configs[k], num_packets, threads) for each k.
+/// Measure every configuration of a sweep with a fixed budget of
+/// `num_packets` per point: the adaptive engine with the CI test off and
+/// max_packets = num_packets, run as one wave (no stopping decision or
+/// checkpoint hook needs the boundaries in between). Results are
+/// bit-identical to calling run_ber_parallel(configs[k], num_packets,
+/// threads) for each k.
 ///
 /// When the configs differ only in noise level (SNR / antenna noise
 /// density / RF front-end fields), the sweep schedules (point, packet
-/// chunk) pairs jointly: a worker runs one chunk of packets across all
-/// sweep points before moving on, building each packet's TX scene once and
+/// run) pairs jointly: a worker runs one run of packets across the sweep
+/// points of its claim, building each packet's TX scene once and
 /// replaying it at the other points.
 std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
                                           std::size_t num_packets,
@@ -88,7 +95,19 @@ std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
 //      [0, stop index), the exact arithmetic of WlanLink::run_ber.
 // With the CI test disabled (rule.target_rel_ci == 0) every point runs
 // exactly rule.max_packets and the statistics are bit-identical to
-// sweep_ber_parallel(configs, rule.max_packets, ...).
+// WlanLink(configs[k]).run_ber(rule.max_packets): the fixed-budget entry
+// points run_ber_parallel and sweep_ber_parallel are this engine, with the
+// budget run as a single wave.
+//
+// Cutting waves: each wave's work is cut for the W workers of the pool
+// that runs it (W = 1 runs inline). Items are (point, run) pairs, every
+// run inside one 8-packet chunk; runs start at 8 packets and halve
+// (8 -> 4 -> 2 -> 1) while the wave holds fewer items than W, so a
+// one-point, 16-packet wave still feeds four workers. A memoized wave's
+// claims take clamp(items / W, 1, active points) consecutive items of the
+// (run, point)-ordered queue, an unmemoized wave's one. Only the schedule
+// changes with W; wave sizes, the stop quantum, checkpoint boundaries and
+// packet seeds do not, so neither do the results.
 
 /// Adaptive single-point measurement: run packets until `rule` stops.
 /// `threads` has run_ber_parallel semantics (0 = shared persistent pool).

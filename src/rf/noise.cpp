@@ -1,7 +1,12 @@
 #include "rf/noise.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 
 #include "dsp/kernels.h"
@@ -92,6 +97,44 @@ std::vector<dsp::Biquad> pink_sections(double f_lo, double f_hi, double fs) {
   return out;
 }
 
+/// Output power of the shaping cascade `stages` (designed for the corners
+/// and rate given) under unit-variance drive, measured empirically: 2^15
+/// samples of fixed-seed noise through a copy of the cascade. The value is
+/// a pure function of the three parameters, so it is measured once per
+/// shape in the process and every later source of that shape reuses it.
+double unit_drive_power(const std::vector<dsp::Biquad>& stages,
+                        double corner_low_hz, double corner_high_hz,
+                        double sample_rate_hz) {
+  using Key = std::array<std::uint64_t, 3>;
+  struct Memo {
+    std::mutex mu;
+    std::map<Key, double> power;  // guarded by mu
+  };
+  static Memo memo;
+  const Key key{std::bit_cast<std::uint64_t>(corner_low_hz),
+                std::bit_cast<std::uint64_t>(corner_high_hz),
+                std::bit_cast<std::uint64_t>(sample_rate_hz)};
+  {
+    const std::lock_guard<std::mutex> lock(memo.mu);
+    if (const auto it = memo.power.find(key); it != memo.power.end())
+      return it->second;
+  }
+  // Measured outside the lock: two threads racing on one new shape both
+  // compute the same value, and the first insert wins.
+  std::vector<dsp::Biquad> probe = stages;
+  dsp::Rng cal(12345);
+  double acc = 0.0;
+  const std::size_t n = 1 << 15;
+  for (std::size_t i = 0; i < n; ++i) {
+    dsp::Cplx v = cal.cgaussian(1.0);
+    for (auto& s : probe) v = s.step(v);
+    if (i >= n / 4) acc += std::norm(v);  // skip the settling transient
+  }
+  const double measured = acc / static_cast<double>(n - n / 4);
+  const std::lock_guard<std::mutex> lock(memo.mu);
+  return memo.power.emplace(key, measured).first->second;
+}
+
 }  // namespace
 
 FlickerNoiseSource::FlickerNoiseSource(double power_watts, double corner_low_hz,
@@ -104,19 +147,9 @@ FlickerNoiseSource::FlickerNoiseSource(double power_watts, double corner_low_hz,
     throw std::invalid_argument("FlickerNoiseSource: negative power");
   if (power_watts == 0.0) return;
 
-  // Calibrate the drive level empirically: run unit-variance noise through
-  // a copy of the shaping cascade and measure the output power.
-  std::vector<dsp::Biquad> probe = stages_;
-  dsp::Rng cal(12345);
-  double acc = 0.0;
-  const std::size_t n = 1 << 15;
-  for (std::size_t i = 0; i < n; ++i) {
-    dsp::Cplx v = cal.cgaussian(1.0);
-    for (auto& s : probe) v = s.step(v);
-    if (i >= n / 4) acc += std::norm(v);  // skip the settling transient
-  }
-  const double measured = acc / static_cast<double>(n - n / 4);
-  drive_sigma_ = std::sqrt(power_watts / measured);
+  drive_sigma_ = std::sqrt(
+      power_watts /
+      unit_drive_power(stages_, corner_low_hz, corner_high_hz, sample_rate_hz));
 }
 
 dsp::CVec FlickerNoiseSource::process(std::span<const dsp::Cplx> in) {

@@ -1,13 +1,20 @@
 // The adaptive Monte-Carlo engine's determinism contract (core/parallel.h):
 // results are a pure function of (configs, rule) — independent of thread
 // count, scheduling, wave sizing, and TX-scene memoization — and with the
-// CI test disabled every point is bit-identical to the fixed-budget
-// sweep_ber_parallel.
+// CI test disabled every point is bit-identical to the serial per-point
+// WlanLink::run_ber.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
+#include <thread>
+
 #include "core/experiments.h"
 #include "core/parallel.h"
+#include "rf/noise.h"
 
 namespace wlansim::core {
 namespace {
@@ -42,51 +49,107 @@ sim::StoppingRule small_rule() {
   return rule;
 }
 
+sim::StoppingRule fixed_budget(std::size_t packets) {
+  sim::StoppingRule rule;
+  rule.target_rel_ci = 0.0;  // CI test off: a pure packet budget
+  rule.max_packets = packets;
+  return rule;
+}
+
 TEST(AdaptiveSweep, FixedBudgetBitIdenticalToSweepBerParallel) {
   const auto points = waterfall({14.0, 18.0, 24.0});
-  sim::StoppingRule fixed;
-  fixed.target_rel_ci = 0.0;  // CI test off: a pure 18-packet budget
-  fixed.max_packets = 18;
+  const sim::StoppingRule fixed = fixed_budget(18);
 
+  std::vector<BerResult> reference;
+  for (const LinkConfig& cfg : points)
+    reference.push_back(WlanLink(cfg).run_ber(18));
   for (const std::size_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     SweepOptions opts;
     opts.threads = threads;
     const auto adaptive = sweep_ber_adaptive(points, fixed, opts);
-    const auto reference = sweep_ber_parallel(points, 18, threads);
     ASSERT_EQ(adaptive.size(), reference.size());
     for (std::size_t k = 0; k < adaptive.size(); ++k) {
       SCOPED_TRACE("point " + std::to_string(k));
       expect_identical(adaptive[k], reference[k]);
       EXPECT_FALSE(adaptive[k].converged);
-      // Both engines fill the CI stat from identical counters at the same
-      // default confidence, so even the derived field must match exactly.
+      // Both fill the CI stat from identical counters at the same default
+      // confidence, so even the derived field must match exactly.
       EXPECT_EQ(adaptive[k].ber_ci_rel, reference[k].ber_ci_rel);
     }
   }
 }
 
 TEST(AdaptiveSweep, ThreadCountInvariance) {
-  const auto points = waterfall({12.0, 16.0, 30.0});
-  const sim::StoppingRule rule = small_rule();
-
-  SweepOptions opts1;
-  opts1.threads = 1;
-  const auto ref = sweep_ber_adaptive(points, rule, opts1);
-  ASSERT_EQ(ref.size(), points.size());
-  for (const std::size_t threads : {2u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    SweepOptions opts;
-    opts.threads = threads;
-    const auto got = sweep_ber_adaptive(points, rule, opts);
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t k = 0; k < got.size(); ++k) {
-      SCOPED_TRACE("point " + std::to_string(k));
-      expect_identical(got[k], ref[k]);
-      EXPECT_EQ(got[k].converged, ref[k].converged);
-      EXPECT_EQ(got[k].ber_ci_rel, ref[k].ber_ci_rel);
+  // Every pool size cuts the waves differently: shallow waves split their
+  // 8-packet chunks into runs of 4, 2 or 1, and memoized claims split a
+  // chunk's points across workers. None of it may move a bit.
+  struct Case {
+    const char* name;
+    std::vector<LinkConfig> points;
+    sim::StoppingRule rule;
+  };
+  std::vector<LinkConfig> twelve;
+  for (int k = 0; k < 12; ++k)
+    twelve.push_back(waterfall({10.0 + 1.5 * k}).front());
+  const std::vector<Case> cases{
+      {"adaptive 3 points", waterfall({12.0, 16.0, 30.0}), small_rule()},
+      {"1 point, 16 packets", waterfall({14.0}), fixed_budget(16)},
+      {"12 memoized points, 24 packets", twelve, fixed_budget(24)},
+      {"ragged 19-packet cap", waterfall({12.0, 16.0, 30.0}),
+       fixed_budget(19)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SweepOptions opts1;
+    opts1.threads = 1;
+    const auto ref = sweep_ber_adaptive(c.points, c.rule, opts1);
+    ASSERT_EQ(ref.size(), c.points.size());
+    for (const std::size_t threads : {2u, 3u, 4u, 5u, 8u, 16u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      SweepOptions opts;
+      opts.threads = threads;
+      const auto got = sweep_ber_adaptive(c.points, c.rule, opts);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        SCOPED_TRACE("point " + std::to_string(k));
+        expect_identical(got[k], ref[k]);
+        EXPECT_EQ(got[k].converged, ref[k].converged);
+        EXPECT_EQ(got[k].ber_ci_rel, ref[k].ber_ci_rel);
+      }
     }
   }
+}
+
+TEST(AdaptiveSweep, SmallWaveFeedsEveryWorker) {
+  // A one-point, 16-packet budget is two 8-packet chunks; on a 4-worker
+  // pool it must still reach all four workers. The custom front-end's
+  // factory runs once per packet on the worker running it; each call
+  // waits (up to a shared deadline) until four distinct threads arrived,
+  // so the sweep cannot finish on fewer workers without failing.
+  std::mutex mu;
+  std::condition_variable arrived;
+  std::set<std::thread::id> seen;  // guarded by mu
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+
+  LinkConfig cfg = waterfall({20.0}).front();
+  cfg.rf_engine = RfEngine::kCustom;
+  cfg.custom_rf = [&](dsp::Rng) -> std::unique_ptr<rf::RfBlock> {
+    std::unique_lock<std::mutex> lock(mu);
+    seen.insert(std::this_thread::get_id());
+    arrived.notify_all();
+    arrived.wait_until(lock, deadline, [&] { return seen.size() >= 4; });
+    return std::make_unique<rf::DcOffsetSource>(dsp::Cplx{0.0, 0.0});
+  };
+  SweepOptions opts;
+  opts.threads = 4;
+  const auto got = sweep_ber_adaptive(std::span<const LinkConfig>(&cfg, 1),
+                                      fixed_budget(16), opts);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].packets, 16u);
+  const std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(seen.size(), 4u);
 }
 
 TEST(AdaptiveSweep, MemoizationInvariance) {

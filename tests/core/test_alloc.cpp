@@ -10,8 +10,11 @@
 //    docs/PERFORMANCE.md), and the dominant oversampled scene buffers are
 //    reused rather than reallocated.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "core/experiments.h"
 #include "core/link.h"
@@ -185,6 +188,43 @@ TEST(AllocationDiscipline, InterfererAddsLessThanOneScene) {
         << "interferer link " << jammed_bytes << " B, plain link "
         << plain_bytes << " B, scene " << scene_bytes << " B";
   }
+}
+
+TEST(AllocationDiscipline, CachedLinksShareThreadScratch) {
+  // A sweep worker caches one link per point it has run. What each cached
+  // link keeps is its own scene buffer and rf-input probe; the padding,
+  // interferer, front-end output and noise buffers are the thread's. Per
+  // added link the heap grows by 1.5 oversampled scenes; with all of
+  // those buffers per link it grew by 4.6.
+  LinkConfig cfg = default_link_config();  // FIG6: 8x, adjacent blocker
+  cfg.oversample = 8;
+  cfg.rx_power_dbm = -40.0;
+  cfg.interferer =
+      channel::InterfererConfig{.offset_hz = 20e6, .level_db = 16.0};
+  WlanLink first(cfg);
+  first.run_packet(0);  // grows the thread scratch and process-wide caches
+  const std::size_t scene_bytes =
+      first.last_rf_input().size() * sizeof(dsp::Cplx);
+  ASSERT_GT(scene_bytes, 0u);
+
+  // Heap in use: arena chunks plus the mmapped blocks large buffers get.
+  const auto heap_bytes = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return m.uordblks + m.hblkhd;
+  };
+  constexpr std::size_t kLinks = 16;
+  std::vector<std::unique_ptr<WlanLink>> links;
+  const std::size_t before = heap_bytes();
+  for (std::size_t k = 0; k < kLinks; ++k) {
+    links.push_back(std::make_unique<WlanLink>(cfg));
+    links.back()->run_packet(0);
+  }
+  const std::size_t after = heap_bytes();
+  const double per_link =
+      static_cast<double>(after - std::min(after, before)) / kLinks;
+  EXPECT_LT(per_link, 3.0 * static_cast<double>(scene_bytes))
+      << "each cached link holds " << per_link << " B; one scene is "
+      << scene_bytes << " B";
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "core/experiments.h"
 #include "core/link.h"
+#include "core/packet_batch.h"
 #include "dsp/mathutil.h"
 
 namespace wlansim::core {
@@ -207,6 +208,75 @@ TEST(WlanLink, CapturesWaveformsForInspection) {
   EXPECT_NEAR(static_cast<double>(link.last_rf_input().size()) /
                   static_cast<double>(link.last_rx_baseband().size()),
               static_cast<double>(cfg.oversample), 0.1);
+}
+
+TEST(WlanLink, InterleavedLinksMatchSoloRuns) {
+  // Links on one thread share its packet scratch (padding, interferer,
+  // front-end output, noise normals), so links of different shapes running
+  // packets in turn must not see each other's data, on the scalar path or
+  // the lane wave, and each link's probes stay its own.
+  LinkConfig sec41 = default_link_config();  // §4.1: TX PA + adjacent channel
+  sec41.psdu_bytes = 60;
+  sec41.tx_pa_backoff_db = 8.0;
+  sec41.interferer =
+      channel::InterfererConfig{.offset_hz = 20e6, .level_db = 16.0};
+  LinkConfig fig6 = sec41;  // FIG6: 8x, -40 dBm, adjacent blocker
+  fig6.tx_pa_backoff_db.reset();
+  fig6.oversample = 8;
+  fig6.rx_power_dbm = -40.0;
+  LinkConfig ideal = default_link_config();
+  ideal.psdu_bytes = 60;
+  ideal.rf_engine = RfEngine::kNone;
+  const std::vector<LinkConfig> configs{sec41, fig6, ideal};
+  constexpr std::size_t kPackets = 4;
+
+  const auto expect_same = [](const PacketResult& a, const PacketResult& b) {
+    EXPECT_EQ(a.decoded, b.decoded);
+    EXPECT_EQ(a.bits, b.bits);
+    EXPECT_EQ(a.bit_errors, b.bit_errors);
+    EXPECT_EQ(a.evm_rms, b.evm_rms);
+    EXPECT_EQ(a.cfo_norm, b.cfo_norm);
+  };
+  std::vector<std::vector<PacketResult>> solo;
+  for (const LinkConfig& cfg : configs) {
+    WlanLink link(cfg);
+    solo.emplace_back();
+    for (std::size_t p = 0; p < kPackets; ++p)
+      solo.back().push_back(link.run_packet(p));
+  }
+
+  {
+    SCOPED_TRACE("scalar path");
+    std::vector<WlanLink> links(configs.begin(), configs.end());
+    for (std::size_t p = 0; p < kPackets; ++p) {
+      const PacketResult a = links[0].run_packet(p);
+      const dsp::CVec rf_input = links[0].last_rf_input();
+      const dsp::CVec rx = links[0].last_rx_baseband();
+      const PacketResult b = links[1].run_packet(p);
+      const PacketResult c = links[2].run_packet(p);
+      SCOPED_TRACE(::testing::Message() << "packet " << p);
+      expect_same(a, solo[0][p]);
+      expect_same(b, solo[1][p]);
+      expect_same(c, solo[2][p]);
+      EXPECT_EQ(links[0].last_rf_input(), rf_input);
+      EXPECT_EQ(links[0].last_rx_baseband(), rx);
+    }
+  }
+  {
+    SCOPED_TRACE("lane wave");
+    std::vector<WlanLink> links(configs.begin(), configs.end());
+    PacketBatch batch;
+    for (std::size_t begin = 0; begin < kPackets; begin += 2) {
+      for (std::size_t k = 0; k < links.size(); ++k) {
+        PacketResult out[2];
+        ASSERT_TRUE(links[k].run_packet_wave(begin, 2, batch, nullptr, out));
+        SCOPED_TRACE(::testing::Message() << "link " << k << " packet "
+                                          << begin);
+        expect_same(out[0], solo[k][begin]);
+        expect_same(out[1], solo[k][begin + 1]);
+      }
+    }
+  }
 }
 
 TEST(Experiments, Fig4SpectrumShowsAdjacentChannelAbove) {
