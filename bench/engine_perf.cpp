@@ -382,6 +382,15 @@ void BM_FullPacketGraphPath(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPacketGraphPath);
 
+/// A fixed budget of `packets` per point: the adaptive engine with its CI
+/// test off, which runs the whole budget as one wave.
+sim::StoppingRule fixed_budget(std::size_t packets) {
+  sim::StoppingRule rule;
+  rule.target_rel_ci = 0.0;
+  rule.max_packets = packets;
+  return rule;
+}
+
 void BM_BerSweepParallel(benchmark::State& state) {
   // An 8-point SNR sweep, 50 packets per point, on the persistent pool —
   // the paper's Fig. 5/6 measurement shape.
@@ -394,7 +403,7 @@ void BM_BerSweepParallel(benchmark::State& state) {
     points.push_back(c);
   }
   for (auto _ : state) {
-    const auto sweep = core::sweep_ber_parallel(points, 50);
+    const auto sweep = core::sweep_ber_adaptive(points, fixed_budget(50));
     benchmark::DoNotOptimize(sweep.data());
   }
   state.SetItemsProcessed(state.iterations() * 8 * 50);
@@ -429,7 +438,7 @@ void BM_BerWaterfallMemoized(benchmark::State& state) {
   core::SweepOptions opts;
   opts.memoize_tx = true;
   for (auto _ : state) {
-    const auto sweep = core::sweep_ber_parallel(points, 50, opts);
+    const auto sweep = core::sweep_ber_adaptive(points, fixed_budget(50), opts);
     benchmark::DoNotOptimize(sweep.data());
   }
   state.SetItemsProcessed(state.iterations() * 8 * 50);
@@ -444,7 +453,7 @@ void BM_BerWaterfallUnmemoized(benchmark::State& state) {
   core::SweepOptions opts;
   opts.memoize_tx = false;
   for (auto _ : state) {
-    const auto sweep = core::sweep_ber_parallel(points, 50, opts);
+    const auto sweep = core::sweep_ber_adaptive(points, fixed_budget(50), opts);
     benchmark::DoNotOptimize(sweep.data());
   }
   state.SetItemsProcessed(state.iterations() * 8 * 50);
@@ -509,7 +518,7 @@ void BM_BerSweepFixedBudget(benchmark::State& state) {
   const auto points = deep_waterfall_points();
   const std::size_t budget = deep_waterfall_rule().max_packets;
   for (auto _ : state) {
-    const auto sweep = core::sweep_ber_parallel(points, budget);
+    const auto sweep = core::sweep_ber_adaptive(points, fixed_budget(budget));
     benchmark::DoNotOptimize(sweep.data());
   }
   state.counters["packets"] = static_cast<double>(8 * budget);
@@ -526,31 +535,31 @@ std::filesystem::path bench_calib_dir() {
          ("wlansim-bench-calib-" + std::to_string(::getpid()));
 }
 
-core::SurrogateOptions bench_surrogate_opts() {
-  core::SurrogateOptions opts;
-  opts.store_dir = bench_calib_dir();
-  opts.axis = sim::SurrogateAxis::kSnrDb;
-  opts.rule = deep_waterfall_rule();
-  opts.grid_step = 1.0;
-  opts.grid_pad = 0.0;
+core::DedupOptions bench_surrogate_opts() {
+  core::DedupOptions opts;
+  opts.surrogate.store_dir = bench_calib_dir();
+  opts.surrogate.axis = sim::SurrogateAxis::kSnrDb;
+  opts.surrogate.rule = deep_waterfall_rule();
+  opts.bin_width_db = 0.0;  // plain surrogate queries: no quantization
   return opts;
 }
 
 void BM_SurrogateCalibrateCold(benchmark::State& state) {
   // One-time cost of the surrogate: calibrate the deep-waterfall curve from
-  // an empty store. grid_step 1 / pad 0 over [6, 13] puts the 8 knots on
-  // exactly the BM_BerSweepAdaptive points, so cold calibration should cost
-  // about one adaptive sweep plus the store write.
-  const core::LinkConfig base = deep_waterfall_points()[0];
-  const core::SurrogateOptions opts = bench_surrogate_opts();
+  // an empty store. The 8 knots at 6..13 dB are exactly the
+  // BM_BerSweepAdaptive points, so cold calibration should cost about one
+  // adaptive sweep plus the store write.
+  const auto knots = deep_waterfall_points();
+  const core::DedupOptions opts = bench_surrogate_opts();
   for (auto _ : state) {
-    std::filesystem::remove_all(opts.store_dir);
-    const auto curve = core::calibrate_ber_surrogate(base, 6.0, 13.0, opts);
-    if (curve.points.size() != 8) {
-      state.SkipWithError("expected 8 calibration knots");
+    std::filesystem::remove_all(opts.surrogate.store_dir);
+    core::DedupStats stats;
+    const auto sweep = core::sweep_ber_deduped(knots, opts, &stats);
+    if (stats.cold != 8) {
+      state.SkipWithError("expected 8 cold calibration knots");
       return;
     }
-    benchmark::DoNotOptimize(curve.points.data());
+    benchmark::DoNotOptimize(sweep.data());
   }
   state.SetItemsProcessed(state.iterations() * 8);
 }
@@ -560,31 +569,30 @@ BENCHMARK(BM_SurrogateCalibrateCold)
 
 void BM_SurrogateQueryWarm(benchmark::State& state) {
   // The payoff: a 40-point waterfall query against the warm store — one
-  // store read plus interpolation, zero Monte-Carlo packets (miss policy
-  // kError guarantees it). Target: >= 100x faster than BM_BerSweepAdaptive
+  // store read plus interpolation, zero Monte-Carlo packets (a cold key
+  // fails the bench). Target: >= 100x faster than BM_BerSweepAdaptive
   // measuring the same span with packets.
-  const core::LinkConfig base = deep_waterfall_points()[0];
-  core::SurrogateOptions opts = bench_surrogate_opts();
-  std::filesystem::remove_all(opts.store_dir);
-  core::calibrate_ber_surrogate(base, 6.0, 13.0, opts);  // warm the store
-  opts.miss_policy = core::SurrogateMissPolicy::kError;
+  const auto knots = deep_waterfall_points();
+  const core::DedupOptions opts = bench_surrogate_opts();
+  std::filesystem::remove_all(opts.surrogate.store_dir);
+  core::sweep_ber_deduped(knots, opts);  // warm the store
 
   std::vector<core::LinkConfig> points;
   for (int k = 0; k < 40; ++k) {
-    core::LinkConfig c = base;
+    core::LinkConfig c = knots[0];
     c.snr_db = 6.0 + 7.0 * static_cast<double>(k) / 39.0;
     points.push_back(c);
   }
   for (auto _ : state) {
-    try {
-      const auto sweep = core::sweep_ber_surrogate(points, opts);
-      benchmark::DoNotOptimize(sweep.data());
-    } catch (const std::exception& e) {
-      state.SkipWithError(e.what());
+    core::DedupStats stats;
+    const auto sweep = core::sweep_ber_deduped(points, opts, &stats);
+    if (stats.cold != 0) {
+      state.SkipWithError("warm query ran Monte-Carlo packets");
       return;
     }
+    benchmark::DoNotOptimize(sweep.data());
   }
-  std::filesystem::remove_all(opts.store_dir);
+  std::filesystem::remove_all(opts.surrogate.store_dir);
   state.SetItemsProcessed(state.iterations() * 40);
 }
 BENCHMARK(BM_SurrogateQueryWarm)->Unit(benchmark::kMillisecond)->Iterations(1);

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <span>
 
 #include "bench_util.h"
 #include "core/experiments.h"
@@ -100,9 +101,16 @@ int main() {
     rule.min_packets = 8;
     rule.max_packets = 256;
 
-    core::SurrogateOptions sopts;
-    sopts.axis = sim::SurrogateAxis::kSnrDb;
-    sopts.rule = rule;  // store_dir empty: default_calibration_dir()
+    // Plain surrogate queries: no quantization, so an SNR between stored
+    // knots is interpolated and a missed one measured and backfilled.
+    core::DedupOptions sopts;
+    sopts.surrogate.axis = sim::SurrogateAxis::kSnrDb;
+    sopts.surrogate.rule = rule;  // store_dir empty: default_calibration_dir()
+    sopts.bin_width_db = 0.0;
+    const auto query = [&sopts](const core::LinkConfig& cfg) {
+      return core::sweep_ber_deduped(
+          std::span<const core::LinkConfig>(&cfg, 1), sopts)[0];
+    };
 
     std::printf("BER vs LNA P1dB (24 Mbps, SNR 9-11 dB, calibrated "
                 "surrogate; store %s)\n",
@@ -123,7 +131,7 @@ int main() {
         points.push_back(c);
       }
       const auto t0 = clock::now();
-      const auto res = core::sweep_ber_surrogate(points, sopts);
+      const auto res = core::sweep_ber_deduped(points, sopts);
       const auto t1 = clock::now();
       std::size_t hits = 0;
       for (const auto& r : res) hits += r.from_surrogate ? 1 : 0;
@@ -138,7 +146,7 @@ int main() {
       // determinism contract broke.
       core::LinkConfig knot = base;
       knot.snr_db = 10.0;
-      const core::BerResult s = core::run_ber_surrogate(knot, sopts);
+      const core::BerResult s = query(knot);
       const core::BerResult mc = core::run_ber_adaptive(knot, rule);
       const bool knot_ok = s.ber() == mc.ber() && s.per() == mc.per();
       std::printf("    spot check @ 10 dB (knot): surrogate %.6e vs MC "
@@ -152,7 +160,7 @@ int main() {
       // bounds measurement noise, not curve shape between knots.
       core::LinkConfig mid = base;
       mid.snr_db = 9.5;
-      const core::BerResult si = core::run_ber_surrogate(mid, sopts);
+      const core::BerResult si = query(mid);
       const core::BerResult mi = core::run_ber_adaptive(mid, rule);
       const double tol = (std::isfinite(si.ber_ci_rel)
                               ? si.ber() * si.ber_ci_rel : 0.0) +

@@ -179,17 +179,11 @@ void cut_wave(std::vector<WaveItem>& items, std::size_t workers) {
             });
 }
 
-/// The engine behind every entry point. With `one_wave` each point runs
-/// its whole remaining budget as a single wave. The fixed-budget wrappers
-/// use it: they have no stopping decision and no checkpoint hook to serve
-/// between waves, and every wave boundary costs a barrier and, on shallow
-/// waves, TX scenes rebuilt by split claims (an 8-point, 50-packet §4.1
-/// sweep took 148 ms in 16/16/18-packet waves against 124 ms in one;
-/// Release, 4 vCPUs).
-std::vector<BerResult> run_sweep(std::span<const LinkConfig> configs,
-                                 const sim::StoppingRule& rule,
-                                 const SweepOptions& opts,
-                                 AdaptiveResume* resume, bool one_wave) {
+}  // namespace
+
+std::vector<BerResult> sweep_ber_adaptive_resumable(
+    std::span<const LinkConfig> configs, const sim::StoppingRule& rule,
+    const SweepOptions& opts, AdaptiveResume* resume) {
   const std::size_t npts = configs.size();
   if (npts == 0) return {};
   if (rule.max_packets == 0)
@@ -248,6 +242,11 @@ std::vector<BerResult> run_sweep(std::span<const LinkConfig> configs,
     }
   }
   if (resume != nullptr) resume->preempted = false;
+
+  // A fixed budget with no hook to serve runs as one wave (parallel.h,
+  // "Cutting waves"): no point can stop before its cap.
+  const bool one_wave = rule.target_rel_ci <= 0.0 &&
+                        (resume == nullptr || !resume->on_wave);
 
   // The pool that runs every wave, and its size: the shared pool, or a
   // dedicated one no larger than the packets this call can still run
@@ -413,14 +412,6 @@ std::vector<BerResult> run_sweep(std::span<const LinkConfig> configs,
   return out;
 }
 
-}  // namespace
-
-std::vector<BerResult> sweep_ber_adaptive_resumable(
-    std::span<const LinkConfig> configs, const sim::StoppingRule& rule,
-    const SweepOptions& opts, AdaptiveResume* resume) {
-  return run_sweep(configs, rule, opts, resume, false);
-}
-
 std::vector<BerResult> sweep_ber_adaptive(std::span<const LinkConfig> configs,
                                           const sim::StoppingRule& rule,
                                           const SweepOptions& opts) {
@@ -435,31 +426,6 @@ BerResult run_ber_adaptive(const LinkConfig& cfg, const sim::StoppingRule& rule,
   const auto out =
       sweep_ber_adaptive(std::span<const LinkConfig>(&cfg, 1), rule, opts);
   return out.empty() ? BerResult{} : out.front();
-}
-
-std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
-                                          std::size_t num_packets,
-                                          const SweepOptions& opts) {
-  if (num_packets == 0) return std::vector<BerResult>(configs.size());
-  sim::StoppingRule fixed;
-  fixed.target_rel_ci = 0.0;  // CI test off: every point runs the budget
-  fixed.max_packets = num_packets;
-  return run_sweep(configs, fixed, opts, nullptr, true);
-}
-
-std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
-                                          std::size_t num_packets,
-                                          std::size_t threads) {
-  SweepOptions opts;
-  opts.threads = threads;
-  return sweep_ber_parallel(configs, num_packets, opts);
-}
-
-BerResult run_ber_parallel(const LinkConfig& cfg, std::size_t num_packets,
-                           std::size_t threads) {
-  return sweep_ber_parallel(std::span<const LinkConfig>(&cfg, 1), num_packets,
-                            threads)
-      .front();
 }
 
 }  // namespace wlansim::core

@@ -19,20 +19,11 @@
 
 namespace wlansim::core {
 
-/// Run `num_packets` through `cfg` using `threads` workers (0 = the shared
-/// persistent pool at hardware concurrency; an explicit count runs on a
-/// dedicated pool of that size, never larger than `num_packets`). This is
-/// the adaptive engine with the CI test off and max_packets = num_packets,
-/// run as one wave, so even a short budget reaches every worker (see
-/// "Cutting waves" below).
-/// Results are identical to WlanLink(cfg).run_ber(num_packets) bit for
-/// bit, including the EVM average's floating-point accumulation order;
-/// num_packets == 0 returns a zeroed result.
-BerResult run_ber_parallel(const LinkConfig& cfg, std::size_t num_packets,
-                           std::size_t threads = 0);
-
 struct SweepOptions {
-  /// Worker count, run_ber_parallel semantics (0 = shared pool).
+  /// Worker count: 0 = the process-wide persistent pool at hardware
+  /// concurrency; an explicit count runs on a dedicated pool of that size,
+  /// never larger than the packets the call can still run (1 = inline on
+  /// the caller).
   std::size_t threads = 0;
   /// Reuse each packet's noise-independent TX scene across sweep points
   /// (see WlanLink::run_packet_memo). Applies when every config shares the
@@ -46,27 +37,6 @@ struct SweepOptions {
   /// 1 (or 0) disables batching and runs the scalar reference path.
   std::size_t batch_width = 8;
 };
-
-/// Measure every configuration of a sweep with a fixed budget of
-/// `num_packets` per point: the adaptive engine with the CI test off and
-/// max_packets = num_packets, run as one wave (no stopping decision or
-/// checkpoint hook needs the boundaries in between). Results are
-/// bit-identical to calling run_ber_parallel(configs[k], num_packets,
-/// threads) for each k.
-///
-/// When the configs differ only in noise level (SNR / antenna noise
-/// density / RF front-end fields), the sweep schedules (point, packet
-/// run) pairs jointly: a worker runs one run of packets across the sweep
-/// points of its claim, building each packet's TX scene once and
-/// replaying it at the other points.
-std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
-                                          std::size_t num_packets,
-                                          const SweepOptions& opts = {});
-
-/// Back-compat overload: explicit worker count, TX memoization on.
-std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
-                                          std::size_t num_packets,
-                                          std::size_t threads);
 
 // ---------------------------------------------------------------------------
 // Adaptive Monte-Carlo engine (sequential early stopping)
@@ -95,9 +65,8 @@ std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
 //      [0, stop index), the exact arithmetic of WlanLink::run_ber.
 // With the CI test disabled (rule.target_rel_ci == 0) every point runs
 // exactly rule.max_packets and the statistics are bit-identical to
-// WlanLink(configs[k]).run_ber(rule.max_packets): the fixed-budget entry
-// points run_ber_parallel and sweep_ber_parallel are this engine, with the
-// budget run as a single wave.
+// WlanLink(configs[k]).run_ber(rule.max_packets): that rule is how to ask
+// for a fixed packet budget.
 //
 // Cutting waves: each wave's work is cut for the W workers of the pool
 // that runs it (W = 1 runs inline). Items are (point, run) pairs, every
@@ -108,18 +77,31 @@ std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
 // (run, point)-ordered queue, an unmemoized wave's one. Only the schedule
 // changes with W; wave sizes, the stop quantum, checkpoint boundaries and
 // packet seeds do not, so neither do the results.
+//
+// A fixed budget (rule.target_rel_ci <= 0) with no AdaptiveResume::on_wave
+// hook runs every point's remaining budget as ONE wave: no point can stop
+// before the cap and no checkpoint needs the boundaries in between, while
+// each boundary costs a barrier and, on shallow waves, TX scenes rebuilt by
+// split claims (an 8-point, 50-packet §4.1 sweep took 148 ms in
+// 16/16/18-packet waves against 126 ms in one; Release, 4 vCPUs). A hooked
+// run keeps its boundaries, so a checkpointed fixed-budget pass still
+// saves at every wave. Wave sizing never moves a bit (see above).
 
 /// Adaptive single-point measurement: run packets until `rule` stops.
-/// `threads` has run_ber_parallel semantics (0 = shared persistent pool).
+/// `threads` has SweepOptions::threads semantics (0 = shared persistent
+/// pool).
 BerResult run_ber_adaptive(const LinkConfig& cfg, const sim::StoppingRule& rule,
                            std::size_t threads = 0);
 
 /// Adaptive sweep: every point runs until `rule` stops it; active points
 /// share one work queue, so early-converging points donate their workers to
-/// the stragglers. TX-scene memoization (opts.memoize_tx) composes with the
-/// adaptive schedule whenever the configs share a TX fingerprint. Each
-/// BerResult carries the streaming statistics (packets run, errors, CI
-/// half-width, wall time to the stopping decision, converged flag).
+/// the stragglers. When the configs differ only in noise level (SNR /
+/// antenna noise density / RF front-end fields) TX-scene memoization
+/// (opts.memoize_tx) schedules (point, packet run) pairs jointly: a worker
+/// runs one run of packets across the points of its claim, building each
+/// packet's TX scene once and replaying it at the others. Each BerResult
+/// carries the streaming statistics (packets run, errors, CI half-width,
+/// wall time to the stopping decision, converged flag).
 std::vector<BerResult> sweep_ber_adaptive(std::span<const LinkConfig> configs,
                                           const sim::StoppingRule& rule,
                                           const SweepOptions& opts = {});

@@ -1,11 +1,11 @@
 #include "core/surrogate.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <map>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/fingerprint.h"
@@ -58,9 +58,6 @@ sim::CalibrationCurve fresh_curve(std::string fingerprint,
   curve.min_errors = opts.rule.min_errors;
   curve.min_packets = opts.rule.min_packets;
   curve.max_packets = opts.rule.max_packets;
-  // Never let the calibration grid outrun the coverage rule.
-  curve.max_gap = std::max(curve.max_gap, opts.grid_step +
-                           sim::CalibrationCurve::kKnotTol);
   return curve;
 }
 
@@ -113,162 +110,6 @@ std::filesystem::path default_calibration_dir() {
     return std::filesystem::path(home) / ".cache" / "wlansim" / "calib";
   }
   return std::filesystem::path(".wlansim-calib");
-}
-
-sim::CalibrationCurve calibrate_ber_surrogate(const LinkConfig& base,
-                                              double x_lo, double x_hi,
-                                              const SurrogateOptions& opts) {
-  if (!(opts.grid_step > 0.0)) {
-    throw std::invalid_argument("calibrate_ber_surrogate: grid_step <= 0");
-  }
-  if (!(x_lo <= x_hi)) {
-    throw std::invalid_argument("calibrate_ber_surrogate: x_lo > x_hi");
-  }
-  std::string fp = surrogate_fingerprint(base, opts.axis);
-  if (fp.empty()) {
-    throw std::invalid_argument(
-        "calibrate_ber_surrogate: config not fingerprintable (custom_rf, or "
-        "axis snr_db with snr_db unset)");
-  }
-
-  sim::BerSurrogate local = make_local_view(opts);
-  sim::BerSurrogate& view = opts.cache ? *opts.cache : local;
-
-  sim::CalibrationCurve curve;
-  if (const sim::CalibrationCurve* stored = view.lookup(fp);
-      stored && rule_matches(*stored, opts.rule)) {
-    curve = *stored;
-    curve.max_gap = std::max(curve.max_gap,
-                             opts.grid_step + sim::CalibrationCurve::kKnotTol);
-  } else {
-    curve = fresh_curve(fp, opts);
-  }
-
-  // Grid knots on multiples of grid_step covering the padded span, so
-  // repeated calibrations over overlapping ranges land on shared knots.
-  const long k_lo =
-      static_cast<long>(std::floor((x_lo - opts.grid_pad) / opts.grid_step));
-  const long k_hi =
-      static_cast<long>(std::ceil((x_hi + opts.grid_pad) / opts.grid_step));
-  std::vector<double> missing;
-  for (long k = k_lo; k <= k_hi; ++k) {
-    const double x = static_cast<double>(k) * opts.grid_step;
-    const bool have = std::any_of(
-        curve.points.begin(), curve.points.end(), [&](const auto& p) {
-          return std::abs(p.x - x) <= sim::CalibrationCurve::kKnotTol;
-        });
-    if (!have) missing.push_back(x);
-  }
-
-  if (!missing.empty()) {
-    std::vector<LinkConfig> cfgs;
-    cfgs.reserve(missing.size());
-    for (double x : missing) {
-      LinkConfig c = base;
-      set_axis_value(c, opts.axis, x);
-      cfgs.push_back(std::move(c));
-    }
-    SweepOptions sweep_opts;
-    sweep_opts.threads = opts.threads;
-    std::vector<BerResult> results =
-        sweep_ber_adaptive(cfgs, opts.rule, sweep_opts);
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      curve.merge_point(point_from_result(missing[i], results[i]));
-    }
-    view.put(curve);  // save failure tolerated: the store is a cache
-  }
-  return curve;
-}
-
-std::vector<BerResult> sweep_ber_surrogate(std::span<const LinkConfig> configs,
-                                           const SurrogateOptions& opts) {
-  if (configs.empty()) return {};
-
-  const std::string fp = surrogate_fingerprint(configs[0], opts.axis);
-  if (fp.empty()) {
-    throw std::invalid_argument(
-        "sweep_ber_surrogate: config not fingerprintable (custom_rf, or axis "
-        "snr_db with snr_db unset)");
-  }
-  for (std::size_t i = 1; i < configs.size(); ++i) {
-    if (surrogate_fingerprint(configs[i], opts.axis) != fp) {
-      throw std::invalid_argument(
-          "sweep_ber_surrogate: configs must differ only along the surrogate "
-          "axis (config " +
-          std::to_string(i) + " has a different fingerprint)");
-    }
-  }
-
-  sim::BerSurrogate local = make_local_view(opts);
-  sim::BerSurrogate& view = opts.cache ? *opts.cache : local;
-
-  std::vector<double> xs;
-  xs.reserve(configs.size());
-  for (const LinkConfig& c : configs) xs.push_back(axis_value(c, opts.axis));
-
-  const sim::CalibrationCurve* stored = view.lookup(fp);
-  const bool usable = stored && rule_matches(*stored, opts.rule);
-
-  std::vector<BerResult> out(configs.size());
-  std::vector<std::size_t> miss_idx;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (usable && stored->covers(xs[i])) {
-      out[i] = result_from_query(stored->query(xs[i]), *stored);
-    } else {
-      miss_idx.push_back(i);
-    }
-  }
-  if (miss_idx.empty()) return out;
-
-  switch (opts.miss_policy) {
-    case SurrogateMissPolicy::kError: {
-      std::ostringstream msg;
-      msg << "sweep_ber_surrogate: no calibration covers "
-          << sim::surrogate_axis_name(opts.axis) << " = " << xs[miss_idx[0]]
-          << " (" << miss_idx.size() << " of " << configs.size()
-          << " points missed; store " << view.store().dir().string()
-          << ", miss policy kError)";
-      throw std::runtime_error(msg.str());
-    }
-
-    case SurrogateMissPolicy::kCalibrate: {
-      const auto [lo_it, hi_it] = std::minmax_element(xs.begin(), xs.end());
-      sim::CalibrationCurve curve =
-          calibrate_ber_surrogate(configs[0], *lo_it, *hi_it, opts);
-      for (std::size_t i : miss_idx) {
-        out[i] = result_from_query(curve.query(xs[i]), curve);
-      }
-      return out;
-    }
-
-    case SurrogateMissPolicy::kFallbackBackfill: {
-      // Measure exactly the missed configs. Each adaptive point is a pure
-      // function of (config, rule) — see core/parallel.h — so these
-      // results are bit-identical to a direct sweep_ber_adaptive call.
-      std::vector<LinkConfig> missed;
-      missed.reserve(miss_idx.size());
-      for (std::size_t i : miss_idx) missed.push_back(configs[i]);
-      SweepOptions sweep_opts;
-      sweep_opts.threads = opts.threads;
-      std::vector<BerResult> mc =
-          sweep_ber_adaptive(missed, opts.rule, sweep_opts);
-
-      sim::CalibrationCurve curve =
-          usable ? *stored : fresh_curve(fp, opts);
-      for (std::size_t k = 0; k < miss_idx.size(); ++k) {
-        out[miss_idx[k]] = mc[k];
-        curve.merge_point(point_from_result(xs[miss_idx[k]], mc[k]));
-      }
-      view.put(curve);  // save failure tolerated: the store is a cache
-      return out;
-    }
-  }
-  return out;  // unreachable
-}
-
-BerResult run_ber_surrogate(const LinkConfig& cfg,
-                            const SurrogateOptions& opts) {
-  return sweep_ber_surrogate(std::span<const LinkConfig>(&cfg, 1), opts)[0];
 }
 
 // ---------------------------------------------------------------------------
@@ -342,8 +183,9 @@ std::vector<BerResult> sweep_ber_deduped(std::span<const LinkConfig> configs,
 
   // Warm pass: a key whose fingerprint has a stored, rule-matched curve
   // covering its bin is answered from the curve. Backfilled knots sit at
-  // exactly the bin values, so warm answers are knot-exact replays of the
-  // MC results that filled them.
+  // exactly the bin values, so a warm key on a knot replays the MC result
+  // that filled it exactly; an unquantized key between knots
+  // (bin_width_db = 0) is interpolated.
   if (opts.use_store) {
     for (Entry& e : entries) {
       const sim::CalibrationCurve* curve = view.lookup(e.fp);

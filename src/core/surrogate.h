@@ -1,18 +1,20 @@
-// Surrogate-backed BER measurement drivers: answer BER queries from a
-// persistent calibration curve (sim/ber_surrogate.h) when one covers the
-// query, and from the adaptive Monte-Carlo engine (core/parallel.h) when
-// none does — backfilling the store so the next process never pays again.
+// Surrogate-backed BER measurement: answer BER queries from a persistent
+// calibration curve (sim/ber_surrogate.h) when one covers the query, and
+// from the adaptive Monte-Carlo engine (core/parallel.h) when none does —
+// backfilling the store so the next process never pays again.
 //
 // The split with sim/: sim owns the pure model (curves, interpolation,
 // store); this layer owns everything that needs a WlanLink — computing the
 // fingerprint key from a LinkConfig, driving sweep_ber_adaptive to fill
 // curves, and mapping curve queries back into BerResult.
 //
-// Determinism: a miss under kFallbackBackfill runs sweep_ber_adaptive on
-// exactly the missed configs. Each adaptive point is a pure function of
-// (config, rule) — independent of which other points share the call (see
-// the contract in core/parallel.h) — so the cold path is bit-identical to
-// calling sweep_ber_adaptive directly on the full sweep.
+// One driver serves every store-backed query: sweep_ber_deduped. A plain
+// surrogate query is that driver with bin_width_db = 0 (no quantization),
+// so a covered point is interpolated and a missed one measured and
+// backfilled. Each adaptive point is a pure function of (config, rule) —
+// independent of which other points share the call (see the contract in
+// core/parallel.h) — so the cold path is bit-identical to calling
+// sweep_ber_adaptive directly on the same configs.
 #pragma once
 
 #include <filesystem>
@@ -25,41 +27,22 @@
 
 namespace wlansim::core {
 
-/// What to do when no stored curve covers a query point.
-enum class SurrogateMissPolicy {
-  /// Measure the missed points with sweep_ber_adaptive, return those MC
-  /// results (bit-identical to a direct adaptive sweep), and merge them
-  /// into the stored curve so the next query hits. The default.
-  kFallbackBackfill,
-  /// Calibrate a fresh auto-chosen grid spanning the query range (knots at
-  /// grid_step spacing, padded by grid_pad on both sides), store it, then
-  /// answer every point from the curve.
-  kCalibrate,
-  /// Throw std::runtime_error. For callers that must never pay MC cost
-  /// (e.g. a latency-bound service path).
-  kError,
-};
-
 struct SurrogateOptions {
   /// Calibration store directory; empty = default_calibration_dir().
   std::filesystem::path store_dir;
   /// Which LinkConfig field the query sweeps (and the curve key's axis).
   sim::SurrogateAxis axis = sim::SurrogateAxis::kSnrDb;
-  SurrogateMissPolicy miss_policy = SurrogateMissPolicy::kFallbackBackfill;
-  /// Stopping rule for calibration / fallback MC runs.
+  /// Stopping rule for the MC runs that fill the store; a stored curve
+  /// answers only for the rule it was calibrated under.
   sim::StoppingRule rule;
-  /// Auto-grid spacing and span padding [dB] for kCalibrate and
-  /// calibrate_ber_surrogate. Knots land on multiples of grid_step so
-  /// repeated calibrations over overlapping ranges share knots.
-  double grid_step = 1.0;
-  double grid_pad = 1.0;
-  /// Worker threads for MC runs (run_ber_parallel semantics; 0 = shared).
+  /// Worker threads for MC runs (SweepOptions::threads semantics; 0 =
+  /// shared pool).
   std::size_t threads = 0;
   /// Optional persistent in-memory cache. Default null: each call builds a
   /// fresh store view, re-reading disk — so deleting a store file between
-  /// calls is observed as a miss (and, under kFallbackBackfill, reproduces
-  /// the MC result bit-identically). Point at a long-lived sim::BerSurrogate
-  /// to skip the disk read in tight loops that own their store's lifetime.
+  /// calls is observed as a miss (and the re-measurement reproduces the MC
+  /// result bit-identically). Point at a long-lived sim::BerSurrogate to
+  /// skip the disk read in tight loops that own their store's lifetime.
   sim::BerSurrogate* cache = nullptr;
 };
 
@@ -67,31 +50,6 @@ struct SurrogateOptions {
 /// store_dir is empty: $WLANSIM_CALIB_DIR, else $XDG_CACHE_HOME/wlansim/
 /// calib, else $HOME/.cache/wlansim/calib, else ./.wlansim-calib.
 std::filesystem::path default_calibration_dir();
-
-/// Calibrate (or extend) the curve for `base`'s fingerprint over
-/// [x_lo, x_hi]: choose grid knots (multiples of opts.grid_step covering
-/// the padded span), measure every knot not already stored via
-/// sweep_ber_adaptive under opts.rule, merge, and persist. Returns the
-/// resulting curve. Throws std::invalid_argument when `base` is not
-/// fingerprintable (custom_rf, or axis kSnrDb with snr_db unset).
-sim::CalibrationCurve calibrate_ber_surrogate(const LinkConfig& base,
-                                              double x_lo, double x_hi,
-                                              const SurrogateOptions& opts);
-
-/// Surrogate-backed sweep: like sweep_ber_adaptive(configs, opts.rule) but
-/// each point covered by a stored calibration curve is answered by
-/// interpolation (microseconds) instead of packets. Covered points return a
-/// BerResult with from_surrogate set, model_ber/model_per filled from the
-/// curve, ber_ci_rel the conservative calibrated CI, and zero packet
-/// counters; missed points follow opts.miss_policy. All configs must share
-/// one surrogate fingerprint (differ only along opts.axis) — otherwise
-/// std::invalid_argument.
-std::vector<BerResult> sweep_ber_surrogate(std::span<const LinkConfig> configs,
-                                           const SurrogateOptions& opts = {});
-
-/// Single-point convenience wrapper over sweep_ber_surrogate.
-BerResult run_ber_surrogate(const LinkConfig& cfg,
-                            const SurrogateOptions& opts = {});
 
 // ---------------------------------------------------------------------------
 // Deduplicated, pooled link evaluation (the network-scale drop core)
@@ -127,15 +85,17 @@ using ColdPassFn = std::function<std::vector<BerResult>(
     const SweepOptions&)>;
 
 struct DedupOptions {
-  /// Store / axis / rule / threads / cache — the same knobs as the plain
-  /// surrogate drivers. miss_policy is ignored: cold keys always run in
-  /// the pooled adaptive pass and backfill (kFallbackBackfill semantics).
+  /// Store / axis / rule / threads / cache. Cold keys always run in the
+  /// pooled adaptive pass and backfill the store.
   SurrogateOptions surrogate;
   /// Axis quantization bin width [dB]: every query's axis value snaps to
   /// the nearest multiple before keying AND evaluation, so a key's result
   /// is exactly what a direct measurement of its representative config
   /// would produce. See docs/PERFORMANCE.md for choosing the width
-  /// against the stopping rule's CI.
+  /// against the stopping rule's CI. 0 disables quantization: every
+  /// distinct axis value is its own key, and a key the stored curve covers
+  /// between knots is answered by interpolation — the plain surrogate
+  /// query.
   double bin_width_db = 0.5;
   /// false: never touch the calibration store — every distinct key runs
   /// in the pooled pass and nothing is persisted (pure deduplication).
@@ -168,13 +128,17 @@ struct DedupStats {
 };
 
 /// Evaluate every config, deduplicated by (surrogate_fingerprint,
-/// quantized-axis-bin). Unlike sweep_ber_surrogate the configs may span
-/// multiple fingerprints (e.g. stations with different quantized
-/// interferer levels); each fingerprint group keys its own calibration
-/// curve. out[i] is the result of the representative config of i's key:
-/// bit-identical to run_ber_adaptive on that config when the key was cold,
-/// and the stored curve's knot-exact answer when warm. Axis values must be
-/// finite; throws std::invalid_argument on a non-fingerprintable config.
+/// quantized-axis-bin). The configs may span multiple fingerprints (e.g.
+/// stations with different quantized interferer levels); each fingerprint
+/// group keys its own calibration curve. out[i] is the result of the
+/// representative config of i's key: bit-identical to run_ber_adaptive on
+/// that config when the key was cold, and the stored curve's answer when
+/// warm — knot-exact on a knot, interpolated between knots (covered
+/// points return from_surrogate set, model_ber/model_per filled from the
+/// curve, ber_ci_rel the conservative calibrated CI, and zero packet
+/// counters). Axis values must be finite; throws std::invalid_argument on
+/// a non-fingerprintable config (custom_rf, or axis kSnrDb with snr_db
+/// unset).
 std::vector<BerResult> sweep_ber_deduped(std::span<const LinkConfig> configs,
                                          const DedupOptions& opts,
                                          DedupStats* stats = nullptr);

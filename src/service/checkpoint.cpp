@@ -164,8 +164,9 @@ std::optional<std::vector<core::SweepPointProgress>> parse_checkpoint(
   std::uint64_t n = 0;
   if (!parse_u64(line.substr(7), n) || n > (1ull << 32)) return std::nullopt;
 
+  // The count is untrusted input: size nothing from it. The loop stops at
+  // the first missing point line.
   std::vector<core::SweepPointProgress> progress;
-  progress.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     if (!std::getline(in, line)) return std::nullopt;
     std::istringstream ls(line);
@@ -191,6 +192,25 @@ std::optional<std::vector<core::SweepPointProgress>> parse_checkpoint(
   return progress;
 }
 
+std::optional<std::vector<core::SweepPointProgress>> load_checkpoint(
+    const std::filesystem::path& dir, std::string_view key,
+    std::size_t expect_points, long* writer_pid) {
+  if (key.empty()) return std::nullopt;
+  std::ifstream in(checkpoint_path(dir, key), std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  if (in.bad()) return std::nullopt;
+  std::optional<std::vector<core::SweepPointProgress>> progress =
+      parse_checkpoint(buf.str(), key, writer_pid);
+  if (progress && progress->size() != expect_points) return std::nullopt;
+  return progress;
+}
+
+namespace {
+
+/// Atomic tmp+rename write; false on I/O failure (checkpointing is best
+/// effort — a failed save costs redone work, never correctness).
 bool save_checkpoint(const std::filesystem::path& dir, std::string_view key,
                      std::span<const core::SweepPointProgress> progress) {
   if (key.empty()) return false;
@@ -225,27 +245,14 @@ bool save_checkpoint(const std::filesystem::path& dir, std::string_view key,
   return true;
 }
 
-std::optional<std::vector<core::SweepPointProgress>> load_checkpoint(
-    const std::filesystem::path& dir, std::string_view key,
-    std::size_t expect_points, long* writer_pid) {
-  if (key.empty()) return std::nullopt;
-  std::ifstream in(checkpoint_path(dir, key), std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  std::optional<std::vector<core::SweepPointProgress>> progress =
-      parse_checkpoint(buf.str(), key, writer_pid);
-  if (progress && progress->size() != expect_points) return std::nullopt;
-  return progress;
-}
-
 void remove_checkpoint(const std::filesystem::path& dir,
                        std::string_view key) {
   if (key.empty()) return;
   std::error_code ec;
   std::filesystem::remove(checkpoint_path(dir, key), ec);
 }
+
+}  // namespace
 
 std::vector<core::BerResult> run_cold_pass_checkpointed(
     const std::filesystem::path& dir,

@@ -58,18 +58,11 @@ std::optional<std::vector<core::SweepPointProgress>> parse_checkpoint(
     std::string_view text, std::string_view expected_key,
     long* writer_pid = nullptr);
 
-/// Atomic tmp+rename write; false on I/O failure (checkpointing is best
-/// effort — a failed save costs redone work, never correctness).
-bool save_checkpoint(const std::filesystem::path& dir, std::string_view key,
-                     std::span<const core::SweepPointProgress> progress);
-
 /// Load the checkpoint for `key`; nullopt when absent/corrupt/mismatched
 /// or when the point count differs from `expect_points`.
 std::optional<std::vector<core::SweepPointProgress>> load_checkpoint(
     const std::filesystem::path& dir, std::string_view key,
     std::size_t expect_points, long* writer_pid = nullptr);
-
-void remove_checkpoint(const std::filesystem::path& dir, std::string_view key);
 
 /// sweep_ber_adaptive with checkpointing: loads any checkpoint for this
 /// (configs, rule) key, resumes from it, saves progress at every

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/experiments.h"
+#include "core/fingerprint.h"
 #include "core/link.h"
 #include "phy80211a/params.h"
 
@@ -74,39 +75,10 @@ phy::Rate rate_from_mbps_value(std::uint64_t mbps) {
   }
 }
 
-}  // namespace
-
-Json link_to_json(const core::LinkConfig& cfg) {
-  Json j = Json::object();
-  j.set("rate_mbps", Json::number_u64(static_cast<std::uint64_t>(
-                         rate_to_mbps(cfg.rate))));
-  j.set("psdu_bytes", Json::number_u64(cfg.psdu_bytes));
-  j.set("rx_power_dbm", Json::number(cfg.rx_power_dbm));
-  if (cfg.snr_db.has_value()) j.set("snr_db", Json::number(*cfg.snr_db));
-  const char* rf = "system";
-  switch (cfg.rf_engine) {
-    case core::RfEngine::kNone: rf = "none"; break;
-    case core::RfEngine::kSystemLevel: rf = "system"; break;
-    case core::RfEngine::kCosim: rf = "cosim"; break;
-    case core::RfEngine::kCustom:
-      throw std::invalid_argument(
-          "link_to_json: a custom RF block cannot be serialized");
-  }
-  j.set("rf_engine", Json::string(rf));
-  j.set("lna_p1db_in_dbm", Json::number(cfg.rf.lna_p1db_in_dbm));
-  j.set("bb_bandwidth_factor", Json::number(cfg.rf.bb_bandwidth_factor));
-  j.set("sco_ppm", Json::number(cfg.sco_ppm));
-  if (cfg.interferer.has_value()) {
-    Json adj = Json::object();
-    adj.set("offset_hz", Json::number(cfg.interferer->offset_hz));
-    adj.set("level_db", Json::number(cfg.interferer->level_db));
-    j.set("adjacent", std::move(adj));
-  }
-  j.set("seed", Json::number_u64(cfg.seed));
-  return j;
-}
-
-core::LinkConfig link_from_json(const Json& j) {
+/// The wire fields of a link over core::default_link_config(), without
+/// core::validate: link_to_json checks its own output with it, and a link
+/// no packet can run still encodes (the daemon refuses it on decode).
+core::LinkConfig decode_link(const Json& j) {
   if (!j.is_object())
     throw std::runtime_error("protocol: \"link\" must be an object");
   core::LinkConfig cfg = core::default_link_config();
@@ -142,6 +114,51 @@ core::LinkConfig link_from_json(const Json& j) {
     cfg.interferer = ic;
   }
   cfg.seed = get_u64(j, "seed", cfg.seed);
+  return cfg;
+}
+
+}  // namespace
+
+Json link_to_json(const core::LinkConfig& cfg) {
+  Json j = Json::object();
+  j.set("rate_mbps", Json::number_u64(static_cast<std::uint64_t>(
+                         rate_to_mbps(cfg.rate))));
+  j.set("psdu_bytes", Json::number_u64(cfg.psdu_bytes));
+  j.set("rx_power_dbm", Json::number(cfg.rx_power_dbm));
+  if (cfg.snr_db.has_value()) j.set("snr_db", Json::number(*cfg.snr_db));
+  const char* rf = "system";
+  switch (cfg.rf_engine) {
+    case core::RfEngine::kNone: rf = "none"; break;
+    case core::RfEngine::kSystemLevel: rf = "system"; break;
+    case core::RfEngine::kCosim: rf = "cosim"; break;
+    case core::RfEngine::kCustom:
+      throw std::invalid_argument(
+          "link_to_json: a custom RF block cannot be serialized");
+  }
+  j.set("rf_engine", Json::string(rf));
+  j.set("lna_p1db_in_dbm", Json::number(cfg.rf.lna_p1db_in_dbm));
+  j.set("bb_bandwidth_factor", Json::number(cfg.rf.bb_bandwidth_factor));
+  j.set("sco_ppm", Json::number(cfg.sco_ppm));
+  if (cfg.interferer.has_value()) {
+    Json adj = Json::object();
+    adj.set("offset_hz", Json::number(cfg.interferer->offset_hz));
+    adj.set("level_db", Json::number(cfg.interferer->level_db));
+    j.set("adjacent", std::move(adj));
+  }
+  j.set("seed", Json::number_u64(cfg.seed));
+  // Fail closed on a field the wire cannot carry: the daemon would answer
+  // for the link the wire fields describe, which is another link.
+  if (core::link_fingerprint(decode_link(j)) != core::link_fingerprint(cfg))
+    throw std::invalid_argument(
+        "link_to_json: the link sets a field the wire does not carry (only "
+        "rate, PSDU size, levels, SNR, RF engine, LNA P1dB, bandwidth "
+        "factor, SCO, the adjacent channel's offset and level, and the "
+        "seed travel)");
+  return j;
+}
+
+core::LinkConfig link_from_json(const Json& j) {
+  core::LinkConfig cfg = decode_link(j);
   // A link no packet can run fails here, on its own request, instead of
   // inside the pooled pass it would share with other clients' links.
   core::validate(cfg);

@@ -39,7 +39,10 @@ namespace wlansim::service {
 // (absent = no excess noise), rf_engine, lna_p1db_in_dbm,
 // bb_bandwidth_factor, sco_ppm, the optional adjacent-channel interferer,
 // and the seed. Unlisted LinkConfig fields keep core::default_link_config()
-// values on both sides, so client and daemon agree on the full config.
+// values on both sides, so client and daemon agree on the full config;
+// link_to_json throws std::invalid_argument for a link that sets one of
+// them away from that default (or a custom RF block), which the daemon
+// would otherwise answer for as another link.
 Json link_to_json(const core::LinkConfig& cfg);
 /// Throws on malformed input and, through core::validate, on a link no
 /// packet can run.

@@ -71,7 +71,7 @@ class Scheduler {
     std::filesystem::path store_dir;
     /// Checkpoint directory; empty = store_dir.
     std::filesystem::path checkpoint_dir;
-    /// Worker threads for MC passes (run_ber_parallel semantics).
+    /// Worker threads for MC passes (SweepOptions::threads semantics).
     std::size_t threads = 0;
     /// Save a checkpoint every Nth wave boundary (1 = every wave).
     std::size_t checkpoint_every_waves = 1;

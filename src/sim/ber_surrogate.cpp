@@ -87,31 +87,6 @@ double monotone_interp(std::span<const double> xs, std::span<const double> ys,
          h11 * h * tangent(i + 1);
 }
 
-double eesm_effective_snr_db(std::span<const double> subcarrier_snr_db,
-                             double beta) {
-  if (subcarrier_snr_db.empty()) {
-    throw std::invalid_argument("eesm_effective_snr_db: empty SNR span");
-  }
-  if (!(beta > 0.0)) {
-    throw std::invalid_argument("eesm_effective_snr_db: beta must be > 0");
-  }
-  // eff = -beta * ln( mean_k exp(-snr_k / beta) ), in linear power.
-  // Evaluated via log-sum-exp so one deeply-faded (or very strong)
-  // subcarrier cannot underflow the whole mean to zero.
-  double m = -std::numeric_limits<double>::infinity();
-  for (double s_db : subcarrier_snr_db) {
-    m = std::max(m, -std::pow(10.0, s_db / 10.0) / beta);
-  }
-  double acc = 0.0;
-  for (double s_db : subcarrier_snr_db) {
-    acc += std::exp(-std::pow(10.0, s_db / 10.0) / beta - m);
-  }
-  const double log_mean =
-      m + std::log(acc / static_cast<double>(subcarrier_snr_db.size()));
-  const double eff_lin = -beta * log_mean;
-  return 10.0 * std::log10(eff_lin);
-}
-
 // ---------------------------------------------------------------------------
 // CalibrationCurve
 // ---------------------------------------------------------------------------
@@ -370,7 +345,8 @@ std::optional<CalibrationCurve> parse_curve(
     }
   }
 
-  c.points.reserve(n);
+  // The count is untrusted input: size nothing from it. The loop stops at
+  // the first missing point line.
   for (std::uint64_t k = 0; k < n; ++k) {
     if (!std::getline(in, line)) return std::nullopt;
     auto f = fields(line);

@@ -10,10 +10,10 @@
 // fingerprint (core/fingerprint.h) — so calibration amortizes across
 // processes and sessions, not just across one run.
 //
-// This layer is deliberately link-free: curves, interpolation, the EESM
-// effective-SNR reduction, and the store are pure data + filesystem code,
-// unit-testable without a WlanLink. The drivers that fill curves by
-// running the adaptive MC engine live in core/surrogate.h.
+// This layer is deliberately link-free: curves, interpolation, and the
+// store are pure data + filesystem code, unit-testable without a WlanLink.
+// The driver that fills curves by running the adaptive MC engine lives in
+// core/surrogate.h.
 #pragma once
 
 #include <cstdint>
@@ -108,15 +108,6 @@ struct CalibrationCurve {
 /// within [xs.front(), xs.back()].
 double monotone_interp(std::span<const double> xs, std::span<const double> ys,
                        double x);
-
-/// EESM reduction: collapse per-subcarrier SNRs [dB] to the scalar
-/// effective SNR [dB] whose AWGN BER matches the frequency-selective
-/// channel's: eff = -beta * ln( mean_k exp(-snr_k / beta) ) in linear
-/// power terms. beta > 0 is the per-(rate, constellation) calibration
-/// constant; small beta weights the worst subcarriers, large beta
-/// approaches the linear mean. Throws on an empty span or beta <= 0.
-double eesm_effective_snr_db(std::span<const double> subcarrier_snr_db,
-                             double beta);
 
 // ---------------------------------------------------------------------------
 // Content-addressed on-disk store

@@ -56,7 +56,7 @@ sim::StoppingRule fixed_budget(std::size_t packets) {
   return rule;
 }
 
-TEST(AdaptiveSweep, FixedBudgetBitIdenticalToSweepBerParallel) {
+TEST(AdaptiveSweep, FixedBudgetBitIdenticalToSerialRunBer) {
   const auto points = waterfall({14.0, 18.0, 24.0});
   const sim::StoppingRule fixed = fixed_budget(18);
 
@@ -76,6 +76,37 @@ TEST(AdaptiveSweep, FixedBudgetBitIdenticalToSweepBerParallel) {
       // Both fill the CI stat from identical counters at the same default
       // confidence, so even the derived field must match exactly.
       EXPECT_EQ(adaptive[k].ber_ci_rel, reference[k].ber_ci_rel);
+    }
+  }
+}
+
+TEST(AdaptiveSweep, FixedBudgetWavesDoNotMoveBits) {
+  // A fixed budget with no hook runs as one wave; an on_wave hook keeps the
+  // wave boundaries (16 + 8 packets for a 24-packet budget). Both
+  // schedules must give the same bits.
+  const auto points = waterfall({14.0, 18.0, 24.0});
+  const sim::StoppingRule fixed = fixed_budget(24);
+  ASSERT_EQ(fixed.min_packets, 8u);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SweepOptions opts;
+    opts.threads = threads;
+    std::size_t waves = 0;
+    AdaptiveResume resume;
+    resume.on_wave = [&waves](std::span<const SweepPointProgress>) {
+      ++waves;
+      return true;
+    };
+    const auto hooked =
+        sweep_ber_adaptive_resumable(points, fixed, opts, &resume);
+    EXPECT_EQ(waves, 2u);
+    const auto one_wave = sweep_ber_adaptive(points, fixed, opts);
+    ASSERT_EQ(hooked.size(), one_wave.size());
+    for (std::size_t k = 0; k < hooked.size(); ++k) {
+      SCOPED_TRACE("point " + std::to_string(k));
+      expect_identical(hooked[k], one_wave[k]);
+      EXPECT_EQ(hooked[k].ber_ci_rel, one_wave[k].ber_ci_rel);
+      EXPECT_EQ(hooked[k].converged, one_wave[k].converged);
     }
   }
 }

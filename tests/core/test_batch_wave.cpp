@@ -198,8 +198,11 @@ TEST(BatchWave, FixedSweepWidth8MatchesWidth1) {
     wide.batch_width = 8;
     SweepOptions narrow = wide;
     narrow.batch_width = 1;
-    const auto a = sweep_ber_parallel(points, 19, wide);  // ragged tail chunk
-    const auto b = sweep_ber_parallel(points, 19, narrow);
+    sim::StoppingRule fixed;
+    fixed.target_rel_ci = 0.0;  // CI test off: a pure packet budget
+    fixed.max_packets = 19;     // ragged tail chunk
+    const auto a = sweep_ber_adaptive(points, fixed, wide);
+    const auto b = sweep_ber_adaptive(points, fixed, narrow);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t k = 0; k < a.size(); ++k) {
       SCOPED_TRACE("point " + std::to_string(k));

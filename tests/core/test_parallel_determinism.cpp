@@ -1,7 +1,8 @@
-// run_ber_parallel must be bit-identical to the serial run_ber for every
-// thread count — the pool partitions work dynamically, but per-packet
-// results land in per-packet slots and are reduced in packet order, so not
-// even the EVM average's floating-point accumulation can drift.
+// A fixed-budget run of the adaptive engine must be bit-identical to the
+// serial run_ber for every thread count — the pool partitions work
+// dynamically, but per-packet results land in per-packet slots and are
+// reduced in packet order, so not even the EVM average's floating-point
+// accumulation can drift.
 #include <gtest/gtest.h>
 
 #include "core/experiments.h"
@@ -9,6 +10,13 @@
 
 namespace wlansim::core {
 namespace {
+
+sim::StoppingRule fixed_budget(std::size_t packets) {
+  sim::StoppingRule rule;
+  rule.target_rel_ci = 0.0;  // CI test off: a pure packet budget
+  rule.max_packets = packets;
+  return rule;
+}
 
 void expect_identical(const BerResult& a, const BerResult& b) {
   EXPECT_EQ(a.packets, b.packets);
@@ -25,7 +33,7 @@ void expect_thread_invariant(const LinkConfig& cfg, std::size_t packets) {
   // 0 = shared pool at hardware concurrency; 7 deliberately doesn't divide
   // the packet count.
   for (const std::size_t threads : {1u, 2u, 7u, 0u}) {
-    const BerResult par = run_ber_parallel(cfg, packets, threads);
+    const BerResult par = run_ber_adaptive(cfg, fixed_budget(packets), threads);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_identical(par, ref);
   }
@@ -49,8 +57,8 @@ TEST(ParallelDeterminism, WithInterferer) {
 TEST(ParallelDeterminism, RepeatedCallsReuseCachedLinks) {
   LinkConfig cfg = default_link_config();
   cfg.psdu_bytes = 60;
-  const BerResult first = run_ber_parallel(cfg, 6, 2);
-  const BerResult second = run_ber_parallel(cfg, 6, 2);  // cache hit path
+  const BerResult first = run_ber_adaptive(cfg, fixed_budget(6), 2);
+  const BerResult second = run_ber_adaptive(cfg, fixed_budget(6), 2);  // cache hit path
   expect_identical(first, second);
 }
 
@@ -63,7 +71,7 @@ TEST(ParallelDeterminism, SweepMatchesPointwiseRuns) {
     c.snr_db = snr;
     points.push_back(c);
   }
-  const std::vector<BerResult> sweep = sweep_ber_parallel(points, 5);
+  const std::vector<BerResult> sweep = sweep_ber_adaptive(points, fixed_budget(5));
   ASSERT_EQ(sweep.size(), points.size());
   for (std::size_t k = 0; k < points.size(); ++k) {
     SCOPED_TRACE("point " + std::to_string(k));

@@ -20,6 +20,13 @@ std::vector<LinkConfig> snr_sweep(LinkConfig base, double first_db,
   return configs;
 }
 
+sim::StoppingRule fixed_budget(std::size_t packets) {
+  sim::StoppingRule rule;
+  rule.target_rel_ci = 0.0;  // CI test off: a pure packet budget
+  rule.max_packets = packets;
+  return rule;
+}
+
 void expect_identical(const std::vector<BerResult>& a,
                       const std::vector<BerResult>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -44,8 +51,8 @@ TEST(SweepMemo, MatchesUnmemoizedSweepExactly) {
   SweepOptions memo_off;
   memo_off.memoize_tx = false;
 
-  const auto with = sweep_ber_parallel(configs, 10, memo_on);
-  const auto without = sweep_ber_parallel(configs, 10, memo_off);
+  const auto with = sweep_ber_adaptive(configs, fixed_budget(10), memo_on);
+  const auto without = sweep_ber_adaptive(configs, fixed_budget(10), memo_off);
   expect_identical(with, without);
 }
 
@@ -59,10 +66,10 @@ TEST(SweepMemo, MatchesPerPointRunsWithInterferer) {
   base.interferer = jam;
   const auto configs = snr_sweep(base, 14.0, 3.0, 4);
 
-  const auto memoized = sweep_ber_parallel(configs, 6, SweepOptions{});
+  const auto memoized = sweep_ber_adaptive(configs, fixed_budget(6));
   std::vector<BerResult> direct;
   for (const LinkConfig& cfg : configs)
-    direct.push_back(run_ber_parallel(cfg, 6));
+    direct.push_back(run_ber_adaptive(cfg, fixed_budget(6)));
   expect_identical(memoized, direct);
 }
 
@@ -75,8 +82,8 @@ TEST(SweepMemo, ThreadCountInvariant) {
   one.threads = 1;
   SweepOptions three;
   three.threads = 3;
-  expect_identical(sweep_ber_parallel(configs, 9, one),
-                   sweep_ber_parallel(configs, 9, three));
+  expect_identical(sweep_ber_adaptive(configs, fixed_budget(9), one),
+                   sweep_ber_adaptive(configs, fixed_budget(9), three));
 }
 
 TEST(SweepMemo, ScenePacketReplayMatchesFullRun) {
@@ -108,16 +115,6 @@ TEST(SweepMemo, ScenePacketReplayMatchesFullRun) {
     EXPECT_EQ(replayed.evm_rms, direct.evm_rms) << "idx " << idx;
     EXPECT_EQ(replayed.cfo_norm, direct.cfo_norm) << "idx " << idx;
   }
-}
-
-TEST(SweepMemo, BackCompatThreadsOverload) {
-  LinkConfig base = default_link_config();
-  base.psdu_bytes = 40;
-  const auto configs = snr_sweep(base, 16.0, 4.0, 3);
-  const auto a = sweep_ber_parallel(configs, 4, std::size_t{2});
-  SweepOptions opts;
-  opts.threads = 2;
-  expect_identical(a, sweep_ber_parallel(configs, 4, opts));
 }
 
 }  // namespace

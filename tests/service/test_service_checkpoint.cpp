@@ -157,18 +157,36 @@ TEST(Checkpoint, CorruptFileColdStartsCleanly) {
   const fs::path dir = test_dir("corrupt");
   const std::string key = cold_pass_key(configs, rule);
 
-  {
-    std::ofstream os(checkpoint_path(dir, key), std::ios::binary);
-    os << "not a checkpoint at all\xff\x00 garbage\n";
-  }
-  EXPECT_FALSE(load_checkpoint(dir, key, configs.size()).has_value());
+  // Garbage, and a hostile point count behind a header that passes the key
+  // check: the loader must stop at the first missing point line instead
+  // of sizing a buffer from the count.
+  const std::string real = serialize_checkpoint(
+      key, std::vector<core::SweepPointProgress>(configs.size()));
+  const std::size_t at = real.find("\npoints ") + 1;
+  ASSERT_NE(at, 0u);
+  const std::string points = real.substr(real.find('\n', at) + 1);
+  const std::vector<std::string> corrupt{
+      "not a checkpoint at all\xff\x00 garbage\n",
+      real.substr(0, at) + "points 4294967296\n" + points,
+      real.substr(0, at) + "points 18446744073709551615\n" + points};
 
-  const std::vector<core::BerResult> after =
-      run_cold_pass_checkpointed(dir, configs, rule, opts);
   const std::vector<core::BerResult> direct =
       core::sweep_ber_adaptive(configs, rule, opts);
-  for (std::size_t i = 0; i < direct.size(); ++i)
-    expect_identical(after[i], direct[i]);
+  for (std::size_t c = 0; c < corrupt.size(); ++c) {
+    SCOPED_TRACE("corruption " + std::to_string(c));
+    {
+      std::ofstream os(checkpoint_path(dir, key),
+                       std::ios::binary | std::ios::trunc);
+      os << corrupt[c];
+    }
+    EXPECT_FALSE(load_checkpoint(dir, key, configs.size()).has_value());
+
+    const std::vector<core::BerResult> after =
+        run_cold_pass_checkpointed(dir, configs, rule, opts);
+    ASSERT_EQ(after.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i)
+      expect_identical(after[i], direct[i]);
+  }
 }
 
 TEST(Checkpoint, ResumesFromAnotherProcessesCheckpoint) {

@@ -6,6 +6,9 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/experiments.h"
@@ -39,6 +42,79 @@ TEST(ServiceProtocol, LinkRoundTripPreservesTheFingerprint) {
   EXPECT_EQ(core::link_fingerprint(back), core::link_fingerprint(cfg));
   EXPECT_EQ(back.seed, cfg.seed);
   EXPECT_EQ(back.snr_db, cfg.snr_db);
+
+  // A field the wire does not carry, set away from its default, would be
+  // answered for another link: the encoder refuses it instead.
+  using Perturb = void (*)(core::LinkConfig&);
+#define OFF_WIRE(stmt) std::pair<const char*, Perturb>{#stmt, [](core::LinkConfig& c) { stmt; }}
+  const std::vector<std::pair<const char*, Perturb>> off_wire = {
+      OFF_WIRE(c.antenna_noise_density_dbm_hz += 1.0),
+      OFF_WIRE(c.fading = channel::FadingConfig{}),
+      OFF_WIRE(c.interferer->rate = phy::Rate::kMbps6),
+      OFF_WIRE(c.interferer->psdu_bytes += 1),
+      OFF_WIRE(c.tx_pa_backoff_db = 8.0),
+      OFF_WIRE(c.tx_pa_model = rf::NonlinearityModel::kClippedCubic),
+      OFF_WIRE(c.tx_pa_am_pm_max_deg += 1.0),
+      OFF_WIRE(c.tx_iq_gain_imbalance_db += 1.0),
+      OFF_WIRE(c.tx_iq_phase_error_deg += 1.0),
+      OFF_WIRE(c.tx_lo_leakage_rel += 0.01),
+      OFF_WIRE(c.oversample = 8),
+      OFF_WIRE(c.rf.sample_rate_hz *= 2.0),
+      OFF_WIRE(c.rf.lna_gain_db += 1.0),
+      OFF_WIRE(c.rf.lna_nf_db += 1.0),
+      OFF_WIRE(c.rf.lna_model = rf::NonlinearityModel::kClippedCubic),
+      OFF_WIRE(c.rf.lna_am_pm_max_deg += 1.0),
+      OFF_WIRE(c.rf.mixer1_gain_db += 1.0),
+      OFF_WIRE(c.rf.mixer2_gain_db += 1.0),
+      OFF_WIRE(c.rf.lo_offset_hz += 1.0),
+      OFF_WIRE(c.rf.lo_phase_noise.level_dbc_hz = -90.0),
+      OFF_WIRE(c.rf.lo_phase_noise.offset_hz *= 2.0),
+      OFF_WIRE(c.rf.mixer1_image_rejection_db += 1.0),
+      OFF_WIRE(c.rf.mixer2_dc_offset *= 2.0),
+      OFF_WIRE(c.rf.mixer2_flicker_power_dbm += 1.0),
+      OFF_WIRE(c.rf.flicker_corner_hz *= 2.0),
+      OFF_WIRE(c.rf.hpf_order += 1),
+      OFF_WIRE(c.rf.hpf_cutoff_hz *= 2.0),
+      OFF_WIRE(c.rf.bb_filter_order += 1),
+      OFF_WIRE(c.rf.bb_filter_ripple_db *= 2.0),
+      OFF_WIRE(c.rf.bb_filter_edge_hz *= 1.1),
+      OFF_WIRE(c.rf.agc.target_power_dbm += 1.0),
+      OFF_WIRE(c.rf.agc.max_gain_db += 1.0),
+      OFF_WIRE(c.rf.agc.min_gain_db += 1.0),
+      OFF_WIRE(c.rf.agc.loop_gain *= 2.0),
+      OFF_WIRE(c.rf.agc.attack_db_per_sample *= 2.0),
+      OFF_WIRE(c.rf.agc.decay_db_per_sample *= 2.0),
+      OFF_WIRE(c.rf.agc.detector_time_const *= 2.0),
+      OFF_WIRE(c.rf.agc.initial_gain_db += 1.0),
+      OFF_WIRE(c.rf.agc.lock_window_db += 1.0),
+      OFF_WIRE(c.rf.agc.lock_count += 1),
+      OFF_WIRE(c.rf.agc.unlock_window_db += 1.0),
+      OFF_WIRE(c.rf.adc.bits += 1),
+      OFF_WIRE(c.rf.adc.full_scale *= 2.0),
+      OFF_WIRE(c.rf.adc.enabled = !c.rf.adc.enabled),
+      OFF_WIRE(c.rf.noise_enabled = !c.rf.noise_enabled),
+      OFF_WIRE(c.cosim.analog_oversample += 1),
+      OFF_WIRE(c.cosim.supports_noise_functions =
+                   !c.cosim.supports_noise_functions),
+      OFF_WIRE(c.cosim.sync_overhead_ops += 1),
+      OFF_WIRE(c.receiver.track_phase = !c.receiver.track_phase),
+      OFF_WIRE(c.receiver.track_timing = !c.receiver.track_timing),
+      OFF_WIRE(c.receiver.detect_threshold += 0.1),
+      OFF_WIRE(c.receiver.chanest_smoothing += 2),
+      OFF_WIRE(c.mode = sim::ExecutionMode::kInterpreted),
+      OFF_WIRE(c.packet_path = core::PacketPath::kGraph),
+      OFF_WIRE(c.lead_samples += 1),
+      OFF_WIRE(c.tail_samples += 1),
+      OFF_WIRE(c.custom_rf = [](dsp::Rng) {
+        return std::unique_ptr<rf::RfBlock>();
+      }),
+  };
+#undef OFF_WIRE
+  for (const auto& [name, perturb] : off_wire) {
+    core::LinkConfig c = cfg;
+    perturb(c);
+    EXPECT_THROW(link_to_json(c), std::invalid_argument) << name;
+  }
 }
 
 TEST(ServiceProtocol, LinkRoundTripNoSnrNoInterferer) {

@@ -1,5 +1,5 @@
 // The BER surrogate's pure model layer (sim/ber_surrogate.h): monotone
-// log-domain interpolation, EESM reduction, curve coverage/merging, and
+// log-domain interpolation, curve coverage/merging, and
 // the content-addressed store's exact round-trip guarantees — all without
 // a WlanLink.
 #include <gtest/gtest.h>
@@ -81,43 +81,6 @@ TEST(MonotoneInterp, RejectsBadInput) {
   EXPECT_THROW(monotone_interp(xs, ys, 1.1), std::invalid_argument);
   const std::vector<double> one{0.0};
   EXPECT_THROW(monotone_interp(one, one, 0.0), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// EESM
-// ---------------------------------------------------------------------------
-
-TEST(Eesm, FlatChannelIsIdentity) {
-  const std::vector<double> flat(48, 12.0);
-  for (double beta : {0.5, 1.0, 4.0, 20.0}) {
-    EXPECT_NEAR(eesm_effective_snr_db(flat, beta), 12.0, 1e-9);
-  }
-}
-
-TEST(Eesm, EffectiveSnrBetweenWorstAndMean) {
-  const std::vector<double> snrs{3.0, 10.0, 15.0, 20.0};
-  const double eff = eesm_effective_snr_db(snrs, 2.0);
-  EXPECT_GT(eff, 3.0);   // better than the worst subcarrier alone
-  EXPECT_LT(eff, 15.0);  // but pulled well below the strong ones
-  // Smaller beta weights the faded subcarrier harder.
-  EXPECT_LT(eesm_effective_snr_db(snrs, 0.5), eff);
-  EXPECT_GT(eesm_effective_snr_db(snrs, 50.0), eff);
-}
-
-TEST(Eesm, SurvivesExtremeSnrSpread) {
-  // log-sum-exp evaluation: one deeply faded + one huge subcarrier must
-  // not underflow/overflow into nonsense.
-  const std::vector<double> snrs{-40.0, 60.0};
-  const double eff = eesm_effective_snr_db(snrs, 1.0);
-  EXPECT_TRUE(std::isfinite(eff));
-  EXPECT_LT(eff, 0.0);  // dominated by the faded carrier
-}
-
-TEST(Eesm, RejectsBadInput) {
-  EXPECT_THROW(eesm_effective_snr_db({}, 1.0), std::invalid_argument);
-  const std::vector<double> snrs{10.0};
-  EXPECT_THROW(eesm_effective_snr_db(snrs, 0.0), std::invalid_argument);
-  EXPECT_THROW(eesm_effective_snr_db(snrs, -1.0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -281,6 +244,18 @@ TEST(CurveSerialization, RejectsCorruptInput) {
   std::string bad = text;
   bad.replace(bad.find("0x"), 2, "zz");
   EXPECT_FALSE(parse_curve(bad, c.fingerprint).has_value());
+  // A hostile point count behind a header that passes the key check: the
+  // parser stops at the first missing point instead of sizing a buffer
+  // from the count.
+  const std::size_t at = text.find("\npoints ") + 1;
+  ASSERT_NE(at, 0u);
+  const std::string points = text.substr(text.find('\n', at) + 1);
+  for (const char* n : {"18446744073709551615", "4294967296"}) {
+    SCOPED_TRACE(n);
+    const std::string hostile =
+        text.substr(0, at) + "points " + n + "\n" + points;
+    EXPECT_FALSE(parse_curve(hostile, c.fingerprint).has_value());
+  }
 }
 
 TEST(CalibrationStore, KeyIsStableAndContentAddressed) {

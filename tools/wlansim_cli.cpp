@@ -12,6 +12,8 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 
 #include "core/arq.h"
@@ -45,9 +47,28 @@ void print_ber_result(const core::LinkConfig& cfg, const core::BerResult& r) {
   std::printf("BER 95%% CI  : +/- %.1f %% relative\n", 100.0 * r.ber_ci_rel);
 }
 
+/// The fixed budget of --packets: the adaptive engine with its CI test off,
+/// so every point runs exactly `packets` (core/parallel.h).
+sim::StoppingRule fixed_budget(long packets) {
+  if (packets <= 0) throw std::invalid_argument("--packets must be > 0");
+  sim::StoppingRule rule;
+  rule.target_rel_ci = 0.0;
+  rule.max_packets = static_cast<std::size_t>(packets);
+  return rule;
+}
+
+/// A plain surrogate query: the dedup driver with quantization off, so a
+/// covered point is interpolated and a missed one measured and backfilled.
+core::DedupOptions surrogate_query(const core::SurrogateOptions& sopts) {
+  core::DedupOptions dopts;
+  dopts.surrogate = sopts;
+  dopts.bin_width_db = 0.0;
+  return dopts;
+}
+
 int cmd_ber(const core::CliArgs& args) {
   const core::LinkConfig cfg = link_from_args(args);
-  const auto packets = static_cast<std::size_t>(args.get_long("packets", 20));
+  const long packets = args.get_long("packets", 20);
   const auto threads = static_cast<std::size_t>(args.get_long("threads", 0));
   const auto rule = core::stopping_rule_from_args(args);
   const bool surrogate = args.has("surrogate");
@@ -56,7 +77,8 @@ int cmd_ber(const core::CliArgs& args) {
   fail_on_unused(args);
 
   if (surrogate) {
-    const core::BerResult r = core::run_ber_surrogate(cfg, sopts);
+    const core::BerResult r = core::sweep_ber_deduped(
+        std::span<const core::LinkConfig>(&cfg, 1), surrogate_query(sopts))[0];
     print_ber_result(cfg, r);
     if (r.from_surrogate) {
       std::printf("source      : calibration store (surrogate, ~0 packets)\n");
@@ -67,17 +89,16 @@ int cmd_ber(const core::CliArgs& args) {
     }
     return 0;
   }
+  const core::BerResult r = core::run_ber_adaptive(
+      cfg, rule ? *rule : fixed_budget(packets), threads);
+  print_ber_result(cfg, r);
   if (rule.has_value()) {
-    const core::BerResult r = core::run_ber_adaptive(cfg, *rule, threads);
-    print_ber_result(cfg, r);
     std::printf("stopping    : %s after %zu packets (target CI %.0f %%, "
                 ">= %zu errors, cap %zu)\n",
                 r.converged ? "converged" : "hit packet cap", r.packets,
                 100.0 * rule->target_rel_ci, rule->min_errors,
                 rule->max_packets);
     std::printf("wall        : %.2f s\n", r.wall_seconds);
-  } else {
-    print_ber_result(cfg, core::run_ber_parallel(cfg, packets, threads));
   }
   return 0;
 }
@@ -87,7 +108,7 @@ int cmd_sweep(const core::CliArgs& args) {
   const double from = args.get_double("from", 5.0);
   const double to = args.get_double("to", 25.0);
   const double step = args.get_double("step", 2.0);
-  const auto packets = static_cast<std::size_t>(args.get_long("packets", 10));
+  const long packets = args.get_long("packets", 10);
   const auto threads = static_cast<std::size_t>(args.get_long("threads", 0));
   const std::string csv = args.get_string("csv", "");
   const auto rule = core::stopping_rule_from_args(args);
@@ -139,13 +160,12 @@ int cmd_sweep(const core::CliArgs& args) {
 
   std::vector<core::BerResult> results;
   if (surrogate) {
-    results = core::sweep_ber_surrogate(points, sopts);
-  } else if (rule.has_value()) {
+    results = core::sweep_ber_deduped(points, surrogate_query(sopts));
+  } else {
     core::SweepOptions opts;
     opts.threads = threads;
-    results = core::sweep_ber_adaptive(points, *rule, opts);
-  } else {
-    results = core::sweep_ber_parallel(points, packets, threads);
+    results = core::sweep_ber_adaptive(
+        points, rule ? *rule : fixed_budget(packets), opts);
   }
 
   sim::SweepResult res;
