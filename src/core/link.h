@@ -20,16 +20,20 @@
 #include "phy80211a/measure.h"
 #include "phy80211a/receiver.h"
 #include "phy80211a/transmitter.h"
+#include "rf/lane_tape.h"
 
 namespace wlansim::core {
 
 /// Memoized TX scene for one (configuration, packet index) pair: the
 /// payload, the pre-noise oversampled composite (TX waveform + impairments
-/// + interferer), the RNG state at the noise-injection point, and the unit
-/// noise normals. Everything stored here is independent of the noise level
-/// (SNR / antenna noise density), so a BER sweep can build the scene once
-/// at the first SNR point and replay it bit-identically at every other —
-/// see WlanLink::run_packet_memo.
+/// + interferer), the RNG state at the noise-injection point, the unit
+/// noise normals, and the lane path's front-end noise tapes. Everything
+/// stored here is independent of the noise level (SNR / antenna noise
+/// density), so a BER sweep can build the scene once at the first SNR point
+/// and replay it bit-identically at every other — see
+/// WlanLink::run_packet_memo. The one stored value that depends on the
+/// front end's configuration, the shaped flicker noise, carries the shape
+/// it was made under and replays only under that shape.
 class TxScene {
  public:
   TxScene() = default;
@@ -45,7 +49,7 @@ class TxScene {
     valid_ = false;
     ref_points_valid_ = false;
     lna_tape_.clear();
-    flicker_tape_.clear();
+    flicker_tape_.noise.clear();
   }
 
  private:
@@ -61,11 +65,13 @@ class TxScene {
   dsp::RVec noise_units_;      ///< cached unit normals (2 per scene sample)
   bool ref_points_valid_ = false;
   std::vector<dsp::CVec> ref_points_;  ///< TX constellation (EVM reference)
-  /// Front-end unit-normal tapes recorded by the lane path (see
-  /// rf/lane_tape.h): like noise_units_, pure functions of the packet
-  /// index, so later sweep points replay instead of re-deriving gaussians.
+  /// Front-end noise tapes recorded by the lane path (see rf/lane_tape.h),
+  /// like noise_units_ pure functions of the packet index: the LNA's unit
+  /// normals, re-scaled and re-added at every point, and mixer 2's flicker
+  /// noise after its shaping filter, which a point of the same flicker
+  /// shape adds as it is.
   dsp::RVec lna_tape_;
-  dsp::RVec flicker_tape_;
+  rf::ShapedNoiseTape flicker_tape_;
 };
 
 /// Outcome of one packet through the link.

@@ -168,17 +168,18 @@ bool WlanLink::run_packet_wave(std::uint64_t begin_index, std::size_t count,
     for (std::size_t l = 0; l < count; ++l) {
       fe.reseed_lanes(l, batch.lane_rng[l].fork());
       dsp::RVec* lna_tape = nullptr;
-      dsp::RVec* flicker_tape = nullptr;
+      rf::ShapedNoiseTape* flicker_tape = nullptr;
       if (scenes != nullptr) {
         // A tape is usable only when empty (record) or complete (replay);
         // anything else would desync the lane rng stream mid-buffer, so
         // draw fresh instead. TxScene::reset() clears tapes on rebuild,
-        // which makes a same-length stale tape impossible.
+        // which makes a same-length stale tape impossible. The flicker
+        // source checks its tape's shape itself.
         TxScene& sc = scenes[l];
         if (sc.lna_tape_.empty() || sc.lna_tape_.size() == 2 * n)
           lna_tape = &sc.lna_tape_;
-        if (sc.flicker_tape_.empty() || sc.flicker_tape_.size() == 2 * n)
-          flicker_tape = &sc.flicker_tape_;
+        const std::size_t taped = sc.flicker_tape_.noise.size();
+        if (taped == 0 || taped == 2 * n) flicker_tape = &sc.flicker_tape_;
       }
       fe.set_lane_tapes(l, lna_tape, flicker_tape);
     }

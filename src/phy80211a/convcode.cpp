@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <limits>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -39,6 +38,61 @@ constexpr std::array<std::uint8_t, 128> kEncOut = [] {
 constexpr std::array<std::uint8_t, 32> kDeltaIdx = [] {
   std::array<std::uint8_t, 32> t{};
   for (std::uint32_t j = 0; j < 32; ++j) t[j] = kEncOut[j << 1];
+  return t;
+}();
+
+// Four lanes of GCC's generic vector extension: SSE registers on x86-64,
+// NEON on AArch64, split into scalars where the target has neither.
+using F4 = float __attribute__((vector_size(16)));
+using U4 = std::uint32_t __attribute__((vector_size(16)));
+
+F4 load4(const float* p) {
+  F4 v;
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store4(float* p, F4 v) { __builtin_memcpy(p, &v, sizeof v); }
+
+// Per quad q (butterflies 4q..4q+3): the sign bits that turn la and lb
+// into lane i's d = (±la) + (±lb), the branch metric kDeltaIdx[4q + i]
+// selects. Its bit 1 (output A) flips la, its bit 0 (output B) flips lb.
+constexpr std::array<U4, 8> quad_sign_flips(unsigned idx_bit) {
+  auto flip = [idx_bit](std::uint32_t j) {
+    return ((kDeltaIdx[j] >> idx_bit) & 1u) ? 0x80000000u : 0u;
+  };
+  std::array<U4, 8> t{};
+  for (std::uint32_t q = 0; q < 8; ++q)
+    t[q] = U4{flip(4 * q), flip(4 * q + 1), flip(4 * q + 2), flip(4 * q + 3)};
+  return t;
+}
+constexpr std::array<U4, 8> kFlipA = quad_sign_flips(1);
+constexpr std::array<U4, 8> kFlipB = quad_sign_flips(0);
+
+// Decision word layout. Lane i of quad q (butterfly j = 4q + i) records
+// the win into next state 2j + h at bit 16*(i & 1) + 8*h + q of its 32-bit
+// accumulator lane; lanes 0|1 form the word's low half, lanes 2|3 its high
+// half, so the 8 quads' masks merge with one OR per quad and two per step.
+constexpr std::array<U4, 8> quad_win_bits(std::uint32_t h) {
+  std::array<U4, 8> t{};
+  for (std::uint32_t q = 0; q < 8; ++q) {
+    const std::uint32_t even = 1u << (8 * h + q);
+    const std::uint32_t odd = 1u << (16 + 8 * h + q);
+    t[q] = U4{even, odd, even, odd};
+  }
+  return t;
+}
+constexpr std::array<U4, 8> kWinBit0 = quad_win_bits(0);
+constexpr std::array<U4, 8> kWinBit1 = quad_win_bits(1);
+
+// Bit of the decision word that holds next state s's predecessor choice
+// (1 = the predecessor with the oldest bit set): s = 2j + h, j = 4q + i.
+constexpr std::array<std::uint8_t, kNumStates> kDecisionBit = [] {
+  std::array<std::uint8_t, kNumStates> t{};
+  for (std::uint32_t s = 0; s < kNumStates; ++s) {
+    const std::uint32_t h = s & 1, i = (s >> 1) & 3, q = s >> 3;
+    t[s] = static_cast<std::uint8_t>(16 * i + 8 * h + q);
+  }
   return t;
 }();
 
@@ -118,16 +172,18 @@ SoftBits depuncture(const SoftBits& soft, CodeRate rate) {
   return out;
 }
 
-// Butterfly add-compare-select. Per step only four branch-metric values
-// exist (±la±lb); butterfly j reads survivors {j, j+32}, writes {2j, 2j+1}
-// with a branchless max-select, and packs the decision bits into the same
-// per-step std::uint64_t words the traceback has always consumed. Float
-// path metrics with periodic renormalization replace the old -inf
-// sentinels: never-reached states carry a large negative value that cannot
-// win a comparison against any live survivor, and the bits recorded for
-// them are never visited by a traceback that starts in a live state.
-// Tie-breaking matches the reference decoder: the strict `greater`
-// comparison lets the low predecessor (oldest state bit 0) win ties.
+// Butterfly add-compare-select, four butterflies per vector. Per step
+// only four branch-metric values exist (±la±lb); butterfly j reads
+// survivors {j, j+32} and writes {2j, 2j+1}. Lane i of quad q is butterfly
+// j = 4q + i and performs exactly the scalar butterfly's operations:
+// d = (±la) + (±lb) with the signs flipped as bits (IEEE defines a - b as
+// a + (-b), so this is the value the scalar form computed), the four sums,
+// and the strict `c01 > c00` select that lets the low predecessor (oldest
+// state bit 0) win ties, as in the reference decoder. Float path metrics
+// with periodic renormalization replace the old -inf sentinels:
+// never-reached states carry a large negative value that cannot win a
+// comparison against any live survivor, and the bits recorded for them are
+// never visited by a traceback that starts in a live state.
 Bits viterbi_decode(const SoftBits& soft, bool terminated) {
   if (soft.size() % 2 != 0)
     throw std::invalid_argument("viterbi_decode: need A/B pairs");
@@ -141,8 +197,7 @@ Bits viterbi_decode(const SoftBits& soft, bool terminated) {
   float* cur = m0buf;
   float* nxt = m1buf;
 
-  // One predecessor-decision word per step: bit s records which of state
-  // s's two predecessors won (1 = the one with the oldest bit set). The
+  // One predecessor-decision word per step (layout: kDecisionBit). The
   // buffer is reused across calls on the same thread; every word is
   // overwritten before traceback.
   thread_local std::vector<std::uint64_t> decisions;
@@ -151,24 +206,29 @@ Bits viterbi_decode(const SoftBits& soft, bool terminated) {
   for (std::size_t t = 0; t < steps; ++t) {
     const float la = static_cast<float>(soft[2 * t]);      // + -> A likely 0
     const float lb = static_cast<float>(soft[2 * t + 1]);  // + -> B likely 0
-    const float bm4[4] = {la + lb, la - lb, -la + lb, -la - lb};
-    std::uint64_t dec = 0;
-    for (std::uint32_t j = 0; j < 32; ++j) {
-      const float d = bm4[kDeltaIdx[j]];
-      const float ma = cur[j];
-      const float mb = cur[j + 32];
-      const float c00 = ma + d;  // into 2j   via predecessor j
-      const float c01 = mb - d;  // into 2j   via predecessor j+32
-      const float c10 = ma - d;  // into 2j+1 via predecessor j
-      const float c11 = mb + d;  // into 2j+1 via predecessor j+32
-      const bool w0 = c01 > c00;
-      const bool w1 = c11 > c10;
-      nxt[2 * j] = w0 ? c01 : c00;
-      nxt[2 * j + 1] = w1 ? c11 : c10;
-      dec |= (static_cast<std::uint64_t>(w0) << (2 * j)) |
-             (static_cast<std::uint64_t>(w1) << (2 * j + 1));
+    const F4 la4 = {la, la, la, la};
+    const F4 lb4 = {lb, lb, lb, lb};
+    U4 dec = {0, 0, 0, 0};
+    for (std::size_t q = 0; q < 8; ++q) {
+      const F4 d = (F4)((U4)la4 ^ kFlipA[q]) + (F4)((U4)lb4 ^ kFlipB[q]);
+      const F4 ma = load4(cur + 4 * q);
+      const F4 mb = load4(cur + 4 * q + 32);
+      const F4 c00 = ma + d;  // into 2j   via predecessor j
+      const F4 c01 = mb - d;  // into 2j   via predecessor j+32
+      const F4 c10 = ma - d;  // into 2j+1 via predecessor j
+      const F4 c11 = mb + d;  // into 2j+1 via predecessor j+32
+      const F4 n0 = c01 > c00 ? c01 : c00;
+      const F4 n1 = c11 > c10 ? c11 : c10;
+      // n0 > c00 is exactly c01 > c00 (NaN and signed zeros included);
+      // deriving the mask from the select keeps it a single max.
+      const U4 w0 = (U4)(n0 > c00);
+      const U4 w1 = (U4)(n1 > c10);
+      store4(nxt + 8 * q, __builtin_shuffle(n0, n1, U4{0, 4, 1, 5}));
+      store4(nxt + 8 * q + 4, __builtin_shuffle(n0, n1, U4{2, 6, 3, 7}));
+      dec |= (w0 & kWinBit0[q]) | (w1 & kWinBit1[q]);
     }
-    decisions[t] = dec;
+    decisions[t] =
+        (dec[0] | dec[1]) | (static_cast<std::uint64_t>(dec[2] | dec[3]) << 32);
     std::swap(cur, nxt);
     if ((t & 63u) == 63u) {
       float mx = cur[0];
@@ -194,88 +254,7 @@ Bits viterbi_decode(const SoftBits& soft, bool terminated) {
   for (std::size_t t = steps; t-- > 0;) {
     out[t] = static_cast<std::uint8_t>(state & 1);  // input bit = state bit 0
     const std::uint32_t old_bit5 =
-        static_cast<std::uint32_t>((decisions[t] >> state) & 1);
-    state = (state >> 1) | (old_bit5 << 5);
-  }
-  return out;
-}
-
-// The pre-butterfly decoder, retained verbatim as the semantic reference:
-// double metrics, -inf sentinels, explicit per-branch metric evaluation.
-// tests/phy/test_viterbi_equivalence.cpp pins viterbi_decode against it
-// bit for bit on randomized quantized inputs.
-Bits viterbi_decode_reference(const SoftBits& soft, bool terminated) {
-  if (soft.size() % 2 != 0)
-    throw std::invalid_argument("viterbi_decode: need A/B pairs");
-  const std::size_t steps = soft.size() / 2;
-
-  // Precompute per-state/per-input expected output pair and next state.
-  struct Branch {
-    std::uint8_t next;
-    std::uint8_t out_a, out_b;
-  };
-  static const auto kBranches = [] {
-    std::array<std::array<Branch, 2>, kNumStates> t{};
-    for (std::uint32_t s = 0; s < kNumStates; ++s) {
-      for (std::uint32_t b = 0; b < 2; ++b) {
-        const std::uint32_t full = (s << 1) | b;
-        t[s][b] = {static_cast<std::uint8_t>(full & 0x3F),
-                   static_cast<std::uint8_t>(kEncOut[full] >> 1),
-                   static_cast<std::uint8_t>(kEncOut[full] & 1)};
-      }
-    }
-    return t;
-  }();
-
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::array<double, kNumStates> metric{};
-  metric.fill(kNegInf);
-  metric[0] = 0.0;  // encoder starts in the zero state
-
-  std::vector<std::uint64_t> decisions(steps);
-
-  std::array<double, kNumStates> next_metric{};
-  for (std::size_t t = 0; t < steps; ++t) {
-    next_metric.fill(kNegInf);
-    const double la = soft[2 * t];      // positive -> bit A likely 0
-    const double lb = soft[2 * t + 1];  // positive -> bit B likely 0
-    std::uint64_t dec = 0;
-    for (std::uint32_t s = 0; s < kNumStates; ++s) {
-      if (metric[s] == kNegInf) continue;
-      for (std::uint32_t b = 0; b < 2; ++b) {
-        const Branch& br = kBranches[s][b];
-        const double m =
-            metric[s] + (br.out_a ? -la : la) + (br.out_b ? -lb : lb);
-        if (m > next_metric[br.next]) {
-          next_metric[br.next] = m;
-          // Predecessor of `next` is s; record its oldest bit (bit 5),
-          // which is the one bit the two predecessors differ in.
-          if (s & 0x20)
-            dec |= (std::uint64_t{1} << br.next);
-          else
-            dec &= ~(std::uint64_t{1} << br.next);
-        }
-      }
-    }
-    decisions[t] = dec;
-    metric = next_metric;
-  }
-
-  Bits out(steps, 0);
-  std::uint32_t state = 0;
-  if (!terminated) {
-    double best = metric[0];
-    for (std::uint32_t s = 1; s < kNumStates; ++s) {
-      if (metric[s] > best) {
-        best = metric[s];
-        state = s;
-      }
-    }
-  }
-  for (std::size_t t = steps; t-- > 0;) {
-    out[t] = static_cast<std::uint8_t>(state & 1);  // input bit = state bit 0
-    const std::uint32_t old_bit5 =
-        static_cast<std::uint32_t>((decisions[t] >> state) & 1);
+        static_cast<std::uint32_t>((decisions[t] >> kDecisionBit[state]) & 1);
     state = (state >> 1) | (old_bit5 << 5);
   }
   return out;

@@ -41,13 +41,6 @@ std::size_t punctured_length(std::size_t input_bits, CodeRate rate);
 /// in an arbitrary state.
 Bits viterbi_decode(const SoftBits& soft, bool terminated = true);
 
-/// The straightforward pre-butterfly decoder (double metrics, -inf
-/// sentinels), retained as the semantic reference the production decoder is
-/// pinned against. On soft inputs whose values and running metric sums are
-/// exactly representable in float (e.g. small dyadic-rational LLRs), the
-/// two decoders produce identical bits.
-Bits viterbi_decode_reference(const SoftBits& soft, bool terminated = true);
-
 /// Hard-decision convenience wrapper: converts bits to +/-1 metrics.
 Bits viterbi_decode_hard(const Bits& coded, bool terminated = true);
 

@@ -46,8 +46,9 @@ class Transmitter {
   /// definition for the batch-equivalence tests.
   dsp::CVec modulate_reference(const Frame& frame) const;
 
-  /// The scrambled/encoded DATA-field bits after padding (pre-modulation),
-  /// exposed for tests against the standard's reference flow.
+  /// The scrambled DATA-field bits after padding, before the convolutional
+  /// encoder (one bit per trellis step), exposed for tests against the
+  /// standard's reference flow.
   Bits encode_data_field(const Frame& frame) const;
 
   /// The 48 constellation points of each DATA symbol (pre-OFDM); used by

@@ -11,7 +11,6 @@
 
 #include "dsp/kernels.h"
 #include "dsp/mathutil.h"
-#include "rf/lane_tape.h"
 
 namespace wlansim::rf {
 
@@ -140,7 +139,11 @@ double unit_drive_power(const std::vector<dsp::Biquad>& stages,
 FlickerNoiseSource::FlickerNoiseSource(double power_watts, double corner_low_hz,
                                        double corner_high_hz,
                                        double sample_rate_hz, dsp::Rng rng)
-    : drive_sigma_(0.0),
+    : shape_{std::bit_cast<std::uint64_t>(power_watts),
+             std::bit_cast<std::uint64_t>(corner_low_hz),
+             std::bit_cast<std::uint64_t>(corner_high_hz),
+             std::bit_cast<std::uint64_t>(sample_rate_hz)},
+      drive_sigma_(0.0),
       stages_(pink_sections(corner_low_hz, corner_high_hz, sample_rate_hz)),
       rng_(rng) {
   if (power_watts < 0.0)
@@ -216,18 +219,38 @@ void FlickerNoiseSource::begin_lanes(std::size_t nl) {
 void FlickerNoiseSource::process_tile_lanes(double* soa, std::size_t n,
                                             std::size_t nl) {
   if (drive_sigma_ <= 0.0) return;
-  // The lane form of process_tile: per lane the same 2n drive normals (or
-  // their taped recording) and the same (s0*u)*drive rails, then the
-  // shaping cascade stage-outer over all 2*nl rails, then out += w.
-  w_soa_.resize(2 * n * nl);
-  const double s0 = std::sqrt(1.0 / 2.0);
-  rscratch_.resize(2 * n * nl);
+  const std::size_t need = 2 * n;
   lane_units_.resize(nl);
-  for (std::size_t l = 0; l < nl; ++l) {
-    lane_units_[l] =
-        lane_tape_units_into(lane_tape_[l], lane_tape_pos_[l], lane_rng_[l],
-                             rscratch_.data() + l * 2 * n, 2 * n);
+
+  // Replay: every lane's tape holds this tile shaped under this shape, so
+  // add it. soa += 1.0 * w is exactly the soa += w merge below.
+  bool replay = true;
+  for (std::size_t l = 0; l < nl && replay; ++l) {
+    const ShapedNoiseTape* tape = lane_tape_[l];
+    replay = tape != nullptr && tape->shape == shape_ &&
+             lane_tape_pos_[l] + need <= tape->noise.size();
   }
+  if (replay) {
+    for (std::size_t l = 0; l < nl; ++l) {
+      lane_units_[l] = lane_tape_[l]->noise.data() + lane_tape_pos_[l];
+      lane_tape_pos_[l] += need;
+    }
+    dsp::kernels::lanes_add_scaled_pairs_multi(soa, n, nl, 1.0,
+                                               lane_units_.data());
+    return;
+  }
+
+  // The lane form of process_tile: per lane the same 2n drive normals and
+  // the same (s0*u)*drive rails, then the shaping cascade stage-outer over
+  // all 2*nl rails, then out += w.
+  w_soa_.resize(need * nl);
+  rscratch_.resize(need * nl);
+  for (std::size_t l = 0; l < nl; ++l) {
+    double* seg = rscratch_.data() + l * need;
+    lane_rng_[l].fill_gaussian(seg, need);
+    lane_units_[l] = seg;
+  }
+  const double s0 = std::sqrt(1.0 / 2.0);
   dsp::kernels::lanes_write_scaled_pairs_multi(w_soa_.data(), n, nl, s0,
                                                drive_sigma_,
                                                lane_units_.data());
@@ -237,7 +260,25 @@ void FlickerNoiseSource::process_tile_lanes(double* soa, std::size_t n,
                                s.a2, st);
     st += 4 * nl;
   }
-  dsp::kernels::lanes_add(soa, w_soa_.data(), 2 * n * nl);
+
+  // Record: an empty tape takes this shape; a tape of this shape that is
+  // being recorded in order takes the next tile. Any other tape stays put.
+  for (std::size_t l = 0; l < nl; ++l) {
+    ShapedNoiseTape* tape = lane_tape_[l];
+    if (tape == nullptr) continue;
+    if (tape->noise.empty())
+      tape->shape = shape_;
+    else if (tape->shape != shape_ || lane_tape_pos_[l] != tape->noise.size())
+      continue;
+    tape->noise.resize(lane_tape_pos_[l] + need);
+    double* rec = tape->noise.data() + lane_tape_pos_[l];
+    for (std::size_t i = 0; i < n; ++i) {
+      rec[2 * i] = w_soa_[i * 2 * nl + l];
+      rec[2 * i + 1] = w_soa_[i * 2 * nl + nl + l];
+    }
+    lane_tape_pos_[l] += need;
+  }
+  dsp::kernels::lanes_add(soa, w_soa_.data(), need * nl);
 }
 
 WanderingDcSource::WanderingDcSource(double rms_amplitude, double bandwidth_hz,

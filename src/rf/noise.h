@@ -7,6 +7,7 @@
 
 #include "dsp/iir.h"
 #include "dsp/rng.h"
+#include "rf/lane_tape.h"
 #include "rf/rfblock.h"
 
 namespace wlansim::rf {
@@ -56,18 +57,26 @@ class FlickerNoiseSource : public RfBlock {
   /// source equivalent to a freshly constructed one).
   void set_rng(dsp::Rng rng) { rng_ = rng; }
 
-  /// Lane path: per-lane drive draws + stage-outer lanes_biquad shaping.
+  /// Lane path: per-lane drive draws + stage-outer lanes_biquad shaping,
+  /// or the shaped noise replayed from the lanes' tapes.
   bool supports_lanes() const override { return true; }
   void begin_lanes(std::size_t nl) override;
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
   /// Per-lane drive generator (see Amplifier::set_lane_rng).
   void set_lane_rng(std::size_t lane, dsp::Rng rng) { lane_rng_[lane] = rng; }
-  /// Per-lane unit-normal tape (see Amplifier::set_lane_tape).
-  void set_lane_tape(std::size_t lane, dsp::RVec* tape) {
+  /// Per-lane shaped-noise tape (see rf/lane_tape.h). An empty tape records
+  /// the lane's noise after the shaping filter, stamped with this source's
+  /// shape. When every lane holds a complete tape of that shape, a tile adds
+  /// the taped noise and runs no draw and no filter section; otherwise every
+  /// lane draws from its rng, and a tape of another shape is left as it is.
+  void set_lane_tape(std::size_t lane, ShapedNoiseTape* tape) {
     lane_tape_[lane] = tape;
   }
 
  private:
+  /// Bit patterns of (power, lower corner, upper corner, sample rate): with
+  /// the unit normals they fix the shaped noise exactly.
+  NoiseShape shape_;
   double drive_sigma_;
   std::vector<dsp::Biquad> stages_;
   dsp::Rng rng_;
@@ -76,9 +85,9 @@ class FlickerNoiseSource : public RfBlock {
   dsp::RVec w_soa_;     ///< lane path: per-tile SoA noise stream
   dsp::RVec lane_state_;  ///< per-stage s1/s2 rows (4*nl doubles each)
   std::vector<dsp::Rng> lane_rng_;
-  std::vector<dsp::RVec*> lane_tape_;
+  std::vector<ShapedNoiseTape*> lane_tape_;
   std::vector<std::size_t> lane_tape_pos_;
-  std::vector<const double*> lane_units_;  ///< per-lane tile unit pointers
+  std::vector<const double*> lane_units_;  ///< per-lane tile pointers
 };
 
 /// Slowly wandering complex offset: LO leakage reflecting off the moving

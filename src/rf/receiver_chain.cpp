@@ -98,7 +98,7 @@ void DoubleConversionReceiver::reseed_lanes(std::size_t lane, dsp::Rng rng) {
 
 void DoubleConversionReceiver::set_lane_tapes(std::size_t lane,
                                               dsp::RVec* lna_tape,
-                                              dsp::RVec* flicker_tape) {
+                                              ShapedNoiseTape* flicker_tape) {
   lna_->set_lane_tape(lane, lna_tape);
   if (flicker_) flicker_->set_lane_tape(lane, flicker_tape);
 }

@@ -126,11 +126,14 @@ class DoubleConversionReceiver : public RfBlock {
   /// reseeded with that lane's rng, bit for bit.
   void reseed_lanes(std::size_t lane, dsp::Rng rng);
 
-  /// Optional per-lane unit-normal tapes for the two noisy stages (LNA
-  /// thermal noise, mixer-2 flicker). Pass nullptr to draw from the lane
-  /// rng; pass an empty tape to record; pass a complete tape to replay.
+  /// Optional per-lane noise tapes for the two noisy stages (see
+  /// rf/lane_tape.h): the LNA's thermal-noise unit normals, and mixer 2's
+  /// flicker noise after its shaping filter, keyed by the flicker source's
+  /// shape. Pass nullptr to draw from the lane rng; pass an empty tape to
+  /// record; pass a complete tape to replay (the flicker tape only when its
+  /// shape matches, and only when every lane's does).
   void set_lane_tapes(std::size_t lane, dsp::RVec* lna_tape,
-                      dsp::RVec* flicker_tape);
+                      ShapedNoiseTape* flicker_tape);
 
   const DoubleConversionConfig& config() const { return cfg_; }
 

@@ -146,6 +146,66 @@ TEST(BatchWave, ScenesInterchangeWithScalarMemoPath) {
   }
 }
 
+TEST(BatchWave, FlickerShapeChangeFallsBackBitIdentically) {
+  // The wave tapes mixer 2's flicker noise after its shaping filter, keyed
+  // by the flicker shape (power, corners, rate). Scenes built at one shape
+  // and replayed at another must fall back to fresh draws, and a wave back
+  // at the first shape must replay them: every lane equals scalar
+  // run_packet at its own configuration.
+  LinkConfig first = default_link_config();
+  first.psdu_bytes = 40;
+  first.snr_db = 14.0;
+  LinkConfig other = first;
+  other.rf.mixer2_flicker_power_dbm = -58.0;
+  other.rf.flicker_corner_hz = 300e3;
+  LinkConfig again = first;
+  again.snr_db = 18.0;
+
+  std::vector<TxScene> scenes(8);
+  PacketBatch batch;
+  for (const LinkConfig& cfg : {first, other, again}) {
+    WlanLink wave(cfg), scalar(cfg);
+    PacketResult out[8];
+    ASSERT_TRUE(wave.run_packet_wave(0, 8, batch, scenes.data(), out));
+    for (std::size_t p = 0; p < 8; ++p) {
+      SCOPED_TRACE("flicker " +
+                   std::to_string(cfg.rf.mixer2_flicker_power_dbm) +
+                   " dBm, snr " + std::to_string(*cfg.snr_db) +
+                   ", packet " + std::to_string(p));
+      expect_identical(out[p], scalar.run_packet(p));
+    }
+  }
+
+  // A memoized sweep over the flicker power shares one scene per packet
+  // across all three shapes; it must equal the unmemoized sweep.
+  std::vector<LinkConfig> points;
+  for (const double dbm : {-70.0, -65.0, -60.0}) {
+    LinkConfig c = first;
+    c.rf.mixer2_flicker_power_dbm = dbm;
+    points.push_back(c);
+  }
+  sim::StoppingRule rule;
+  rule.target_rel_ci = 0.5;
+  rule.min_errors = 10;
+  rule.min_packets = 8;
+  rule.max_packets = 24;
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SweepOptions memo;
+    memo.threads = threads;
+    SweepOptions fresh = memo;
+    fresh.memoize_tx = false;
+    const auto a = sweep_ber_adaptive(points, rule, memo);
+    const auto b = sweep_ber_adaptive(points, rule, fresh);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      SCOPED_TRACE("point " + std::to_string(k));
+      expect_identical(a[k], b[k]);
+      EXPECT_EQ(a[k].converged, b[k].converged);
+    }
+  }
+}
+
 TEST(BatchWave, GraphPathRefusesToWave) {
   LinkConfig cfg = default_link_config();
   cfg.packet_path = PacketPath::kGraph;

@@ -18,6 +18,7 @@ using wlansim::dsp::RVec;
 using wlansim::dsp::Rng;
 using wlansim::rf::DoubleConversionConfig;
 using wlansim::rf::DoubleConversionReceiver;
+using wlansim::rf::ShapedNoiseTape;
 
 namespace {
 
@@ -126,43 +127,68 @@ TEST(LaneFrontend, TapeRecordThenReplayIsBitIdentical) {
   DoubleConversionReceiver fe(cfg, Rng(3));
   const std::size_t n = 4000, nl = 2;
   std::vector<CVec> inputs(nl);
-  RVec soa_rec(2 * n * nl);
+  RVec soa_in(2 * n * nl);
   for (std::size_t l = 0; l < nl; ++l) {
     inputs[l] = make_burst(n, 70 + l, 2.5e-5);
-    kn::lanes_pack(inputs[l].data(), n, nl, l, soa_rec.data());
+    kn::lanes_pack(inputs[l].data(), n, nl, l, soa_in.data());
   }
-  RVec soa_rep = soa_rec;
+  std::vector<RVec> lna(nl);
+  std::vector<ShapedNoiseTape> flick(nl);
+  const auto run = [&](DoubleConversionReceiver& rx, std::uint64_t seed) {
+    RVec soa = soa_in;
+    rx.reset();
+    rx.begin_lanes(nl);
+    for (std::size_t l = 0; l < nl; ++l) {
+      rx.reseed_lanes(l, Rng(seed + l));
+      rx.set_lane_tapes(l, &lna[l], &flick[l]);
+    }
+    rx.process_tile_lanes(soa.data(), n, nl);
+    return soa;
+  };
+  const auto expect_scalar = [&](const RVec& soa,
+                                 DoubleConversionReceiver& rx,
+                                 std::uint64_t seed) {
+    for (std::size_t l = 0; l < nl; ++l) {
+      CVec got(n);
+      kn::lanes_unpack(soa.data(), n, nl, l, got.data());
+      expect_bit_equal(got, scalar_reference(rx, inputs[l], Rng(seed + l)),
+                       l);
+    }
+  };
+  const auto expect_tape_sizes = [&] {
+    for (std::size_t l = 0; l < nl; ++l) {
+      EXPECT_EQ(lna[l].size(), 2 * n);  // 2 unit normals per sample
+      EXPECT_EQ(flick[l].noise.size(), 2 * n);  // 2 shaped doubles per sample
+    }
+  };
 
-  // Pass 1: empty tapes -> record while drawing from the lane rngs.
-  std::vector<RVec> lna(nl), flick(nl);
-  fe.reset();
-  fe.begin_lanes(nl);
-  for (std::size_t l = 0; l < nl; ++l) {
-    fe.reseed_lanes(l, Rng(500 + l));
-    fe.set_lane_tapes(l, &lna[l], &flick[l]);
-  }
-  fe.process_tile_lanes(soa_rec.data(), n, nl);
-  for (std::size_t l = 0; l < nl; ++l) {
-    EXPECT_EQ(lna[l].size(), 2 * n);    // 2 unit normals per sample
-    EXPECT_EQ(flick[l].size(), 2 * n);
-  }
+  // Pass 1: empty tapes -> record while drawing from the lane rngs: the
+  // LNA's unit normals and the flicker noise after its shaping filter.
+  const RVec recorded = run(fe, 500);
+  expect_scalar(recorded, fe, 500);
+  expect_tape_sizes();
+  const std::vector<ShapedNoiseTape> taped = flick;
 
   // Pass 2: complete tapes -> replay; the lane rngs are deliberately
-  // DIFFERENT, proving the draws come from the tape alone.
-  fe.reset();
-  fe.begin_lanes(nl);
-  for (std::size_t l = 0; l < nl; ++l) {
-    fe.reseed_lanes(l, Rng(987654 + l));
-    fe.set_lane_tapes(l, &lna[l], &flick[l]);
-  }
-  fe.process_tile_lanes(soa_rep.data(), n, nl);
-  ASSERT_EQ(
-      std::memcmp(soa_rec.data(), soa_rep.data(), soa_rec.size() * 8), 0);
+  // DIFFERENT, proving the noise comes from the tapes alone.
+  const RVec replayed = run(fe, 987654);
+  ASSERT_EQ(std::memcmp(recorded.data(), replayed.data(), recorded.size() * 8),
+            0);
+  expect_scalar(replayed, fe, 500);
 
-  // And the recorded output still equals the scalar reference.
+  // Pass 3: another flicker shape. Its tapes do not match, so every lane
+  // draws fresh flicker normals from its own rng (the LNA tape still
+  // replays, since unit normals do not depend on the shape), and the tapes
+  // recorded under the first shape are left exactly as they were.
+  DoubleConversionConfig other = cfg;
+  other.mixer2_flicker_power_dbm = -58.0;
+  other.flicker_corner_hz = 300e3;
+  DoubleConversionReceiver fe_other(other, Rng(3));
+  const RVec shifted = run(fe_other, 500);
+  expect_scalar(shifted, fe_other, 500);
+  expect_tape_sizes();
   for (std::size_t l = 0; l < nl; ++l) {
-    CVec got(n);
-    kn::lanes_unpack(soa_rec.data(), n, nl, l, got.data());
-    expect_bit_equal(got, scalar_reference(fe, inputs[l], Rng(500 + l)), l);
+    EXPECT_EQ(flick[l].shape, taped[l].shape);
+    EXPECT_EQ(flick[l].noise, taped[l].noise);
   }
 }
