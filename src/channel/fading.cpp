@@ -66,18 +66,6 @@ void MultipathChannel::apply_into(std::span<const dsp::Cplx> in,
                           out.data());
 }
 
-dsp::CVec MultipathChannel::apply_reference(
-    std::span<const dsp::Cplx> in) const {
-  dsp::CVec out(in.size(), dsp::Cplx{0.0, 0.0});
-  for (std::size_t n = 0; n < in.size(); ++n) {
-    dsp::Cplx acc{0.0, 0.0};
-    const std::size_t kmax = std::min(taps_.size(), n + 1);
-    for (std::size_t k = 0; k < kmax; ++k) acc += taps_[k] * in[n - k];
-    out[n] = acc;
-  }
-  return out;
-}
-
 dsp::Cplx MultipathChannel::response(double f_norm) const {
   dsp::Cplx acc{0.0, 0.0};
   for (std::size_t k = 0; k < taps_.size(); ++k) {

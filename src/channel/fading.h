@@ -46,18 +46,14 @@ class MultipathChannel {
 
   const dsp::CVec& taps() const { return taps_; }
 
-  /// Convolve (same-length output; the tail is truncated). Runs on
-  /// kernels::cfir_conv, bit-identical to apply_reference().
+  /// Convolve (same-length output; the tail is truncated) on
+  /// kernels::cfir_conv: componentwise the std::complex tapped-delay loop.
   dsp::CVec apply(std::span<const dsp::Cplx> in) const;
 
   /// apply() into a caller-provided buffer (out.size() == in.size(),
   /// no aliasing) — the allocation-free form the packet hot path uses.
   void apply_into(std::span<const dsp::Cplx> in,
                   std::span<dsp::Cplx> out) const;
-
-  /// The original std::complex tapped-delay loop, kept as the semantic
-  /// definition for the kernel equivalence tests.
-  dsp::CVec apply_reference(std::span<const dsp::Cplx> in) const;
 
   /// Frequency response at normalized frequency f (fraction of fs).
   dsp::Cplx response(double f_norm) const;

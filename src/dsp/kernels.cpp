@@ -1,330 +1,21 @@
+// The library's one compilation of the kernel bodies (see dsp/kernels.h).
+// `flatten` inlines the detail:: helpers into each clone, so no AVX2 clone
+// calls back into baseline code. Under ThreadSanitizer the clones are
+// compiled out: a TSan binary that calls an ifunc-dispatched function
+// crashes before main.
 #include "dsp/kernels.h"
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
+#define WLANSIM_KERNEL \
+  __attribute__((target_clones("avx2", "default"), flatten))
+#else
+#define WLANSIM_KERNEL
+#endif
 
 namespace wlansim::dsp::kernels {
-
-namespace ref {
 #include "dsp/kernels_impl.inc"
-}  // namespace ref
-
-#ifdef WLANSIM_HAVE_NATIVE
-namespace native {
-// Defined in kernels_native.cpp (compiled -march=native -ffp-contract=off).
-void mix_const_lo(const Cplx* in, std::size_t n, Cplx lo, const MixParams& p,
-                  Cplx* out);
-void mix_phase(const Cplx* in, const double* phase, std::size_t n,
-               const MixParams& p, Cplx* out);
-std::size_t fir_stream(const double* taps, std::size_t ntaps, Cplx* delay,
-                       std::size_t pos, const Cplx* in, std::size_t m,
-                       Cplx* out);
-std::size_t fir_stream_decim(const double* taps, std::size_t ntaps,
-                             Cplx* delay, std::size_t pos, const Cplx* in,
-                             std::size_t m, std::size_t decim, Cplx* out);
-void fir_interp(const double* taps, std::size_t ntaps, std::size_t os,
-                const Cplx* src, std::size_t nsrc, double scale, Cplx* out,
-                std::size_t nout);
-void fft_butterflies_batch(Cplx* x, std::size_t rows, std::size_t n,
-                           const Cplx* twiddle);
-void cfir_conv(const Cplx* taps, std::size_t ntaps, const Cplx* in,
-               std::size_t n, Cplx* out);
-double power_sum(const Cplx* x, std::size_t n);
-void evm_accum(const Cplx* rx, const Cplx* ref, std::size_t n, double* err,
-               double* ref_pow);
-void xcorr_accum(const Cplx* x, const Cplx* ref, std::size_t n, double* re,
-                 double* im);
-void scale(double* x, std::size_t n, double s);
-void add_scaled_pairs(Cplx* a, std::size_t n, double s, const double* units);
-void quantize_clamp(const Cplx* in, std::size_t n, double inv_step,
-                    double step, double fs, Cplx* out);
-void lanes_pack(const Cplx* src, std::size_t n, std::size_t nl,
-                std::size_t lane, double* soa);
-void lanes_unpack(const double* soa, std::size_t n, std::size_t nl,
-                  std::size_t lane, Cplx* dst);
-void lanes_unpack_decim(const double* soa, std::size_t n, std::size_t nl,
-                        std::size_t lane, std::size_t decim, Cplx* dst);
-void lanes_add_scaled_pairs(double* soa, std::size_t n, std::size_t nl,
-                            std::size_t lane, double s, const double* units);
-void lanes_write_scaled_pairs(double* soa, std::size_t n, std::size_t nl,
-                              std::size_t lane, double s0, double s1,
-                              const double* units);
-void lanes_add_scaled_pairs_multi(double* soa, std::size_t n, std::size_t nl,
-                                  double s, const double* const* units);
-void lanes_write_scaled_pairs_multi(double* soa, std::size_t n,
-                                    std::size_t nl, double s0, double s1,
-                                    const double* const* units);
-void lanes_add(double* dst, const double* src, std::size_t count);
-void lanes_biquad(double* soa, std::size_t n, std::size_t nl, double b0,
-                  double b1, double b2, double a1, double a2, double* state);
-void lanes_mix_unity_lo(double* soa, std::size_t n, std::size_t nl,
-                        const MixParams& p);
-void lanes_amp_rapp_p2(double* soa, std::size_t n, std::size_t nl,
-                       double lin_gain, double lin_gain2, double inv_vsat2);
-void lanes_fir_decim(const double* soa, std::size_t n, std::size_t nl,
-                     std::size_t lane, const double* taps, std::size_t ntaps,
-                     std::size_t decim, Cplx* out);
-bool cpu_supported();
-}  // namespace native
-#endif
-
-namespace {
-
-struct Table {
-  decltype(&ref::mix_const_lo) mix_const_lo = &ref::mix_const_lo;
-  decltype(&ref::mix_phase) mix_phase = &ref::mix_phase;
-  decltype(&ref::fir_stream) fir_stream = &ref::fir_stream;
-  decltype(&ref::fir_stream_decim) fir_stream_decim = &ref::fir_stream_decim;
-  decltype(&ref::fir_interp) fir_interp = &ref::fir_interp;
-  decltype(&ref::fft_butterflies_batch) fft_butterflies_batch =
-      &ref::fft_butterflies_batch;
-  decltype(&ref::cfir_conv) cfir_conv = &ref::cfir_conv;
-  decltype(&ref::power_sum) power_sum = &ref::power_sum;
-  decltype(&ref::evm_accum) evm_accum = &ref::evm_accum;
-  decltype(&ref::xcorr_accum) xcorr_accum = &ref::xcorr_accum;
-  decltype(&ref::scale) scale = &ref::scale;
-  decltype(&ref::add_scaled_pairs) add_scaled_pairs = &ref::add_scaled_pairs;
-  decltype(&ref::quantize_clamp) quantize_clamp = &ref::quantize_clamp;
-  decltype(&ref::lanes_pack) lanes_pack = &ref::lanes_pack;
-  decltype(&ref::lanes_unpack) lanes_unpack = &ref::lanes_unpack;
-  decltype(&ref::lanes_unpack_decim) lanes_unpack_decim =
-      &ref::lanes_unpack_decim;
-  decltype(&ref::lanes_add_scaled_pairs) lanes_add_scaled_pairs =
-      &ref::lanes_add_scaled_pairs;
-  decltype(&ref::lanes_write_scaled_pairs) lanes_write_scaled_pairs =
-      &ref::lanes_write_scaled_pairs;
-  decltype(&ref::lanes_add_scaled_pairs_multi) lanes_add_scaled_pairs_multi =
-      &ref::lanes_add_scaled_pairs_multi;
-  decltype(&ref::lanes_write_scaled_pairs_multi)
-      lanes_write_scaled_pairs_multi = &ref::lanes_write_scaled_pairs_multi;
-  decltype(&ref::lanes_add) lanes_add = &ref::lanes_add;
-  decltype(&ref::lanes_biquad) lanes_biquad = &ref::lanes_biquad;
-  decltype(&ref::lanes_mix_unity_lo) lanes_mix_unity_lo =
-      &ref::lanes_mix_unity_lo;
-  decltype(&ref::lanes_amp_rapp_p2) lanes_amp_rapp_p2 =
-      &ref::lanes_amp_rapp_p2;
-  decltype(&ref::lanes_fir_decim) lanes_fir_decim = &ref::lanes_fir_decim;
-  const char* name = "scalar";
-};
-
-// Per-kernel rows of the WLANSIM_LOG_DISPATCH=1 report: name + batch width
-// (1 = scalar-sample kernel, kLaneWidth = packet-lane kernel). The dispatch
-// target is uniform (the whole table flips to native or none of it does),
-// but the report prints it per kernel so a Release bench log pins exactly
-// which path produced the numbers.
-struct KernelRow {
-  const char* kernel;
-  std::size_t width;
-};
-
-constexpr KernelRow kKernelRows[] = {
-    {"mix_const_lo", 1},          {"mix_phase", 1},
-    {"fir_stream", 1},            {"fir_stream_decim", 1},
-    {"fir_interp", 1},            {"fft_butterflies_batch", 1},
-    {"cfir_conv", 1},             {"power_sum", 1},
-    {"evm_accum", 1},             {"xcorr_accum", 1},
-    {"scale", 1},                 {"add_scaled_pairs", 1},
-    {"quantize_clamp", 1},        {"lanes_pack", kLaneWidth},
-    {"lanes_unpack", kLaneWidth}, {"lanes_unpack_decim", kLaneWidth},
-    {"lanes_add_scaled_pairs", kLaneWidth},
-    {"lanes_write_scaled_pairs", kLaneWidth},
-    {"lanes_add_scaled_pairs_multi", kLaneWidth},
-    {"lanes_write_scaled_pairs_multi", kLaneWidth},
-    {"lanes_add", kLaneWidth},    {"lanes_biquad", kLaneWidth},
-    {"lanes_mix_unity_lo", kLaneWidth},
-    {"lanes_amp_rapp_p2", kLaneWidth},
-    {"lanes_fir_decim", kLaneWidth},
-};
-
-void log_dispatch(const Table& t) {
-  const char* log = std::getenv("WLANSIM_LOG_DISPATCH");
-  if (log == nullptr || std::strcmp(log, "1") != 0) return;
-  std::fprintf(stderr, "wlansim kernels: dispatch=%s (lane width %zu)\n",
-               t.name, kLaneWidth);
-  for (const KernelRow& row : kKernelRows)
-    std::fprintf(stderr, "wlansim kernels:   %-24s target=%-6s width=%zu\n",
-                 row.kernel, t.name, row.width);
-}
-
-Table make_table() {
-  Table t;
-#ifdef WLANSIM_HAVE_NATIVE
-  const char* force = std::getenv("WLANSIM_KERNELS");
-  const bool want_scalar = force != nullptr && std::strcmp(force, "scalar") == 0;
-  if (!want_scalar && native::cpu_supported()) {
-    t.mix_const_lo = &native::mix_const_lo;
-    t.mix_phase = &native::mix_phase;
-    t.fir_stream = &native::fir_stream;
-    t.fir_stream_decim = &native::fir_stream_decim;
-    t.fir_interp = &native::fir_interp;
-    t.fft_butterflies_batch = &native::fft_butterflies_batch;
-    t.cfir_conv = &native::cfir_conv;
-    t.power_sum = &native::power_sum;
-    t.evm_accum = &native::evm_accum;
-    t.xcorr_accum = &native::xcorr_accum;
-    t.scale = &native::scale;
-    t.add_scaled_pairs = &native::add_scaled_pairs;
-    t.quantize_clamp = &native::quantize_clamp;
-    t.lanes_pack = &native::lanes_pack;
-    t.lanes_unpack = &native::lanes_unpack;
-    t.lanes_unpack_decim = &native::lanes_unpack_decim;
-    t.lanes_add_scaled_pairs = &native::lanes_add_scaled_pairs;
-    t.lanes_write_scaled_pairs = &native::lanes_write_scaled_pairs;
-    t.lanes_add_scaled_pairs_multi = &native::lanes_add_scaled_pairs_multi;
-    t.lanes_write_scaled_pairs_multi = &native::lanes_write_scaled_pairs_multi;
-    t.lanes_add = &native::lanes_add;
-    t.lanes_biquad = &native::lanes_biquad;
-    t.lanes_mix_unity_lo = &native::lanes_mix_unity_lo;
-    t.lanes_amp_rapp_p2 = &native::lanes_amp_rapp_p2;
-    t.lanes_fir_decim = &native::lanes_fir_decim;
-    t.name = "native";
-  }
-#endif
-  log_dispatch(t);
-  return t;
-}
-
-const Table& table() {
-  static const Table t = make_table();
-  return t;
-}
-
-}  // namespace
-
-void mix_const_lo(const Cplx* in, std::size_t n, Cplx lo, const MixParams& p,
-                  Cplx* out) {
-  table().mix_const_lo(in, n, lo, p, out);
-}
-
-void mix_phase(const Cplx* in, const double* phase, std::size_t n,
-               const MixParams& p, Cplx* out) {
-  table().mix_phase(in, phase, n, p, out);
-}
-
-std::size_t fir_stream(const double* taps, std::size_t ntaps, Cplx* delay,
-                       std::size_t pos, const Cplx* in, std::size_t m,
-                       Cplx* out) {
-  return table().fir_stream(taps, ntaps, delay, pos, in, m, out);
-}
-
-std::size_t fir_stream_decim(const double* taps, std::size_t ntaps,
-                             Cplx* delay, std::size_t pos, const Cplx* in,
-                             std::size_t m, std::size_t decim, Cplx* out) {
-  return table().fir_stream_decim(taps, ntaps, delay, pos, in, m, decim, out);
-}
-
-void fir_interp(const double* taps, std::size_t ntaps, std::size_t os,
-                const Cplx* src, std::size_t nsrc, double scale, Cplx* out,
-                std::size_t nout) {
-  table().fir_interp(taps, ntaps, os, src, nsrc, scale, out, nout);
-}
-
-void fft_butterflies_batch(Cplx* x, std::size_t rows, std::size_t n,
-                           const Cplx* twiddle) {
-  table().fft_butterflies_batch(x, rows, n, twiddle);
-}
-
-void cfir_conv(const Cplx* taps, std::size_t ntaps, const Cplx* in,
-               std::size_t n, Cplx* out) {
-  table().cfir_conv(taps, ntaps, in, n, out);
-}
-
-double power_sum(const Cplx* x, std::size_t n) {
-  return table().power_sum(x, n);
-}
-
-void evm_accum(const Cplx* rx, const Cplx* ref, std::size_t n, double* err,
-               double* ref_pow) {
-  table().evm_accum(rx, ref, n, err, ref_pow);
-}
-
-void xcorr_accum(const Cplx* x, const Cplx* ref, std::size_t n, double* re,
-                 double* im) {
-  table().xcorr_accum(x, ref, n, re, im);
-}
-
-void scale(double* x, std::size_t n, double s) { table().scale(x, n, s); }
-
-void add_scaled_pairs(Cplx* a, std::size_t n, double s, const double* units) {
-  table().add_scaled_pairs(a, n, s, units);
-}
-
-void quantize_clamp(const Cplx* in, std::size_t n, double inv_step,
-                    double step, double fs, Cplx* out) {
-  table().quantize_clamp(in, n, inv_step, step, fs, out);
-}
-
-void lanes_pack(const Cplx* src, std::size_t n, std::size_t nl,
-                std::size_t lane, double* soa) {
-  table().lanes_pack(src, n, nl, lane, soa);
-}
-
-void lanes_unpack(const double* soa, std::size_t n, std::size_t nl,
-                  std::size_t lane, Cplx* dst) {
-  table().lanes_unpack(soa, n, nl, lane, dst);
-}
-
-void lanes_unpack_decim(const double* soa, std::size_t n, std::size_t nl,
-                        std::size_t lane, std::size_t decim, Cplx* dst) {
-  table().lanes_unpack_decim(soa, n, nl, lane, decim, dst);
-}
-
-void lanes_add_scaled_pairs(double* soa, std::size_t n, std::size_t nl,
-                            std::size_t lane, double s, const double* units) {
-  table().lanes_add_scaled_pairs(soa, n, nl, lane, s, units);
-}
-
-void lanes_write_scaled_pairs(double* soa, std::size_t n, std::size_t nl,
-                              std::size_t lane, double s0, double s1,
-                              const double* units) {
-  table().lanes_write_scaled_pairs(soa, n, nl, lane, s0, s1, units);
-}
-
-void lanes_add_scaled_pairs_multi(double* soa, std::size_t n, std::size_t nl,
-                                  double s, const double* const* units) {
-  table().lanes_add_scaled_pairs_multi(soa, n, nl, s, units);
-}
-
-void lanes_write_scaled_pairs_multi(double* soa, std::size_t n,
-                                    std::size_t nl, double s0, double s1,
-                                    const double* const* units) {
-  table().lanes_write_scaled_pairs_multi(soa, n, nl, s0, s1, units);
-}
-
-void lanes_add(double* dst, const double* src, std::size_t count) {
-  table().lanes_add(dst, src, count);
-}
-
-void lanes_biquad(double* soa, std::size_t n, std::size_t nl, double b0,
-                  double b1, double b2, double a1, double a2, double* state) {
-  table().lanes_biquad(soa, n, nl, b0, b1, b2, a1, a2, state);
-}
-
-void lanes_mix_unity_lo(double* soa, std::size_t n, std::size_t nl,
-                        const MixParams& p) {
-  table().lanes_mix_unity_lo(soa, n, nl, p);
-}
-
-void lanes_amp_rapp_p2(double* soa, std::size_t n, std::size_t nl,
-                       double lin_gain, double lin_gain2, double inv_vsat2) {
-  table().lanes_amp_rapp_p2(soa, n, nl, lin_gain, lin_gain2, inv_vsat2);
-}
-
-void lanes_fir_decim(const double* soa, std::size_t n, std::size_t nl,
-                     std::size_t lane, const double* taps, std::size_t ntaps,
-                     std::size_t decim, Cplx* out) {
-  table().lanes_fir_decim(soa, n, nl, lane, taps, ntaps, decim, out);
-}
-
-const char* active_path() { return table().name; }
-
-std::string impl_name() {
-  return std::string(table().name) + " (lane width " +
-         std::to_string(kLaneWidth) + ")";
-}
-
 }  // namespace wlansim::dsp::kernels

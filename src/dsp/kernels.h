@@ -1,17 +1,23 @@
 // Flat-array compute kernels for the oversampled hot path.
 //
-// Every kernel exists twice: `kernels::ref::X` is the scalar reference
-// (always compiled, plain loops, the semantic definition), and `kernels::X`
-// is the runtime-dispatched entry the hot path calls. In the default build
-// the dispatched entry *is* the scalar reference. With -DWLANSIM_NATIVE=ON
-// a second translation unit compiles the identical loop bodies with
-// -march=native -ffp-contract=off -fopenmp-simd; it is selected at startup
-// only when the running CPU supports every ISA extension that TU was built
-// with. Because the wide build keeps FP contraction off and every kernel
-// either is element-wise or carries its reduction order in its contract
-// (fixed 4-lane chains, sequential FIR dots), the dispatched results are
-// componentwise-identical to the scalar reference in both builds —
-// tests/dsp/test_kernels.cpp asserts exact equality.
+// One source, dsp/kernels_impl.inc, defines every kernel, and one
+// translation unit, kernels.cpp, compiles it. On x86-64 GCC each kernel is
+// declared `target_clones("avx2", "default")`: GCC builds an AVX2 clone
+// next to the baseline body, plus a resolver that picks one when the
+// program loads. Elsewhere, and under ThreadSanitizer, only the baseline
+// body is built.
+//
+// The AVX2 clone is componentwise-identical to the baseline body. The avx2
+// target does not enable FMA, so C++'s default -ffp-contract=fast has no
+// fused instruction to contract into, and GCC's complex-multiply idiom
+// cannot become vfmaddsub. Vectorization keeps each output's order of
+// operations, because every kernel is element-wise or carries its
+// reduction order in its contract (fixed 4-lane chains, sequential FIR
+// dots). tests/dsp pins every kernel, on the clone the host runs, to
+// `kernels::ref::`: the same source compiled at the baseline ISA into the
+// test-only reference library. A wide variant that cannot keep this
+// exactness is not added: AVX-512F has fused multiply-add instructions of
+// its own, so it gets no clone.
 //
 // Layout rules: kernels take raw pointers + lengths (never vector/span
 // references — the optimizer re-loads spans' data pointers through the
@@ -21,7 +27,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "dsp/types.h"
 
@@ -39,9 +44,6 @@ struct MixParams {
   bool iq_active = false;  ///< apply the I/Q imbalance stage
   Cplx dc{0.0, 0.0};       ///< additive DC offset (always added)
 };
-
-// ---- scalar reference ------------------------------------------------------
-namespace ref {
 
 /// Mix with a constant LO phasor: y = g*x*lo [+ ia*g*conj(x*lo)] [IQ] + dc.
 /// In-place safe (out may alias in).
@@ -133,6 +135,10 @@ void quantize_clamp(const Cplx* in, std::size_t n, double inv_step,
 // fast instantiation; any other nl takes the runtime-width body (same
 // arithmetic).
 
+/// Default batch width of the packet-lane kernels: one 8-packet scheduling
+/// quantum per wave, and a row of 2*8 doubles == 128 B == two cache lines.
+inline constexpr std::size_t kLaneWidth = 8;
+
 /// Scatter an AoS packet into lane `lane` of the SoA buffer.
 void lanes_pack(const Cplx* src, std::size_t n, std::size_t nl,
                 std::size_t lane, double* soa);
@@ -203,76 +209,5 @@ void lanes_amp_rapp_p2(double* soa, std::size_t n, std::size_t nl,
 void lanes_fir_decim(const double* soa, std::size_t n, std::size_t nl,
                      std::size_t lane, const double* taps, std::size_t ntaps,
                      std::size_t decim, Cplx* out);
-
-}  // namespace ref
-
-// ---- runtime-dispatched entries (same signatures, same results) ------------
-void mix_const_lo(const Cplx* in, std::size_t n, Cplx lo, const MixParams& p,
-                  Cplx* out);
-void mix_phase(const Cplx* in, const double* phase, std::size_t n,
-               const MixParams& p, Cplx* out);
-std::size_t fir_stream(const double* taps, std::size_t ntaps, Cplx* delay,
-                       std::size_t pos, const Cplx* in, std::size_t m,
-                       Cplx* out);
-std::size_t fir_stream_decim(const double* taps, std::size_t ntaps,
-                             Cplx* delay, std::size_t pos, const Cplx* in,
-                             std::size_t m, std::size_t decim, Cplx* out);
-void fir_interp(const double* taps, std::size_t ntaps, std::size_t os,
-                const Cplx* src, std::size_t nsrc, double scale, Cplx* out,
-                std::size_t nout);
-void fft_butterflies_batch(Cplx* x, std::size_t rows, std::size_t n,
-                           const Cplx* twiddle);
-void cfir_conv(const Cplx* taps, std::size_t ntaps, const Cplx* in,
-               std::size_t n, Cplx* out);
-double power_sum(const Cplx* x, std::size_t n);
-void evm_accum(const Cplx* rx, const Cplx* ref, std::size_t n, double* err,
-               double* ref_pow);
-void xcorr_accum(const Cplx* x, const Cplx* ref, std::size_t n, double* re,
-                 double* im);
-void scale(double* x, std::size_t n, double s);
-void add_scaled_pairs(Cplx* a, std::size_t n, double s, const double* units);
-void quantize_clamp(const Cplx* in, std::size_t n, double inv_step,
-                    double step, double fs, Cplx* out);
-
-/// Default batch width of the packet-lane kernels: one 8-packet scheduling
-/// quantum per wave, and a row of 2*8 doubles == 128 B == two cache lines.
-inline constexpr std::size_t kLaneWidth = 8;
-
-void lanes_pack(const Cplx* src, std::size_t n, std::size_t nl,
-                std::size_t lane, double* soa);
-void lanes_unpack(const double* soa, std::size_t n, std::size_t nl,
-                  std::size_t lane, Cplx* dst);
-void lanes_unpack_decim(const double* soa, std::size_t n, std::size_t nl,
-                        std::size_t lane, std::size_t decim, Cplx* dst);
-void lanes_add_scaled_pairs(double* soa, std::size_t n, std::size_t nl,
-                            std::size_t lane, double s, const double* units);
-void lanes_write_scaled_pairs(double* soa, std::size_t n, std::size_t nl,
-                              std::size_t lane, double s0, double s1,
-                              const double* units);
-void lanes_add_scaled_pairs_multi(double* soa, std::size_t n, std::size_t nl,
-                                  double s, const double* const* units);
-void lanes_write_scaled_pairs_multi(double* soa, std::size_t n,
-                                    std::size_t nl, double s0, double s1,
-                                    const double* const* units);
-void lanes_add(double* dst, const double* src, std::size_t count);
-void lanes_biquad(double* soa, std::size_t n, std::size_t nl, double b0,
-                  double b1, double b2, double a1, double a2, double* state);
-void lanes_mix_unity_lo(double* soa, std::size_t n, std::size_t nl,
-                        const MixParams& p);
-void lanes_amp_rapp_p2(double* soa, std::size_t n, std::size_t nl,
-                       double lin_gain, double lin_gain2, double inv_vsat2);
-void lanes_fir_decim(const double* soa, std::size_t n, std::size_t nl,
-                     std::size_t lane, const double* taps, std::size_t ntaps,
-                     std::size_t decim, Cplx* out);
-
-/// "scalar" or "native" — which implementation the dispatched entries call.
-/// WLANSIM_KERNELS=scalar in the environment forces the scalar path.
-const char* active_path();
-
-/// One-line description of the dispatched implementation, e.g.
-/// "native (lane width 8)". Set WLANSIM_LOG_DISPATCH=1 to print the full
-/// per-kernel dispatch table (target + batch width) to stderr the first
-/// time any dispatched kernel runs.
-std::string impl_name();
 
 }  // namespace wlansim::dsp::kernels

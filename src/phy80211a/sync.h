@@ -50,7 +50,7 @@ double fine_cfo(std::span<const dsp::Cplx> rx, std::size_t lts_start);
 /// The 64-sample window power slides by recurrence (exact recompute every
 /// few hundred positions) and the cross-correlation runs on the
 /// dsp::kernels xcorr_accum kernel (split re/im 4-lane chains, vectorized
-/// in the WLANSIM_NATIVE build). Peak choice matches the reference except
+/// in its AVX2 clone). Peak choice matches the reference except
 /// for metric ties closer than the accumulated ulp drift.
 std::optional<std::size_t> locate_long_training(std::span<const dsp::Cplx> rx,
                                                 std::size_t search_start,
