@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "channel/awgn.h"
+#include "core/packet_batch.h"
 #include "dsp/kernels.h"
 #include "dsp/mathutil.h"
 #include "dsp/resample.h"
@@ -51,6 +52,8 @@ void validate(const LinkConfig& cfg) {
   if (cfg.rf_engine == RfEngine::kSystemLevel) rf_fs = fs;
   if (cfg.rf_engine == RfEngine::kCosim)
     rf_fs = fs * static_cast<double>(cfg.cosim.analog_oversample);
+  if (cfg.rf_engine == RfEngine::kCustom && !cfg.custom_rf)
+    throw std::invalid_argument("link: kCustom needs a custom_rf factory");
   if (rf_fs > 0.0 &&
       !rf::corner_fits_rate(
           cfg.rf.bb_filter_edge_hz * cfg.rf.bb_bandwidth_factor, rf_fs))
@@ -70,77 +73,62 @@ WlanLink::ThreadScratch& WlanLink::thread_scratch() {
   return scratch;
 }
 
-PacketResult WlanLink::run_packet(std::uint64_t packet_index) {
-  return run_packet_with_payload({}, packet_index, nullptr);
+bool WlanLink::needs_graph() const {
+  return cfg_.rf_engine == RfEngine::kCosim ||
+         cfg_.packet_path == PacketPath::kGraph ||
+         cfg_.mode != sim::ExecutionMode::kCompiled;
 }
 
-bool WlanLink::use_direct_path() const {
-  // Co-simulation goes through the graph; everything else runs directly.
-  // Caller-supplied (kCustom) blocks are constructed per packet on both
-  // paths, so the direct scene gives them the same lifecycle the graph
-  // did — and the same fast engine the built-in front-end enjoys.
-  const bool supported = cfg_.rf_engine == RfEngine::kNone ||
-                         cfg_.rf_engine == RfEngine::kSystemLevel ||
-                         (cfg_.rf_engine == RfEngine::kCustom &&
-                          cfg_.custom_rf != nullptr);
-  switch (cfg_.packet_path) {
-    case PacketPath::kGraph:
-      return false;
-    case PacketPath::kDirect:
-      return supported;
-    case PacketPath::kAuto:
-      return supported && cfg_.mode == sim::ExecutionMode::kCompiled;
-  }
-  return false;
+PacketResult WlanLink::run_packet(std::uint64_t packet_index) {
+  return run_packet_with_payload({}, packet_index, nullptr);
 }
 
 PacketResult WlanLink::run_packet_with_payload(
     std::span<const std::uint8_t> psdu, std::uint64_t packet_index,
     phy::Bytes* rx_psdu) {
-  return run_packet_impl(psdu, packet_index, rx_psdu, nullptr);
+  if (needs_graph()) return run_packet_graph(psdu, packet_index, rx_psdu);
+  const SinglePacket single{psdu, rx_psdu};
+  PacketResult out;
+  run_wave(packet_index, 1, thread_scratch().batch, nullptr, &out, &single);
+  return out;
 }
 
 PacketResult WlanLink::run_packet_memo(std::uint64_t packet_index,
                                        TxScene& scene) {
-  return run_packet_impl({}, packet_index, nullptr, &scene);
+  if (needs_graph()) {
+    scene.reset();
+    return run_packet_graph({}, packet_index, nullptr);
+  }
+  const SinglePacket single;
+  PacketResult out;
+  run_wave(packet_index, 1, thread_scratch().batch, &scene, &out, &single);
+  return out;
 }
 
-PacketResult WlanLink::run_packet_impl(std::span<const std::uint8_t> psdu,
-                                       std::uint64_t packet_index,
-                                       phy::Bytes* rx_psdu, TxScene* scene) {
-  // Scene replay: the TX waveform, impairments, and interferer for this
-  // packet index were already built by an earlier run whose config differs
-  // only in noise level. Restore the packet RNG at the noise fork and run
-  // just the noise + front-end + receiver half.
-  if (scene != nullptr && scene->valid_ &&
-      scene->packet_index_ == packet_index && psdu.empty() &&
-      use_direct_path()) {
-    ws_.scene_a.assign(scene->scene_.begin(), scene->scene_.end());
-    dsp::Rng rng = scene->rng_post_tx_;
-    finish_scene_direct(scene->base_units_, rng, &scene->noise_units_);
-    return receiver_epilogue(scene->payload_, nullptr, nullptr, scene,
-                             rx_psdu);
-  }
-
-  // The scene can only be captured on the direct path with a generated
-  // payload; anything else runs unmemoized.
-  const bool memoize =
-      scene != nullptr && psdu.empty() && use_direct_path();
-  if (scene != nullptr) scene->reset();
-
+PacketResult WlanLink::run_packet_graph(std::span<const std::uint8_t> psdu,
+                                        std::uint64_t packet_index,
+                                        phy::Bytes* rx_psdu) {
   dsp::Rng rng(packet_seed(cfg_.seed, packet_index));
+  TxScene scene;
+  dsp::CVec padded = build_tx(psdu, rng, scene);
+  run_scene_graph(std::move(padded), rng);
+  return receiver_epilogue(scene, rx_psdu);
+}
 
-  // --- Transmit side (20 Msps) --------------------------------------------
+const dsp::CVec& WlanLink::build_tx(std::span<const std::uint8_t> psdu,
+                                    dsp::Rng& rng, TxScene& scene) {
   phy::Transmitter::Config txc;
   txc.scrambler_seed =
       static_cast<std::uint8_t>(1 + rng.uniform_int(0, 126));
   txc.output_power_dbm = cfg_.rx_power_dbm;
-  phy::Transmitter tx(txc);
-  const phy::Bytes payload =
-      psdu.empty() ? phy::random_bytes(cfg_.psdu_bytes, rng)
-                   : phy::Bytes(psdu.begin(), psdu.end());
-  const phy::Frame frame{cfg_.rate, payload};
-  dsp::CVec wave = tx.modulate(frame);
+  const phy::Transmitter tx(txc);
+  scene.scrambler_seed_ = txc.scrambler_seed;
+  scene.frame_.rate = cfg_.rate;
+  if (psdu.empty())
+    scene.frame_.psdu = phy::random_bytes(cfg_.psdu_bytes, rng);
+  else
+    scene.frame_.psdu.assign(psdu.begin(), psdu.end());
+  dsp::CVec wave = tx.modulate(scene.frame_);
 
   // Optional multipath (block-static per packet, applied at 20 Msps).
   if (cfg_.fading.has_value()) {
@@ -156,35 +144,13 @@ PacketResult WlanLink::run_packet_impl(std::span<const std::uint8_t> psdu,
   padded.insert(padded.end(), cfg_.lead_samples, dsp::Cplx{0.0, 0.0});
   padded.insert(padded.end(), wave.begin(), wave.end());
   padded.insert(padded.end(), cfg_.tail_samples, dsp::Cplx{0.0, 0.0});
-
-  // --- Channel + RF front-end ----------------------------------------------
-  if (memoize) {
-    const std::size_t base_units = build_scene_prenoise(padded, rng);
-    scene->valid_ = true;
-    scene->packet_index_ = packet_index;
-    scene->scrambler_seed_ = txc.scrambler_seed;
-    scene->payload_ = payload;
-    scene->scene_.assign(ws_.scene_a.begin(), ws_.scene_a.end());
-    scene->base_units_ = base_units;
-    scene->rng_post_tx_ = rng;
-    scene->noise_units_.clear();
-    finish_scene_direct(base_units, rng, &scene->noise_units_);
-  } else if (use_direct_path()) {
-    run_scene_direct(padded, rng);
-  } else {
-    run_scene_graph(std::move(padded), rng);
-  }
-
-  return receiver_epilogue(payload, &tx, &frame, memoize ? scene : nullptr,
-                           rx_psdu);
+  return padded;
 }
 
-PacketResult WlanLink::receiver_epilogue(const phy::Bytes& payload,
-                                         const phy::Transmitter* tx,
-                                         const phy::Frame* frame,
-                                         TxScene* scene, phy::Bytes* rx_psdu) {
+PacketResult WlanLink::receiver_epilogue(TxScene& scene, phy::Bytes* rx_psdu) {
   // --- DSP receiver ---------------------------------------------------------
   const phy::RxResult res = rx_.receive(last_rx_);
+  const phy::Bytes& payload = scene.frame_.psdu;
 
   PacketResult out;
   out.bits = 8 * payload.size();
@@ -203,47 +169,19 @@ PacketResult WlanLink::receiver_epilogue(const phy::Bytes& payload,
 
   // EVM against the transmitted constellation (the equalizer's channel
   // estimate removes the chain gain, so points are directly comparable).
-  // The reference is a pure function of (scrambler seed, frame), so a
-  // memoized scene computes it once and reuses it at every noise level.
-  const std::vector<dsp::CVec>* ref = nullptr;
-  std::vector<dsp::CVec> local_ref;
-  if (scene != nullptr && scene->valid_) {
-    if (!scene->ref_points_valid_) {
-      if (tx != nullptr) {
-        scene->ref_points_ = tx->data_symbol_points(*frame);
-      } else {
-        phy::Transmitter::Config txc;
-        txc.scrambler_seed = scene->scrambler_seed_;
-        txc.output_power_dbm = cfg_.rx_power_dbm;
-        const phy::Transmitter stx(txc);
-        const phy::Frame sframe{cfg_.rate, scene->payload_};
-        scene->ref_points_ = stx.data_symbol_points(sframe);
-      }
-      scene->ref_points_valid_ = true;
-    }
-    ref = &scene->ref_points_;
-  } else {
-    local_ref = tx->data_symbol_points(*frame);
-    ref = &local_ref;
+  if (!scene.ref_points_valid_) {
+    phy::Transmitter::Config txc;
+    txc.scrambler_seed = scene.scrambler_seed_;
+    txc.output_power_dbm = cfg_.rx_power_dbm;
+    scene.ref_points_ = phy::Transmitter(txc).data_symbol_points(scene.frame_);
+    scene.ref_points_valid_ = true;
   }
+  const std::vector<dsp::CVec>& ref = scene.ref_points_;
   phy::EvmCounter evm;
-  const std::size_t nsym = std::min(ref->size(), res.data_points.size());
-  for (std::size_t s = 0; s < nsym; ++s)
-    evm.add(res.data_points[s], (*ref)[s]);
+  const std::size_t nsym = std::min(ref.size(), res.data_points.size());
+  for (std::size_t s = 0; s < nsym; ++s) evm.add(res.data_points[s], ref[s]);
   out.evm_rms = evm.evm_rms();
   return out;
-}
-
-// Allocation-free steady-state replica of the dataflow graph below. Every
-// node in that graph is a per-sample streaming operator, so evaluating the
-// chain whole-buffer in the same sample order — with the same filter taps,
-// the same rng.fork() sequence, and the graph's run length — produces
-// bit-identical output while skipping the per-packet graph assembly, FIFO
-// churn, and block construction (notably the flicker source's 32k-sample
-// spectral calibration).
-void WlanLink::run_scene_direct(const dsp::CVec& padded, dsp::Rng& rng) {
-  const std::size_t base_units = build_scene_prenoise(padded, rng);
-  finish_scene_direct(base_units, rng, nullptr);
 }
 
 std::size_t WlanLink::build_scene_prenoise(const dsp::CVec& padded,
@@ -277,8 +215,8 @@ std::size_t WlanLink::build_scene_prenoise(const dsp::CVec& padded,
       // skips the structurally-zero products and reads `padded` directly,
       // but sums the surviving terms in the same order, so its output is
       // bit-identical to the zero-stuff + stream formulation.
-      if (ws_.up_taps.empty()) ws_.up_taps = dsp::resampling_taps(os);
-      const std::size_t ntaps = ws_.up_taps.size();
+      const dsp::RVec& up_taps = dsp::resampling_taps(os);
+      const std::size_t ntaps = up_taps.size();
       // The lead/tail pads are exact +0.0 and a filter window of +-0.0
       // inputs accumulates to +0.0 (the accumulator starts at +0.0 and
       // adding +-0.0 never changes it), so outputs whose windows never
@@ -293,7 +231,7 @@ std::size_t WlanLink::build_scene_prenoise(const dsp::CVec& padded,
         const std::size_t q0 = lo * os;
         const std::size_t q_end =
             std::min(a.size(), (hi + ntaps - 1) * os);
-        dsp::kernels::fir_interp(ws_.up_taps.data(), ntaps, os,
+        dsp::kernels::fir_interp(up_taps.data(), ntaps, os,
                                  padded.data() + lo, padded.size() - lo,
                                  static_cast<double>(os), a.data() + q0,
                                  q_end - q0);
@@ -354,102 +292,9 @@ std::size_t WlanLink::build_scene_prenoise(const dsp::CVec& padded,
   return base_units;
 }
 
-void WlanLink::finish_scene_direct(std::size_t base_units, dsp::Rng& rng,
-                                   dsp::RVec* noise_units) {
-  const double p_sig = dsp::dbm_to_watts(cfg_.rx_power_dbm);
-  const double fs_over = cfg_.rf.sample_rate_hz;
-  const std::size_t os = cfg_.oversample;
-
-  dsp::CVec& a = ws_.scene_a;
-  ThreadScratch& scratch = thread_scratch();
-
-  double n_total =
-      cfg_.antenna_noise_density_dbm_hz > -250.0
-          ? dsp::dbm_to_watts(cfg_.antenna_noise_density_dbm_hz) * fs_over
-          : 0.0;
-  if (cfg_.snr_db.has_value()) {
-    n_total += p_sig / dsp::from_db(*cfg_.snr_db) *
-               static_cast<double>(cfg_.oversample);
-  }
-  if (n_total > 0.0) {
-    dsp::Rng nrng = rng.fork();
-    if (noise_units == nullptr) {
-      // Bulk form of `a[i] += cgaussian(n_total)`: cgaussian draws two
-      // unit normals and scales each by s = sqrt(v/2), so filling the
-      // normals first and applying the scaled pairs performs the exact
-      // same arithmetic in the exact same stream order.
-      scratch.noise_scratch.resize(2 * a.size());
-      nrng.fill_gaussian(scratch.noise_scratch.data(),
-                         scratch.noise_scratch.size());
-      const double s = std::sqrt(n_total / 2.0);
-      dsp::kernels::add_scaled_pairs(a.data(), a.size(), s,
-                                     scratch.noise_scratch.data());
-    } else {
-      // Memoized noise: cache the unit normals on the first pass and
-      // replay them at every other noise level. cgaussian(v) evaluates
-      // s*u0, s*u1 with s = sqrt(v/2), so scaling the cached normals here
-      // performs the exact same arithmetic as the direct loop above.
-      if (noise_units->empty()) {
-        noise_units->resize(2 * a.size());
-        nrng.fill_gaussian(noise_units->data(), noise_units->size());
-      }
-      const double s = std::sqrt(n_total / 2.0);
-      dsp::kernels::add_scaled_pairs(a.data(), a.size(), s,
-                                     noise_units->data());
-    }
-  }
-
-  const dsp::CVec* rx_over = &a;
-  if (cfg_.rf_engine == RfEngine::kSystemLevel) {
-    if (!ws_.frontend) {
-      ws_.frontend =
-          std::make_unique<rf::DoubleConversionReceiver>(cfg_.rf, rng.fork());
-    } else {
-      ws_.frontend->reset();
-      ws_.frontend->reseed(rng.fork());
-    }
-    // Runs the fused ChainExecutor: the whole oversampled scene streams
-    // through the front-end cascade in L1-sized tiles (cfg_.rf.tile_size,
-    // 0 = auto), bit-identical to block-at-a-time execution and to the
-    // 512-chunk graph path by the tile-continuity contract.
-    ws_.frontend->process_into(a, scratch.scene_b);
-    rx_over = &scratch.scene_b;
-  } else if (cfg_.rf_engine == RfEngine::kCustom) {
-    // Constructed per packet, exactly like the graph's rf_frontend_custom
-    // node (the factory owns any state reset policy).
-    const auto frontend = cfg_.custom_rf(rng.fork());
-    frontend->process_into(a, scratch.scene_b);
-    rx_over = &scratch.scene_b;
-  }
-
-  if (os > 1) {
-    last_rx_.resize(base_units);
-    if (cfg_.rf_engine == RfEngine::kNone) {
-      // DownsampleNode: the anti-alias lowpass delay line advances on every
-      // sample but only the kept phase-0 outputs need their dot product.
-      if (!ws_.down_filt)
-        ws_.down_filt =
-            std::make_unique<dsp::FirFilter>(dsp::resampling_taps(os));
-      ws_.down_filt->reset();
-      ws_.down_filt->process_decim_into(*rx_over, os, last_rx_);
-    } else {
-      // DecimateNode: the ADC samples the analog output raw.
-      for (std::size_t i = 0, oi = 0; i < rx_over->size(); i += os)
-        last_rx_[oi++] = (*rx_over)[i];
-    }
-  } else {
-    last_rx_.assign(rx_over->begin(), rx_over->end());
-  }
-
-  // The rf_input_probe tap: `a` still holds the post-noise/pre-frontend
-  // signal (the front-end wrote into scene_b), so hand the buffer over
-  // instead of copying it. The workspace gets it back at the next assign.
-  std::swap(last_rf_input_, a);
-}
-
 // Reference path: assemble and run the dataflow block diagram. Required for
-// interpreted execution, co-simulation, and custom RF blocks; also the
-// baseline the direct path is verified against.
+// interpreted execution and co-simulation; also the baseline the packet
+// wave is verified against.
 void WlanLink::run_scene_graph(dsp::CVec padded, dsp::Rng& rng) {
   const double p_sig = dsp::dbm_to_watts(cfg_.rx_power_dbm);
   const double fs_over = cfg_.rf.sample_rate_hz;
@@ -563,8 +408,6 @@ void WlanLink::run_scene_graph(dsp::CVec padded, dsp::Rng& rng) {
       break;
     }
     case RfEngine::kCustom: {
-      if (!cfg_.custom_rf)
-        throw std::invalid_argument("WlanLink: kCustom needs custom_rf");
       auto* rf =
           g.add<sim::RfNode>("rf_frontend_custom", cfg_.custom_rf(rng.fork()));
       g.connect(head, rf);

@@ -2,20 +2,22 @@
 // "the model of the double conversion receiver ... is inserted in front of
 // the DSP receiver part" of the IEEE 802.11a demo system (§4.1, Fig. 3).
 //
-// Each packet run assembles a dataflow graph
+// Each packet runs the chain
 //
 //   TX source (20 Msps) -> upsample -> [+ interferer] -> [+ AWGN]
-//     -> RF front-end (system-level or co-simulated) -> downsample
+//     -> RF front-end (system-level, custom or co-simulated) -> downsample
 //     -> DSP receiver (sync, channel est., Viterbi)
 //
-// and reports bit errors and constellation quality.
+// and reports bit errors and constellation quality. The chain runs on one
+// of two engines with the same bits: the packet wave (1 to 8 packets in
+// lockstep, see run_packet_wave) and the dataflow graph, the reference and
+// the only home of co-simulation and interpreted mode.
 #pragma once
 
 #include <limits>
 #include <memory>
 
 #include "core/linkconfig.h"
-#include "dsp/fir.h"
 #include "dsp/rng.h"
 #include "phy80211a/measure.h"
 #include "phy80211a/receiver.h"
@@ -58,7 +60,7 @@ class TxScene {
   bool valid_ = false;
   std::uint64_t packet_index_ = 0;
   std::uint8_t scrambler_seed_ = 1;
-  phy::Bytes payload_;
+  phy::Frame frame_;           ///< rate and payload
   dsp::CVec scene_;            ///< pre-noise oversampled composite
   std::size_t base_units_ = 0; ///< scene run length in base-rate units
   dsp::Rng rng_post_tx_{0};    ///< packet RNG state at the noise fork
@@ -156,7 +158,10 @@ class WlanLink {
   explicit WlanLink(LinkConfig cfg);
 
   /// Run one packet; `packet_index` seeds the per-packet randomness so
-  /// runs are reproducible and sweep points can share random numbers.
+  /// runs are reproducible and sweep points can share random numbers. The
+  /// packet runs as a width-1 run_packet_wave, or on the dataflow graph
+  /// when the config needs it (co-simulation, PacketPath::kGraph,
+  /// interpreted mode); both give the same bits.
   PacketResult run_packet(std::uint64_t packet_index);
 
   /// Run one packet carrying a caller-supplied PSDU (e.g. a framed MPDU
@@ -168,22 +173,25 @@ class WlanLink {
                                        phy::Bytes* rx_psdu = nullptr);
 
   /// Run one packet, caching or replaying its noise-independent TX scene
-  /// in `scene`. When `scene` is valid for this packet index (built by an
-  /// earlier call on a link whose config differs only in noise level), the
-  /// TX side, channel build, and interferer are replayed bit-identically
-  /// instead of recomputed. Otherwise the packet runs in full and `scene`
-  /// is (re)built. Configurations the direct packet path cannot serve run
-  /// unmemoized and leave `scene` invalid.
+  /// in `scene`: a width-1 run_packet_wave with `scene` as its one slot.
+  /// When `scene` is valid for this packet index (built by an earlier call
+  /// on a link whose config differs only in noise level), the TX side,
+  /// channel build, and interferer are replayed bit-identically instead of
+  /// recomputed. Otherwise the packet runs in full and `scene` is
+  /// (re)built. Configs that need the graph run unmemoized and leave
+  /// `scene` invalid.
   PacketResult run_packet_memo(std::uint64_t packet_index, TxScene& scene);
 
   /// Run `count` consecutive packets [begin_index, begin_index + count) as
-  /// one lockstep lane wave: each packet's TX scene is built (or replayed
-  /// from `scenes`) exactly as run_packet_memo would, then all lanes march
-  /// through AWGN, the RF front-end, and decimation together on a width-
-  /// `count` SoA buffer (see dsp/kernels.h "Packet-lane (SoA) kernels").
-  /// Lanes never mix arithmetically, so out[l] is bit-identical to
-  /// run_packet / run_packet_memo of the same index — the contract pinned
-  /// by tests/core/test_batch_wave.cpp.
+  /// one lockstep lane wave, the link's direct packet engine: each
+  /// packet's TX scene is built (or replayed from `scenes`), then all lanes
+  /// march through AWGN, the RF front-end, and decimation together on a
+  /// width-`count` SoA buffer (see dsp/kernels.h "width-W packet-lane
+  /// kernels"). Lanes never mix arithmetically, so out[l] equals the graph
+  /// reference of the same index bit for bit, at any width — the contract
+  /// pinned by tests/core/test_batch_wave.cpp and test_packet_path.cpp.
+  /// Width 1 runs in place on the link's scene buffer; it is what
+  /// run_packet, run_packet_with_payload and run_packet_memo run.
   ///
   /// `scenes` is either null (no memoization; batch-local scratch scenes
   /// are used) or `count` TxScene slots, one per lane, with the same
@@ -192,13 +200,13 @@ class WlanLink {
   /// into the scenes so later sweep points replay the gaussians instead of
   /// re-deriving them.
   ///
-  /// Returns false — computing nothing and leaving `out` untouched — when
-  /// the configuration cannot run in lockstep (graph path, co-simulation,
-  /// custom RF, phase noise, non-Rapp-p2 LNA, count outside [2, W]); the
-  /// caller then falls back to the scalar per-packet path. Scenes already
-  /// (re)built before a mid-wave bailout stay valid for that fallback.
-  /// The wave does not maintain last_rx_baseband()/last_rf_input() (debug
-  /// probes of the scalar path).
+  /// Returns false — leaving `out` untouched — for a count outside [1, W],
+  /// for a config that needs the graph (see run_packet), and when `scenes`
+  /// hold lanes of different lengths (scenes of another config); the
+  /// caller then runs the packets one by one. Scenes (re)built before such
+  /// a bailout stay valid. Only last_rx_baseband() follows a wave, and
+  /// only to its last lane; last_rf_input() is kept by the per-packet
+  /// calls alone.
   bool run_packet_wave(std::uint64_t begin_index, std::size_t count,
                        PacketBatch& batch, TxScene* scenes, PacketResult* out);
 
@@ -216,61 +224,61 @@ class WlanLink {
   const dsp::CVec& last_rf_input() const { return last_rf_input_; }
 
  private:
-  /// Per-link state of the direct (allocation-free) packet path. Blocks
-  /// are constructed once and re-randomized per packet (reset + reseed),
-  /// which is exactly equivalent to the per-packet construction the graph
-  /// path performs. `scene_a` trades places with last_rf_input_ at the end
-  /// of every packet, so the probe costs no copy.
+  /// Per-link state of the packet wave. Blocks are constructed once and
+  /// re-randomized per packet (reset + reseed, or per-lane reseeds), which
+  /// is exactly equivalent to the per-packet construction the graph path
+  /// performs.
   struct Workspace {
-    dsp::CVec scene_a;          ///< oversampled scene under construction
-    dsp::RVec up_taps;          ///< TX interpolation taps (polyphase kernel)
-    std::unique_ptr<dsp::FirFilter> down_filt;  ///< ideal RX decimation
+    dsp::CVec scene_a;  ///< oversampled scene under construction; width 1
+                        ///< runs the wave in place on it
     std::unique_ptr<rf::Amplifier> tx_pa;
     std::unique_ptr<rf::Mixer> tx_upconverter;
     std::unique_ptr<rf::DoubleConversionReceiver> frontend;
   };
 
   /// Packet scratch of the calling thread, shared by every link that runs
-  /// on it: each packet fills these buffers before it reads them and
-  /// leaves nothing in them the next packet needs, so a worker caching a
-  /// link per sweep point keeps one set, not one per link. A custom RF
-  /// block writes its output into `scene_b`, so it must not run a WlanLink
-  /// packet on its calling thread.
-  struct ThreadScratch {
-    dsp::CVec padded;         ///< 20 Msps frame with lead/tail padding
-    dsp::CVec scene_b;        ///< front-end output (oversampled)
-    dsp::CVec jam;            ///< interferer waveform
-    dsp::RVec noise_scratch;  ///< bulk unit normals for the AWGN fill
-  };
+  /// on it (defined in core/packet_batch.h): each packet fills these
+  /// buffers before it reads them and leaves nothing in them the next
+  /// packet needs, so a worker caching a link per sweep point keeps one
+  /// set, not one per link.
+  struct ThreadScratch;
   static ThreadScratch& thread_scratch();
 
-  bool use_direct_path() const;
-  void run_scene_direct(const dsp::CVec& padded, dsp::Rng& rng);
+  /// The caller's side of a per-packet call: a width-1 wave that takes the
+  /// payload from the caller (empty = drawn from the packet rng), returns
+  /// the decoded PSDU and keeps the last_rf_input() probe.
+  struct SinglePacket {
+    std::span<const std::uint8_t> psdu;
+    phy::Bytes* rx_psdu = nullptr;
+  };
+
+  /// Co-simulation, PacketPath::kGraph and interpreted mode run on the
+  /// dataflow graph; everything else runs as a packet wave.
+  bool needs_graph() const;
+  bool run_wave(std::uint64_t begin_index, std::size_t count,
+                PacketBatch& batch, TxScene* scenes, PacketResult* out,
+                const SinglePacket* single);
+  PacketResult run_packet_graph(std::span<const std::uint8_t> psdu,
+                                std::uint64_t packet_index,
+                                phy::Bytes* rx_psdu);
   void run_scene_graph(dsp::CVec padded, dsp::Rng& rng);
 
-  PacketResult run_packet_impl(std::span<const std::uint8_t> psdu,
-                               std::uint64_t packet_index, phy::Bytes* rx_psdu,
-                               TxScene* scene);
-  /// First half of the direct scene: upsample + TX impairments + interferer
-  /// into ws_.scene_a. Returns the run length in base-rate units.
+  /// TX half of a packet, shared by the wave and the graph: draws the
+  /// scrambler seed and the payload (unless `psdu` is given) from `rng`
+  /// into `scene`, modulates, applies fading, and pads into the thread's
+  /// `padded` buffer, which it returns.
+  const dsp::CVec& build_tx(std::span<const std::uint8_t> psdu,
+                            dsp::Rng& rng, TxScene& scene);
+  /// Upsample + TX impairments + interferer into ws_.scene_a. Returns the
+  /// run length in base-rate units.
   std::size_t build_scene_prenoise(const dsp::CVec& padded, dsp::Rng& rng);
-  /// Second half: channel noise, RF front-end, downsample (ws_.scene_a ->
-  /// last_rx_ / last_rf_input_). `noise_units` selects the noise mode:
-  /// nullptr draws directly from the rng fork; empty caches the unit
-  /// normals while applying them; non-empty replays the cached normals
-  /// (advancing the rng fork identically). All three are bit-identical.
-  void finish_scene_direct(std::size_t base_units, dsp::Rng& rng,
-                           dsp::RVec* noise_units);
-  /// DSP receiver + BER/EVM bookkeeping on last_rx_. `tx`/`frame` are the
-  /// live transmitter when the packet was just built (null on scene
-  /// replay, where the EVM reference is rebuilt from `scene`).
-  PacketResult receiver_epilogue(const phy::Bytes& payload,
-                                 const phy::Transmitter* tx,
-                                 const phy::Frame* frame, TxScene* scene,
-                                 phy::Bytes* rx_psdu);
+  /// DSP receiver + BER/EVM bookkeeping on last_rx_. The EVM reference is
+  /// a pure function of the scene's (scrambler seed, frame); it is cached
+  /// in the scene, so a memoized scene computes it once for every noise
+  /// level.
+  PacketResult receiver_epilogue(TxScene& scene, phy::Bytes* rx_psdu);
 
   LinkConfig cfg_;
-  phy::Transmitter tx_;
   phy::Receiver rx_;
   dsp::CVec last_rx_;
   dsp::CVec last_rf_input_;

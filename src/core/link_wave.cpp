@@ -1,26 +1,25 @@
-// The lockstep packet wave: width-W SoA batching of the noise + RF +
-// decimation half of the link. Each lane reproduces the scalar per-packet
-// path bit for bit — lanes share loop control and memory traffic, never
-// arithmetic — so run_packet_wave is a pure throughput optimization under
-// the determinism contract of core/parallel.h.
+// The lockstep packet wave, the link's direct packet engine: 1 to W
+// same-config packets carried as SoA lanes through the noise + RF +
+// decimation half of the link. Every lane reproduces the dataflow graph
+// reference bit for bit — lanes share loop control and memory traffic,
+// never arithmetic — so the wave width is a pure throughput choice under
+// the determinism contract of core/parallel.h. Width 1 is the per-packet
+// API: its one SoA row per sample is [re, im], the memory layout of
+// std::complex<double>, so it runs in place on the link's scene buffer.
 //
-// Per lane the scalar sequence being replicated is exactly
-// run_packet_impl: rng(packet_seed) -> scrambler seed -> payload ->
-// modulate -> [fading] -> pad -> build_scene_prenoise (TX impairments +
-// interferer, per-lane AoS since it is packet-specific and cheap), then
-// pack into the SoA buffer and run the shared half in lockstep:
-// fork 1 = AWGN normals, fork 2 = front-end reseed, fused RF lane tiles,
-// phase-0 decimation, DSP receiver epilogue.
+// Per lane the sequence is: rng(packet_seed) -> scrambler seed -> payload
+// -> modulate -> [fading] -> pad -> build_scene_prenoise (TX impairments +
+// interferer, per-lane AoS since it is packet-specific and cheap), then the
+// shared half in lockstep: fork 1 = AWGN normals, fork 2 = front-end
+// reseed (or the custom block's rng), RF lane tiles, decimation, DSP
+// receiver epilogue. That is the fork order of run_scene_graph.
 #include <cmath>
 #include <memory>
-#include <utility>
 
-#include "channel/fading.h"
 #include "core/packet_batch.h"
 #include "dsp/kernels.h"
 #include "dsp/mathutil.h"
 #include "dsp/resample.h"
-#include "phy80211a/bits.h"
 #include "rf/receiver_chain.h"
 
 namespace wlansim::core {
@@ -28,104 +27,75 @@ namespace wlansim::core {
 bool WlanLink::run_packet_wave(std::uint64_t begin_index, std::size_t count,
                                PacketBatch& batch, TxScene* scenes,
                                PacketResult* out) {
-  namespace kn = dsp::kernels;
-  if (count < 2 || count > kn::kLaneWidth) return false;
-  if (!use_direct_path()) return false;
-  if (cfg_.rf_engine != RfEngine::kNone &&
-      cfg_.rf_engine != RfEngine::kSystemLevel)
+  if (count < 1 || count > dsp::kernels::kLaneWidth || needs_graph())
     return false;
+  return run_wave(begin_index, count, batch, scenes, out, nullptr);
+}
 
-  if (cfg_.rf_engine == RfEngine::kSystemLevel) {
-    // The front-end is constructed once per link; the construction rng is
-    // irrelevant because every lane (and every later scalar packet) resets
-    // and reseeds it before use — the documented reset()+reseed() ==
-    // fresh-construction equivalence.
-    if (!ws_.frontend)
-      ws_.frontend = std::make_unique<rf::DoubleConversionReceiver>(
-          cfg_.rf, dsp::Rng(packet_seed(cfg_.seed, begin_index)));
-    ws_.frontend->reset();
-    if (!ws_.frontend->supports_lanes()) return false;
-  }
+bool WlanLink::run_wave(std::uint64_t begin_index, std::size_t count,
+                        PacketBatch& batch, TxScene* scenes,
+                        PacketResult* out, const SinglePacket* single) {
+  namespace kn = dsp::kernels;
+  ThreadScratch& scratch = thread_scratch();
+  const bool in_place = count == 1;
 
   // --- Per-lane TX build or scene replay (packet-specific, sequential) ----
   batch.local_scenes.resize(count);
   batch.lane_rng.resize(count);
-  std::size_t scene_len = 0;
+  std::size_t n = 0;
   std::size_t base_units = 0;
 
   for (std::size_t l = 0; l < count; ++l) {
     const std::uint64_t idx = begin_index + l;
     TxScene* sc = scenes != nullptr ? &scenes[l] : &batch.local_scenes[l];
-    const dsp::Cplx* src;
-    std::size_t lane_len, lane_units;
+    const dsp::CVec* src = &ws_.scene_a;
+    std::size_t lane_units;
 
     if (scenes != nullptr && sc->valid_ && sc->packet_index_ == idx) {
       // Replay: restore the packet rng at the noise fork.
       batch.lane_rng[l] = sc->rng_post_tx_;
-      src = sc->scene_.data();
-      lane_len = sc->scene_.size();
+      src = &sc->scene_;
       lane_units = sc->base_units_;
     } else {
       sc->reset();
       dsp::Rng rng(packet_seed(cfg_.seed, idx));
-
-      phy::Transmitter::Config txc;
-      txc.scrambler_seed =
-          static_cast<std::uint8_t>(1 + rng.uniform_int(0, 126));
-      txc.output_power_dbm = cfg_.rx_power_dbm;
-      phy::Transmitter tx(txc);
-      phy::Bytes payload = phy::random_bytes(cfg_.psdu_bytes, rng);
-      const phy::Frame frame{cfg_.rate, payload};
-      dsp::CVec wave = tx.modulate(frame);
-
-      if (cfg_.fading.has_value()) {
-        channel::FadingConfig fc = *cfg_.fading;
-        fc.sample_rate_hz = phy::kSampleRate;
-        const channel::MultipathChannel mp(fc, rng);
-        wave = mp.apply(wave);
-      }
-
-      dsp::CVec& padded = thread_scratch().padded;
-      padded.clear();
-      padded.reserve(cfg_.lead_samples + wave.size() + cfg_.tail_samples);
-      padded.insert(padded.end(), cfg_.lead_samples, dsp::Cplx{0.0, 0.0});
-      padded.insert(padded.end(), wave.begin(), wave.end());
-      padded.insert(padded.end(), cfg_.tail_samples, dsp::Cplx{0.0, 0.0});
-
+      const dsp::CVec& padded =
+          build_tx(single != nullptr ? single->psdu
+                                     : std::span<const std::uint8_t>{},
+                   rng, *sc);
       lane_units = build_scene_prenoise(padded, rng);
       sc->valid_ = true;
       sc->packet_index_ = idx;
-      sc->scrambler_seed_ = txc.scrambler_seed;
-      sc->payload_ = std::move(payload);
       sc->base_units_ = lane_units;
       sc->rng_post_tx_ = rng;
       sc->noise_units_.clear();
       if (scenes != nullptr)
         sc->scene_.assign(ws_.scene_a.begin(), ws_.scene_a.end());
       batch.lane_rng[l] = rng;
-      src = ws_.scene_a.data();
-      lane_len = ws_.scene_a.size();
     }
 
     if (l == 0) {
-      scene_len = lane_len;
+      n = src->size();
       base_units = lane_units;
-      if (scene_len == 0) return false;
-      batch.soa.resize(2 * count * scene_len);
-    } else if (lane_len != scene_len || lane_units != base_units) {
-      // Same-config packets always match; bail to the scalar path if a
-      // caller mixes configurations. Scenes built so far stay valid.
+      if (!in_place) batch.soa.resize(2 * count * n);
+    } else if (src->size() != n || lane_units != base_units) {
+      // Same-config packets always match; bail if a caller mixes
+      // configurations. Scenes built so far stay valid.
       return false;
     }
-    kn::lanes_pack(src, scene_len, count, l, batch.soa.data());
+    if (in_place) {
+      if (src != &ws_.scene_a) ws_.scene_a.assign(src->begin(), src->end());
+    } else {
+      kn::lanes_pack(src->data(), n, count, l, batch.soa.data());
+    }
   }
 
-  double* soa = batch.soa.data();
-  const std::size_t n = scene_len;
+  double* soa = in_place ? reinterpret_cast<double*>(ws_.scene_a.data())
+                         : batch.soa.data();
   const std::size_t os = cfg_.oversample;
 
-  // --- Channel noise (fork 1 per lane, same arithmetic as the scalar
-  // add_scaled_pairs path, just strided into the lane) --------------------
+  // --- Channel noise: the antenna thermal floor plus (optionally) excess
+  // AWGN sized for the requested SNR (fork 1 per lane) --------------------
   const double p_sig = dsp::dbm_to_watts(cfg_.rx_power_dbm);
   const double fs_over = cfg_.rf.sample_rate_hz;
   double n_total =
@@ -136,12 +106,15 @@ bool WlanLink::run_packet_wave(std::uint64_t begin_index, std::size_t count,
     n_total += p_sig / dsp::from_db(*cfg_.snr_db) * static_cast<double>(os);
   }
   if (n_total > 0.0) {
+    // cgaussian(v) draws two unit normals and scales each by
+    // s = sqrt(v/2), so filling the normals first and adding the scaled
+    // pairs is the graph's arithmetic in the graph's stream order. Gather
+    // every lane's unit normals (cached in the scene on the memo path, else
+    // in a per-lane segment of the thread scratch), then add them all in
+    // one fused row-major pass over the SoA buffer.
     const double s = std::sqrt(n_total / 2.0);
-    // Gather every lane's unit normals first (cached in the scene on the
-    // memo path, else in a per-lane segment of the batch scratch), then add
-    // them all in one fused row-major pass over the SoA buffer.
-    const double* units[dsp::kernels::kLaneWidth];
-    dsp::RVec& noise = thread_scratch().noise_scratch;
+    const double* units[kn::kLaneWidth];
+    dsp::RVec& noise = scratch.noise_scratch;
     if (scenes == nullptr) noise.resize(2 * n * count);
     for (std::size_t l = 0; l < count; ++l) {
       dsp::Rng nrng = batch.lane_rng[l].fork();
@@ -161,8 +134,19 @@ bool WlanLink::run_packet_wave(std::uint64_t begin_index, std::size_t count,
     kn::lanes_add_scaled_pairs_multi(soa, n, count, s, units);
   }
 
-  // --- RF front-end: all lanes through the fused tile loop ---------------
+  // The rf_input_probe tap of the graph: the post-noise, pre-front-end
+  // scene, kept by the per-packet calls only.
+  if (single != nullptr)
+    last_rf_input_.assign(ws_.scene_a.begin(), ws_.scene_a.end());
+
+  // --- RF front-end ---------------------------------------------------------
   if (cfg_.rf_engine == RfEngine::kSystemLevel) {
+    // Constructed once per link; every lane reseeds its own state from its
+    // packet rng, the per-lane form of reset() + reseed() == fresh
+    // construction, so the construction rng is irrelevant.
+    if (!ws_.frontend)
+      ws_.frontend = std::make_unique<rf::DoubleConversionReceiver>(
+          cfg_.rf, dsp::Rng(packet_seed(cfg_.seed, begin_index)));
     rf::DoubleConversionReceiver& fe = *ws_.frontend;
     fe.begin_lanes(count);
     for (std::size_t l = 0; l < count; ++l) {
@@ -184,28 +168,46 @@ bool WlanLink::run_packet_wave(std::uint64_t begin_index, std::size_t count,
       fe.set_lane_tapes(l, lna_tape, flicker_tape);
     }
     fe.process_tile_lanes(soa, n, count);
+  } else if (cfg_.rf_engine == RfEngine::kCustom) {
+    // One caller-supplied block per lane, built at the graph's fork and run
+    // by one process_into() on the lane's whole buffer: a block may depend
+    // on how its input is split (see RfBlock). Width 1 hands it the scene
+    // buffer itself and decimates from its output.
+    dsp::CVec& lane_out = scratch.scene_b;
+    for (std::size_t l = 0; l < count; ++l) {
+      const auto block = cfg_.custom_rf(batch.lane_rng[l].fork());
+      if (in_place) {
+        block->process_into(ws_.scene_a, lane_out);
+        soa = reinterpret_cast<double*>(lane_out.data());
+      } else {
+        ws_.scene_a.resize(n);
+        kn::lanes_unpack(soa, n, count, l, ws_.scene_a.data());
+        block->process_into(ws_.scene_a, lane_out);
+        kn::lanes_pack(lane_out.data(), n, count, l, soa);
+      }
+    }
   }
 
-  // --- Phase-0 decimation + DSP receiver, one lane at a time -------------
+  // --- Decimation + DSP receiver, one lane at a time ------------------------
   for (std::size_t l = 0; l < count; ++l) {
-    TxScene* sc = scenes != nullptr ? &scenes[l] : &batch.local_scenes[l];
+    TxScene& sc = scenes != nullptr ? scenes[l] : batch.local_scenes[l];
     if (os > 1) {
       last_rx_.resize(base_units);
       if (cfg_.rf_engine == RfEngine::kNone) {
-        if (batch.down_taps.empty()) batch.down_taps = dsp::resampling_taps(os);
-        kn::lanes_fir_decim(soa, n, count, l, batch.down_taps.data(),
-                            batch.down_taps.size(), os, last_rx_.data());
+        // Idealized front-end: a perfect digital anti-alias + decimate.
+        const dsp::RVec& taps = dsp::resampling_taps(os);
+        kn::lanes_fir_decim(soa, n, count, l, taps.data(), taps.size(), os,
+                            last_rx_.data());
       } else {
+        // Physical ADC sampling: the analog output sampled raw.
         kn::lanes_unpack_decim(soa, n, count, l, os, last_rx_.data());
       }
     } else {
       last_rx_.resize(n);
       kn::lanes_unpack(soa, n, count, l, last_rx_.data());
     }
-    // The scene always carries (scrambler seed, payload) here, so the EVM
-    // reference reconstruction inside is bit-identical to the live-tx one
-    // the unmemoized scalar path uses — a pure function of those two.
-    out[l] = receiver_epilogue(sc->payload_, nullptr, nullptr, sc, nullptr);
+    out[l] = receiver_epilogue(sc, single != nullptr ? single->rx_psdu
+                                                     : nullptr);
   }
   return true;
 }

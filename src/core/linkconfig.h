@@ -18,11 +18,11 @@
 
 namespace wlansim::core {
 
-/// Packet evaluation strategy (see LinkConfig::packet_path).
+/// Packet evaluation strategy (see LinkConfig::packet_path). The values
+/// are serialized into link fingerprints, so they stay fixed.
 enum class PacketPath {
-  kAuto,    ///< direct when bit-identical to the graph, graph otherwise
-  kDirect,  ///< force the direct hot path (falls back where unsupported)
-  kGraph    ///< force the dataflow-graph reference path
+  kAuto = 0,  ///< the packet wave, unless the config needs the graph
+  kGraph = 2  ///< force the dataflow-graph reference path
 };
 
 /// Which model (if any) stands between the channel and the DSP receiver.
@@ -86,7 +86,7 @@ struct LinkConfig {
   sim::CosimConfig cosim{};
   /// Factory for RfEngine::kCustom — e.g. instantiating an extracted
   /// black-box (J&K) model in place of the full chain. Called once per
-  /// packet with a packet-specific RNG.
+  /// packet with a packet-specific RNG; required when rf_engine is kCustom.
   std::function<std::unique_ptr<rf::RfBlock>(dsp::Rng)> custom_rf;
 
   // --- DSP receiver ------------------------------------------------------------
@@ -94,12 +94,11 @@ struct LinkConfig {
 
   // --- Execution --------------------------------------------------------------
   sim::ExecutionMode mode = sim::ExecutionMode::kCompiled;
-  /// How run_packet evaluates the chain. kAuto picks the allocation-free
-  /// direct path (persistent blocks + reused buffers) whenever it is
-  /// bit-identical to the dataflow graph — compiled mode with the kNone or
-  /// kSystemLevel engine — and the graph otherwise. kGraph forces the
-  /// dataflow engine (the reference); kDirect forces the direct path where
-  /// supported and falls back to the graph elsewhere.
+  /// How packets evaluate the chain. kAuto runs the packet wave
+  /// (WlanLink::run_packet_wave: persistent blocks, reused buffers) for
+  /// every compiled-mode config but co-simulation, which runs on the
+  /// dataflow graph; kGraph forces the graph (the reference). Both give
+  /// the same bits.
   PacketPath packet_path = PacketPath::kAuto;
   /// Idle samples (20 Msps) before the frame: AGC settling + detection run-in.
   std::size_t lead_samples = 600;

@@ -47,18 +47,16 @@ struct SceneCache {
   std::vector<TxScene> scenes;
 };
 
-/// Run packets [begin, end) of one point as a lockstep lane wave when the
-/// width and configuration allow it, else packet by packet on the scalar
-/// path. `scenes` (null = unmemoized) and `out` are lane-indexed: slot p
-/// belongs to packet begin + p. Both paths are bit-identical, so callers
-/// never need to know which one ran.
+/// Run packets [begin, end) of one point as one lockstep lane wave, or
+/// packet by packet on the graph for configs that need it. `scenes` (null =
+/// unmemoized) and `out` are lane-indexed: slot p belongs to packet
+/// begin + p. Both engines give the same bits, so callers never need to
+/// know which one ran.
 void run_chunk(WlanLink& link, std::size_t begin, std::size_t end,
-               TxScene* scenes, PacketResult* out, std::size_t batch_width) {
+               TxScene* scenes, PacketResult* out) {
   const std::size_t count = end - begin;
-  if (batch_width >= 2 && count >= 2 && count <= batch_width) {
-    thread_local PacketBatch batch;  // per-worker, reused across waves
-    if (link.run_packet_wave(begin, count, batch, scenes, out)) return;
-  }
+  thread_local PacketBatch batch;  // per-worker, reused across waves
+  if (link.run_packet_wave(begin, count, batch, scenes, out)) return;
   for (std::size_t p = 0; p < count; ++p)
     out[p] = scenes != nullptr ? link.run_packet_memo(begin + p, scenes[p])
                                : link.run_packet(begin + p);
@@ -287,7 +285,7 @@ std::vector<BerResult> sweep_ber_adaptive_resumable(
       scenes = cache.scenes.data() + (it.begin - chunk * kPacketChunk);
     }
     run_chunk(link, it.begin, it.end, scenes,
-              &pts[it.point].results[it.begin], opts.batch_width);
+              &pts[it.point].results[it.begin]);
   };
 
   while (true) {

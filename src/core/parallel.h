@@ -30,12 +30,6 @@ struct SweepOptions {
   /// same TX-side fingerprint — the usual SNR waterfall — and is bit-exact:
   /// results are identical to memoize_tx = false either way.
   bool memoize_tx = true;
-  /// Lane width for the lockstep packet waves (WlanLink::run_packet_wave):
-  /// each ≤8-packet work run goes as one width-`count` SoA wave through
-  /// noise + RF + decimation. Purely a throughput knob — every lane is
-  /// bit-identical to the scalar path, so results never depend on it.
-  /// 1 (or 0) disables batching and runs the scalar reference path.
-  std::size_t batch_width = 8;
 };
 
 // ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ class Adc : public RfBlock {
 
   /// Lane path: quantize_clamp is element-wise per rail, so the SoA buffer
   /// quantizes as n*nl contiguous complex samples.
-  bool supports_lanes() const override { return true; }
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
 
   const AdcConfig& config() const { return cfg_; }

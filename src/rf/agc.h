@@ -58,7 +58,6 @@ class Agc : public RfBlock {
   /// Lane path: the same per-sample loop, lanes-inner, with fully
   /// independent per-lane loop state initialized as reset() leaves the
   /// scalar block.
-  bool supports_lanes() const override { return true; }
   void begin_lanes(std::size_t nl) override;
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
 

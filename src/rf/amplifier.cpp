@@ -74,6 +74,23 @@ double Amplifier::am_pm(double a) const {
   return max_rad * r / (1.0 + r);  // quadratic onset, saturating
 }
 
+inline dsp::Cplx Amplifier::rapp_sample(dsp::Cplx x) const {
+  // Norm-domain Rapp: no |x| (hypot) and no pow per sample. r2 == 0 gives
+  // the small-signal gain, so exact zeros need no special case.
+  const double n2 = x.real() * x.real() + x.imag() * x.imag();
+  return x * rapp_gain_from_norm(n2);
+}
+
+inline dsp::Cplx Amplifier::envelope_sample(dsp::Cplx x,
+                                            bool pm_active) const {
+  const double a = std::abs(x);
+  if (a <= 0.0) return dsp::Cplx{0.0, 0.0};
+  const double g = am_am(a) / a;
+  if (!pm_active) return x * g;
+  const double phi = am_pm(a);
+  return x * g * dsp::Cplx{std::cos(phi), std::sin(phi)};
+}
+
 dsp::CVec Amplifier::process(std::span<const dsp::Cplx> in) {
   dsp::CVec out;
   process_into(in, out);
@@ -106,35 +123,34 @@ void Amplifier::process_tile(std::span<const dsp::Cplx> in,
   }
   const bool pm_active = cfg_.am_pm_max_deg != 0.0;
   if (!pm_active && cfg_.model == NonlinearityModel::kRapp) {
-    // Norm-domain Rapp: no |x| (hypot) and no pow per sample. r2 == 0 gives
-    // the small-signal gain, so exact zeros need no special case.
-    for (std::size_t i = 0; i < n; ++i) {
-      const dsp::Cplx x = src[i];
-      const double n2 = x.real() * x.real() + x.imag() * x.imag();
-      dst[i] = x * rapp_gain_from_norm(n2);
-    }
+    for (std::size_t i = 0; i < n; ++i) dst[i] = rapp_sample(src[i]);
     return;
   }
   if (!pm_active && cfg_.model == NonlinearityModel::kLinear) {
     for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] * lin_gain_;
     return;
   }
+  for (std::size_t i = 0; i < n; ++i)
+    dst[i] = envelope_sample(src[i], pm_active);
+}
+
+namespace {
+
+/// Apply a per-sample map to every lane of `n` SoA rows in place.
+template <typename F>
+void map_lanes(double* soa, std::size_t n, std::size_t nl, F f) {
   for (std::size_t i = 0; i < n; ++i) {
-    const dsp::Cplx x = src[i];
-    const double a = std::abs(x);
-    if (a <= 0.0) {
-      dst[i] = dsp::Cplx{0.0, 0.0};
-      continue;
-    }
-    const double g = am_am(a) / a;
-    if (pm_active) {
-      const double phi = am_pm(a);
-      dst[i] = x * g * dsp::Cplx{std::cos(phi), std::sin(phi)};
-    } else {
-      dst[i] = x * g;
+    double* re = soa + i * 2 * nl;
+    double* im = re + nl;
+    for (std::size_t l = 0; l < nl; ++l) {
+      const dsp::Cplx y = f(dsp::Cplx{re[l], im[l]});
+      re[l] = y.real();
+      im[l] = y.imag();
     }
   }
 }
+
+}  // namespace
 
 void Amplifier::begin_lanes(std::size_t nl) {
   lane_rng_.assign(nl, dsp::Rng{});
@@ -159,12 +175,22 @@ void Amplifier::process_tile_lanes(double* soa, std::size_t n,
     dsp::kernels::lanes_add_scaled_pairs_multi(soa, n, nl, s,
                                                lane_units_.data());
   }
-  if (cfg_.model == NonlinearityModel::kRapp) {
-    dsp::kernels::lanes_amp_rapp_p2(soa, n, nl, lin_gain_, lin_gain2_,
-                                    inv_vsat2_);
-  } else {
-    // Linear: rails *= g, componentwise identical to x * lin_gain_.
+  // The branches of process_tile, lane by lane.
+  const bool pm_active = cfg_.am_pm_max_deg != 0.0;
+  if (!pm_active && cfg_.model == NonlinearityModel::kRapp) {
+    if (rapp_is_p2_) {
+      dsp::kernels::lanes_amp_rapp_p2(soa, n, nl, lin_gain_, lin_gain2_,
+                                      inv_vsat2_);
+    } else {
+      map_lanes(soa, n, nl, [this](dsp::Cplx x) { return rapp_sample(x); });
+    }
+  } else if (!pm_active && cfg_.model == NonlinearityModel::kLinear) {
+    // Rails *= g, componentwise identical to x * lin_gain_.
     dsp::kernels::scale(soa, 2 * n * nl, lin_gain_);
+  } else {
+    map_lanes(soa, n, nl, [this, pm_active](dsp::Cplx x) {
+      return envelope_sample(x, pm_active);
+    });
   }
 }
 

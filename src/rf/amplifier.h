@@ -47,13 +47,8 @@ class Amplifier : public RfBlock {
   /// receive, this makes a persistent block equivalent to a new one.
   void set_rng(dsp::Rng rng) { rng_ = rng; }
 
-  /// Lane path: the element-wise envelope models (Rapp p == 2 or linear,
-  /// no AM/PM) plus the per-lane noise draws.
-  bool supports_lanes() const override {
-    return cfg_.am_pm_max_deg == 0.0 &&
-           ((cfg_.model == NonlinearityModel::kRapp && rapp_is_p2_) ||
-            cfg_.model == NonlinearityModel::kLinear);
-  }
+  /// Lane path: every model, with the per-lane noise draws. Each lane
+  /// runs the per-sample arithmetic of process_tile.
   void begin_lanes(std::size_t nl) override;
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
 
@@ -89,6 +84,13 @@ class Amplifier : public RfBlock {
   /// the default smoothness p == 2 the two pow() calls collapse to two
   /// sqrt() (g / (1 + (g^2 n2 / Vsat^2)^2)^(1/4)).
   double rapp_gain_from_norm(double n2) const;
+
+  /// The per-sample maps of process_tile's loops, shared with the lane
+  /// loop so every lane runs the same arithmetic: the norm-domain Rapp
+  /// curve (no AM/PM), and the general envelope map (clipped-cubic, or any
+  /// model with AM/PM).
+  dsp::Cplx rapp_sample(dsp::Cplx x) const;
+  dsp::Cplx envelope_sample(dsp::Cplx x, bool pm_active) const;
 
   AmplifierConfig cfg_;
   double lin_gain_;       ///< voltage gain

@@ -1,24 +1,10 @@
 #include "rf/chain_executor.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "rf/rfblock.h"
 
 namespace wlansim::rf {
-
-std::size_t ChainExecutor::auto_tile_size() {
-  static const std::size_t tile = [] {
-    if (const char* e = std::getenv("WLANSIM_RF_TILE")) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(e, &end, 10);
-      if (end != e && *end == '\0' && v > 0)
-        return static_cast<std::size_t>(v);
-    }
-    return std::size_t{1024};
-  }();
-  return tile;
-}
 
 void ChainExecutor::run(RfBlock* const* blocks, std::size_t nblocks,
                         std::span<const dsp::Cplx> in,

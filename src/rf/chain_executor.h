@@ -36,9 +36,8 @@ class ChainExecutor {
   /// The tile actually used when tile_size() == 0: the two ping-pong tiles
   /// of T complex<double> samples cost 32*T bytes, and T = 1024 keeps that
   /// 32 KiB working set inside a typical 32-48 KiB L1d with room for block
-  /// state (biquad registers, AGC loop, RNG). Overridable at runtime via
-  /// the WLANSIM_RF_TILE environment variable (samples, parsed once).
-  static std::size_t auto_tile_size();
+  /// state (biquad registers, AGC loop, RNG).
+  static constexpr std::size_t auto_tile_size() { return 1024; }
 
   std::size_t effective_tile_size() const {
     return tile_ != 0 ? tile_ : auto_tile_size();

@@ -33,7 +33,6 @@ class ChebyshevLowpass : public RfBlock {
   /// Magnitude response at frequency f [Hz].
   double magnitude_at(double f_hz) const;
 
-  bool supports_lanes() const override { return true; }
   void begin_lanes(std::size_t nl) override;
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
 
@@ -61,7 +60,6 @@ class DcBlockHighpass : public RfBlock {
 
   double cutoff_hz() const { return cutoff_hz_; }
 
-  bool supports_lanes() const override { return true; }
   void begin_lanes(std::size_t nl) override;
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
 
@@ -85,7 +83,6 @@ class ButterworthLowpass : public RfBlock {
   void reset() override { filt_.reset(); }
   std::string name() const override { return label_; }
 
-  bool supports_lanes() const override { return true; }
   void begin_lanes(std::size_t nl) override;
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
 

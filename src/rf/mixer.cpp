@@ -44,11 +44,7 @@ void Mixer::process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) {
   process_tile(in, std::span<dsp::Cplx>(out.data(), out.size()));
 }
 
-void Mixer::process_tile(std::span<const dsp::Cplx> in,
-                         std::span<dsp::Cplx> out) {
-  const std::size_t n = in.size();
-  if (n == 0) return;
-
+dsp::kernels::MixParams Mixer::mix_params() const {
   dsp::kernels::MixParams p;
   p.gain = gain_;
   p.image_amp = image_amp_;
@@ -57,12 +53,32 @@ void Mixer::process_tile(std::span<const dsp::Cplx> in,
   p.iq_sin = std::sin(iq_phi_);
   p.iq_cos = std::cos(iq_phi_);
   p.dc = cfg_.dc_offset;
+  return p;
+}
+
+void Mixer::advance_phase(double& lo, double& pn, dsp::Rng& rng,
+                          double* phase, std::size_t n) const {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pn_sigma_ > 0.0) pn += rng.gaussian(pn_sigma_);
+    phase[i] = lo + pn;
+    lo += dphi_lo_;
+    if (lo > 64.0 * dsp::kPi) lo = dsp::wrap_phase(lo);
+    if (pn > 64.0 * dsp::kPi || pn < -64.0 * dsp::kPi)
+      pn = dsp::wrap_phase(pn);
+  }
+}
+
+void Mixer::process_tile(std::span<const dsp::Cplx> in,
+                         std::span<dsp::Cplx> out) {
+  const std::size_t n = in.size();
+  if (n == 0) return;
+  const dsp::kernels::MixParams p = mix_params();
 
   // With no LO offset and no phase noise the LO phasor is one constant for
   // the whole block (and no state advances), so the per-sample cos/sin —
   // the bulk of this block's cost in the default receiver chain, where the
   // phase is identically zero — collapses to a single evaluation.
-  if (pn_sigma_ <= 0.0 && dphi_lo_ == 0.0 && lo_phase_ <= 64.0 * dsp::kPi) {
+  if (constant_lo() && lo_phase_ <= 64.0 * dsp::kPi) {
     const double phi = lo_phase_ + pn_phase_;
     const dsp::Cplx lo{std::cos(phi), std::sin(phi)};
     dsp::kernels::mix_const_lo(in.data(), n, lo, p, out.data());
@@ -72,14 +88,7 @@ void Mixer::process_tile(std::span<const dsp::Cplx> in,
   // General case: fill the per-sample phase stream (the sequential part —
   // phase-noise draws and accumulator wrapping), then mix element-wise.
   phase_scratch_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pn_sigma_ > 0.0) pn_phase_ += rng_.gaussian(pn_sigma_);
-    phase_scratch_[i] = lo_phase_ + pn_phase_;
-    lo_phase_ += dphi_lo_;
-    if (lo_phase_ > 64.0 * dsp::kPi) lo_phase_ = dsp::wrap_phase(lo_phase_);
-    if (pn_phase_ > 64.0 * dsp::kPi || pn_phase_ < -64.0 * dsp::kPi)
-      pn_phase_ = dsp::wrap_phase(pn_phase_);
-  }
+  advance_phase(lo_phase_, pn_phase_, rng_, phase_scratch_.data(), n);
   dsp::kernels::mix_phase(in.data(), phase_scratch_.data(), n, p, out.data());
 }
 
@@ -88,18 +97,32 @@ void Mixer::reset() {
   pn_phase_ = 0.0;
 }
 
+void Mixer::begin_lanes(std::size_t nl) {
+  const std::size_t oscillators = constant_lo() ? 0 : nl;
+  lane_lo_phase_.assign(oscillators, 0.0);
+  lane_pn_phase_.assign(oscillators, 0.0);
+  lane_rng_.assign(oscillators, dsp::Rng{});
+}
+
 void Mixer::process_tile_lanes(double* soa, std::size_t n, std::size_t nl) {
-  // supports_lanes() pinned the unity-LO stateless case, so the per-lane
-  // arithmetic is exactly the mix_unity_lo path of process_tile.
-  dsp::kernels::MixParams p;
-  p.gain = gain_;
-  p.image_amp = image_amp_;
-  p.iq_active = iq_eps_ != 1.0 || iq_phi_ != 0.0;
-  p.iq_eps = iq_eps_;
-  p.iq_sin = std::sin(iq_phi_);
-  p.iq_cos = std::cos(iq_phi_);
-  p.dc = cfg_.dc_offset;
-  dsp::kernels::lanes_mix_unity_lo(soa, n, nl, p);
+  const dsp::kernels::MixParams p = mix_params();
+  if (constant_lo()) {
+    // Every lane's phase stays at the 0 begin_lanes() set: process_tile's
+    // constant-LO branch with lo = {1, 0}, which is the unity-LO kernel.
+    dsp::kernels::lanes_mix_unity_lo(soa, n, nl, p);
+    return;
+  }
+  // Per lane, process_tile's general branch on the lane's own oscillator.
+  phase_scratch_.resize(n);
+  lane_tile_.resize(n);
+  for (std::size_t l = 0; l < nl; ++l) {
+    advance_phase(lane_lo_phase_[l], lane_pn_phase_[l], lane_rng_[l],
+                  phase_scratch_.data(), n);
+    dsp::kernels::lanes_unpack(soa, n, nl, l, lane_tile_.data());
+    dsp::kernels::mix_phase(lane_tile_.data(), phase_scratch_.data(), n, p,
+                            lane_tile_.data());
+    dsp::kernels::lanes_pack(lane_tile_.data(), n, nl, l, soa);
+  }
 }
 
 }  // namespace wlansim::rf

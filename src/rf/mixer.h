@@ -11,6 +11,10 @@
 #include "dsp/rng.h"
 #include "rf/rfblock.h"
 
+namespace wlansim::dsp::kernels {
+struct MixParams;
+}
+
 namespace wlansim::rf {
 
 /// Lorentzian (Wiener-process) LO phase noise specified the way a datasheet
@@ -52,17 +56,29 @@ class Mixer : public RfBlock {
   /// Replace the phase-noise generator (see Amplifier::set_rng).
   void set_rng(dsp::Rng rng) { rng_ = rng; }
 
-  /// Lane path: only the stateless unity-LO configuration (no LO offset, no
-  /// phase noise, phase 0 — the default receiver chain after reset()).
-  bool supports_lanes() const override {
-    return pn_sigma_ <= 0.0 && dphi_lo_ == 0.0 && lo_phase_ == 0.0 &&
-           pn_phase_ == 0.0;
-  }
+  /// Lane path: every lane keeps its own LO phase, phase-noise phase and
+  /// rng, starting where reset() leaves the scalar block. A config without
+  /// LO offset or phase noise keeps no per-lane state at all.
+  void begin_lanes(std::size_t nl) override;
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
+
+  /// Per-lane phase-noise generator (see Amplifier::set_lane_rng); ignored
+  /// by a constant LO.
+  void set_lane_rng(std::size_t lane, dsp::Rng rng) {
+    if (lane < lane_rng_.size()) lane_rng_[lane] = rng;
+  }
 
   const MixerConfig& config() const { return cfg_; }
 
  private:
+  /// No LO offset and no phase noise: the LO phasor is constant.
+  bool constant_lo() const { return pn_sigma_ <= 0.0 && dphi_lo_ == 0.0; }
+  dsp::kernels::MixParams mix_params() const;
+  /// Fill phase[0..n) with the LO phase of the next n samples and advance
+  /// the oscillator state (lo, pn, rng) past them.
+  void advance_phase(double& lo, double& pn, dsp::Rng& rng, double* phase,
+                     std::size_t n) const;
+
   MixerConfig cfg_;
   double gain_;
   double dphi_lo_;       ///< LO offset phase increment per sample
@@ -74,6 +90,10 @@ class Mixer : public RfBlock {
   double pn_phase_ = 0.0;
   dsp::Rng rng_;
   dsp::RVec phase_scratch_;  ///< per-sample LO phase (SoA) for the kernel
+  dsp::RVec lane_lo_phase_;
+  dsp::RVec lane_pn_phase_;
+  std::vector<dsp::Rng> lane_rng_;
+  dsp::CVec lane_tile_;  ///< one lane's tile, gathered for mix_phase
 };
 
 }  // namespace wlansim::rf

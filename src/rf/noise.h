@@ -59,7 +59,6 @@ class FlickerNoiseSource : public RfBlock {
 
   /// Lane path: per-lane drive draws + stage-outer lanes_biquad shaping,
   /// or the shaped noise replayed from the lanes' tapes.
-  bool supports_lanes() const override { return true; }
   void begin_lanes(std::size_t nl) override;
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
   /// Per-lane drive generator (see Amplifier::set_lane_rng).

@@ -59,8 +59,6 @@ DoubleConversionReceiver::DoubleConversionReceiver(
 
   agc_ = chain_.emplace<Agc>(cfg_.agc);
   chain_.emplace<Adc>(cfg_.adc);
-
-  chain_.set_tile_size(cfg_.tile_size);
 }
 
 dsp::CVec DoubleConversionReceiver::process(std::span<const dsp::Cplx> in) {
@@ -87,12 +85,10 @@ void DoubleConversionReceiver::reseed(dsp::Rng rng) {
 
 void DoubleConversionReceiver::reseed_lanes(std::size_t lane, dsp::Rng rng) {
   // Same fork order as the constructor and reseed(): lna, mixer1, mixer2,
-  // flicker. The mixers ignore their rng on the lane path (it exists only
-  // for phase noise, which the lane path does not support), but forking
-  // them keeps the lna/flicker children identical to the scalar ones.
+  // flicker.
   lna_->set_lane_rng(lane, rng.fork());
-  (void)rng.fork();  // mixer1
-  (void)rng.fork();  // mixer2
+  mixer1_->set_lane_rng(lane, rng.fork());
+  mixer2_->set_lane_rng(lane, rng.fork());
   if (flicker_) flicker_->set_lane_rng(lane, rng.fork());
 }
 

@@ -78,11 +78,6 @@ struct DoubleConversionConfig {
   /// §5.1 — "the AMS designer does not support ... white_noise,
   /// flicker_noise" — which made co-simulated BER optimistic.
   bool noise_enabled = true;
-
-  /// Fused-executor tile size in samples; 0 = auto (an L1-sized tile, see
-  /// ChainExecutor::auto_tile_size). Any value produces bit-identical
-  /// output — this only trades cache locality against per-tile overhead.
-  std::size_t tile_size = 0;
 };
 
 class DoubleConversionReceiver : public RfBlock {
@@ -102,7 +97,8 @@ class DoubleConversionReceiver : public RfBlock {
     chain_.process_blockwise_into(in, out);
   }
 
-  /// Fused-executor tile size (samples); 0 = auto.
+  /// Fused-executor tile size (samples); 0 = auto. Any value produces
+  /// bit-identical output (see ChainExecutor).
   void set_tile_size(std::size_t t) { chain_.set_tile_size(t); }
 
   /// Re-fork the per-stage rngs from `rng` in construction order. After
@@ -112,9 +108,8 @@ class DoubleConversionReceiver : public RfBlock {
   /// changes nothing).
   void reseed(dsp::Rng rng);
 
-  /// Width-W packet-lane path (see RfBlock): supported when every block in
-  /// the cascade supports its current configuration.
-  bool supports_lanes() const override { return chain_.supports_lanes(); }
+  /// Width-W packet-lane path (see RfBlock): every block of the cascade
+  /// runs its current configuration on lanes.
   void begin_lanes(std::size_t nl) override { chain_.begin_lanes(nl); }
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override {
     chain_.process_tile_lanes(soa, n, nl);

@@ -54,14 +54,9 @@ void RfBlock::process_tile_lanes(double* soa, std::size_t n, std::size_t nl) {
   (void)soa;
   (void)n;
   (void)nl;
-  // Reaching here means a caller ignored supports_lanes() == false.
+  // Reaching here means a block that never runs in a packet wave was put
+  // in one.
   std::abort();
-}
-
-bool RfChain::supports_lanes() const {
-  for (const RfBlock* b : raw_)
-    if (!b->supports_lanes()) return false;
-  return true;
 }
 
 void RfChain::begin_lanes(std::size_t nl) {

@@ -54,27 +54,25 @@ class RfBlock {
 
   // ---- width-W packet-lane interface (SoA, sample-major / packet-minor) ---
   //
-  // The batched packet engine runs up to dsp::kernels::kLaneWidth
-  // same-config packets in lockstep: sample i is one 2*nl-double row
-  // [re lanes][im lanes] of a flat buffer. A block that opts in must make
-  // lane l of process_tile_lanes() bit-identical to its scalar
-  // process_tile() on that lane's stream (same carried state per lane, same
-  // per-sample arithmetic, per-lane RNG streams drawn in the same
-  // call-granularity-invariant way). Tiling applies per the ChainExecutor
+  // The packet engine runs 1 to dsp::kernels::kLaneWidth same-config
+  // packets in lockstep: sample i is one 2*nl-double row [re lanes][im
+  // lanes] of a flat buffer. Every block of the double-conversion receiver
+  // runs there, and lane l of its process_tile_lanes() must be
+  // bit-identical to its scalar process_tile() on that lane's stream (same
+  // carried state per lane, same per-sample arithmetic, per-lane RNG
+  // streams drawn in the same call-granularity-invariant way). Tiling applies per the ChainExecutor
   // contract: consecutive lane tiles of any size must equal one
   // whole-buffer call.
-
-  /// Whether this block implements the lane path for its *current*
-  /// configuration (blocks with unsupported impairment combinations return
-  /// false and the wave falls back to the scalar engine).
-  virtual bool supports_lanes() const { return false; }
 
   /// Prepare per-lane state for a batch of `nl` lanes, lane l seeded /
   /// reset exactly as reset() leaves the scalar block. Called once per
   /// wave, before any process_tile_lanes().
   virtual void begin_lanes(std::size_t nl) { (void)nl; }
 
-  /// Process `n` SoA rows of `nl` lanes in place.
+  /// Process `n` SoA rows of `nl` lanes in place. The base aborts: blocks
+  /// that never run inside a wave (black-box tables, co-simulation
+  /// wrappers, the direct-conversion receiver) keep it, and a custom RF
+  /// block runs in the wave through process_into(), one call per lane.
   virtual void process_tile_lanes(double* soa, std::size_t n, std::size_t nl);
 };
 
@@ -121,8 +119,6 @@ class RfChain : public RfBlock {
   /// tests and the BM_RfChainBlockwise benchmark.
   void process_blockwise_into(std::span<const dsp::Cplx> in, dsp::CVec& out);
 
-  /// Lane path: supported only when every block in the cascade supports it.
-  bool supports_lanes() const override;
   void begin_lanes(std::size_t nl) override;
   /// Fused lane execution: one ~L1-sized tile of SoA rows (the scalar tile
   /// budget divided by nl) streams through the whole cascade in place

@@ -272,13 +272,14 @@ TEST(AdaptiveSweep, BadConfigFailsClosedAtEveryPosition) {
   // sweep must hand the exception to its caller wherever the config sits
   // and whichever worker draws it, and leave the pool fit for the next
   // sweep.
-  std::vector<LinkConfig> bad(5, waterfall({16.0}).front());
+  std::vector<LinkConfig> bad(6, waterfall({16.0}).front());
   bad[0].psdu_bytes = 0;
   bad[1].psdu_bytes = 5000;
   bad[2].interferer =
       channel::InterfererConfig{.offset_hz = 4e7};  // > fs/2 - 10 MHz at 4x
   bad[3].rf.bb_bandwidth_factor = 0.0;
   bad[4].sco_ppm = -2e6;
+  bad[5].rf_engine = RfEngine::kCustom;  // with no custom_rf factory
 
   const std::vector<LinkConfig> valid =
       waterfall({10.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0, 24.0});

@@ -132,16 +132,16 @@ TEST(AllocationDiscipline, DirectPathShedsGraphHeapTraffic) {
   LinkConfig cfg = default_link_config();
   cfg.psdu_bytes = 60;
 
-  cfg.packet_path = PacketPath::kDirect;
-  WlanLink direct(cfg);
+  cfg.packet_path = PacketPath::kAuto;
+  WlanLink wave(cfg);
   cfg.packet_path = PacketPath::kGraph;
   WlanLink graph(cfg);
 
-  direct.run_packet(0);
+  wave.run_packet(0);
   graph.run_packet(0);
 
   reset_allocation_count();
-  direct.run_packet(1);
+  wave.run_packet(1);
   const std::uint64_t na = allocation_count();
   const std::uint64_t ba = testhook::allocation_bytes();
   reset_allocation_count();
@@ -149,13 +149,13 @@ TEST(AllocationDiscipline, DirectPathShedsGraphHeapTraffic) {
   const std::uint64_t ng = allocation_count();
   const std::uint64_t bg = testhook::allocation_bytes();
 
-  // The direct path's remaining allocations are the 20 Msps TX/RX bit
+  // The packet wave's remaining allocations are the 20 Msps TX/RX bit
   // pipeline; everything the graph adds on top (FIFOs, per-chunk vectors,
   // flicker calibration) must be gone. The scene runs at 4x the bit
   // pipeline's rate, so the graph's heap traffic in bytes dwarfs what the
-  // direct path has left.
-  EXPECT_LT(na, ng) << "direct=" << na << " graph=" << ng;
-  EXPECT_LT(ba * 4, bg) << "direct bytes=" << ba << " graph bytes=" << bg;
+  // wave has left.
+  EXPECT_LT(na, ng) << "wave=" << na << " graph=" << ng;
+  EXPECT_LT(ba * 4, bg) << "wave bytes=" << ba << " graph bytes=" << bg;
 }
 
 TEST(AllocationDiscipline, InterfererAddsLessThanOneScene) {

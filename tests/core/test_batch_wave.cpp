@@ -1,15 +1,22 @@
 // The lockstep packet-wave engine's bit-identity contract: every lane of
-// WlanLink::run_packet_wave equals the scalar per-packet path exactly, so
-// SweepOptions::batch_width is a pure throughput knob — results at width 8
-// EXPECT_EQ those at width 1 for any thread count, with and without
-// TX-scene memoization.
+// WlanLink::run_packet_wave equals the dataflow-graph reference exactly, at
+// any width, so the pooled sweeps EXPECT_EQ the same sweeps run packet by
+// packet on the graph for any thread count, with and without TX-scene
+// memoization.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiments.h"
 #include "core/packet_batch.h"
 #include "core/parallel.h"
+#include "dsp/kernels.h"
+#include "rf/amplifier.h"
+#include "rf/receiver_chain.h"
 
 namespace wlansim::core {
 namespace {
@@ -32,6 +39,18 @@ void expect_identical(const PacketResult& a, const PacketResult& b) {
   EXPECT_EQ(a.cfo_norm, b.cfo_norm);
 }
 
+/// The same config on the graph reference path.
+LinkConfig on_graph(LinkConfig cfg) {
+  cfg.packet_path = PacketPath::kGraph;
+  return cfg;
+}
+
+std::vector<LinkConfig> on_graph(std::span<const LinkConfig> configs) {
+  std::vector<LinkConfig> out;
+  for (const LinkConfig& c : configs) out.push_back(on_graph(c));
+  return out;
+}
+
 std::vector<LinkConfig> waterfall(std::initializer_list<double> snrs) {
   LinkConfig base = default_link_config();
   base.psdu_bytes = 40;
@@ -47,49 +66,49 @@ std::vector<LinkConfig> waterfall(std::initializer_list<double> snrs) {
 }  // namespace
 
 TEST(BatchWave, WaveLanesMatchScalarPackets) {
-  // Direct engine-less check of run_packet_wave against run_packet, both
+  // Direct engine-less check of run_packet_wave against graph packets, both
   // full width and a ragged tail width, unmemoized.
   LinkConfig cfg = default_link_config();
   cfg.psdu_bytes = 40;
   cfg.snr_db = 16.0;
-  WlanLink scalar(cfg), batched(cfg);
+  WlanLink graph(on_graph(cfg)), batched(cfg);
 
   PacketBatch batch;
   PacketResult out[8];
   ASSERT_TRUE(batched.run_packet_wave(0, 8, batch, nullptr, out));
   for (std::size_t p = 0; p < 8; ++p) {
     SCOPED_TRACE("packet " + std::to_string(p));
-    expect_identical(out[p], scalar.run_packet(p));
+    expect_identical(out[p], graph.run_packet(p));
   }
   ASSERT_TRUE(batched.run_packet_wave(8, 3, batch, nullptr, out));
   for (std::size_t p = 0; p < 3; ++p) {
     SCOPED_TRACE("packet " + std::to_string(8 + p));
-    expect_identical(out[p], scalar.run_packet(8 + p));
+    expect_identical(out[p], graph.run_packet(8 + p));
   }
 }
 
 TEST(BatchWave, WaveMatchesScalarWithoutRfFrontend) {
   // RfEngine::kNone: the wave decimates through the lane FIR instead of
-  // the raw ADC stride; still bit-identical to the scalar path.
+  // the raw ADC stride; still bit-identical to the graph's decimator.
   LinkConfig cfg = default_link_config();
   cfg.psdu_bytes = 40;
   cfg.snr_db = 10.0;
   cfg.rf_engine = RfEngine::kNone;
-  WlanLink scalar(cfg), batched(cfg);
+  WlanLink graph(on_graph(cfg)), batched(cfg);
 
   PacketBatch batch;
   PacketResult out[8];
   ASSERT_TRUE(batched.run_packet_wave(0, 8, batch, nullptr, out));
   for (std::size_t p = 0; p < 8; ++p) {
     SCOPED_TRACE("packet " + std::to_string(p));
-    expect_identical(out[p], scalar.run_packet(p));
+    expect_identical(out[p], graph.run_packet(p));
   }
 }
 
 TEST(BatchWave, MemoizedWaveBuildsAndReplaysScenes) {
   // Build at one noise level, replay at another — the memoized wave's
-  // scenes (and recorded front-end tapes) must reproduce what scalar
-  // run_packet computes at each level from scratch.
+  // scenes (and recorded front-end tapes) must reproduce what run_packet
+  // (a width-1 wave) computes at each level from scratch.
   LinkConfig lo = default_link_config();
   lo.psdu_bytes = 40;
   lo.snr_db = 12.0;
@@ -104,44 +123,45 @@ TEST(BatchWave, MemoizedWaveBuildsAndReplaysScenes) {
   for (const TxScene& sc : scenes) EXPECT_TRUE(sc.valid());
   ASSERT_TRUE(wave_hi.run_packet_wave(0, 8, batch, scenes.data(), out_hi));
 
-  WlanLink scalar_lo(lo), scalar_hi(hi);
+  WlanLink single_lo(lo), single_hi(hi);
   for (std::size_t p = 0; p < 8; ++p) {
     SCOPED_TRACE("packet " + std::to_string(p));
-    expect_identical(out_lo[p], scalar_lo.run_packet(p));
-    expect_identical(out_hi[p], scalar_hi.run_packet(p));
+    expect_identical(out_lo[p], single_lo.run_packet(p));
+    expect_identical(out_hi[p], single_hi.run_packet(p));
   }
 }
 
 TEST(BatchWave, ScenesInterchangeWithScalarMemoPath) {
-  // Scenes built by the wave replay through run_packet_memo and vice
-  // versa — the two memo paths share one TxScene contract.
+  // Scenes built by a width-8 wave replay through run_packet_memo (a
+  // width-1 wave) and vice versa — one TxScene contract at every width,
+  // each lane equal to the graph reference.
   LinkConfig lo = default_link_config();
   lo.psdu_bytes = 40;
   lo.snr_db = 12.0;
   LinkConfig hi = lo;
   hi.snr_db = 22.0;
 
-  // Wave builds, scalar replays.
-  WlanLink wave_lo(lo), scalar_hi(hi);
+  // Width 8 builds, width 1 replays.
+  WlanLink wave_lo(lo), single_hi(hi);
   std::vector<TxScene> scenes(8);
   PacketBatch batch;
   PacketResult out[8];
   ASSERT_TRUE(wave_lo.run_packet_wave(0, 8, batch, scenes.data(), out));
-  WlanLink ref_hi(hi);
+  WlanLink ref_hi(on_graph(hi));
   for (std::size_t p = 0; p < 8; ++p) {
-    SCOPED_TRACE("wave->scalar packet " + std::to_string(p));
-    expect_identical(scalar_hi.run_packet_memo(p, scenes[p]),
+    SCOPED_TRACE("width 8 -> width 1, packet " + std::to_string(p));
+    expect_identical(single_hi.run_packet_memo(p, scenes[p]),
                      ref_hi.run_packet(p));
   }
 
-  // Scalar builds, wave replays.
+  // Width 1 builds, width 8 replays.
   std::vector<TxScene> scenes2(8);
-  WlanLink scalar_lo(lo), wave_hi(hi);
+  WlanLink single_lo(lo), wave_hi(hi);
   for (std::size_t p = 0; p < 8; ++p)
-    (void)scalar_lo.run_packet_memo(p, scenes2[p]);
+    (void)single_lo.run_packet_memo(p, scenes2[p]);
   ASSERT_TRUE(wave_hi.run_packet_wave(0, 8, batch, scenes2.data(), out));
   for (std::size_t p = 0; p < 8; ++p) {
-    SCOPED_TRACE("scalar->wave packet " + std::to_string(p));
+    SCOPED_TRACE("width 1 -> width 8, packet " + std::to_string(p));
     expect_identical(out[p], ref_hi.run_packet(p));
   }
 }
@@ -150,8 +170,8 @@ TEST(BatchWave, FlickerShapeChangeFallsBackBitIdentically) {
   // The wave tapes mixer 2's flicker noise after its shaping filter, keyed
   // by the flicker shape (power, corners, rate). Scenes built at one shape
   // and replayed at another must fall back to fresh draws, and a wave back
-  // at the first shape must replay them: every lane equals scalar
-  // run_packet at its own configuration.
+  // at the first shape must replay them: every lane equals run_packet (a
+  // width-1 wave) at its own configuration.
   LinkConfig first = default_link_config();
   first.psdu_bytes = 40;
   first.snr_db = 14.0;
@@ -164,7 +184,7 @@ TEST(BatchWave, FlickerShapeChangeFallsBackBitIdentically) {
   std::vector<TxScene> scenes(8);
   PacketBatch batch;
   for (const LinkConfig& cfg : {first, other, again}) {
-    WlanLink wave(cfg), scalar(cfg);
+    WlanLink wave(cfg), single(cfg);
     PacketResult out[8];
     ASSERT_TRUE(wave.run_packet_wave(0, 8, batch, scenes.data(), out));
     for (std::size_t p = 0; p < 8; ++p) {
@@ -172,7 +192,7 @@ TEST(BatchWave, FlickerShapeChangeFallsBackBitIdentically) {
                    std::to_string(cfg.rf.mixer2_flicker_power_dbm) +
                    " dBm, snr " + std::to_string(*cfg.snr_db) +
                    ", packet " + std::to_string(p));
-      expect_identical(out[p], scalar.run_packet(p));
+      expect_identical(out[p], single.run_packet(p));
     }
   }
 
@@ -215,11 +235,116 @@ TEST(BatchWave, GraphPathRefusesToWave) {
   EXPECT_FALSE(link.run_packet_wave(0, 8, batch, nullptr, out));
 }
 
+TEST(BatchWave, RefusesOnlyConfigsThatNeedTheGraph) {
+  // The wave is the direct engine of every model and channel feature: each
+  // config below runs a width-2 wave whose lanes equal the graph
+  // reference. One batch serves them all, across oversampling factors.
+  LinkConfig base = default_link_config();
+  base.psdu_bytes = 40;
+  base.snr_db = 18.0;
+  std::vector<std::pair<std::string, LinkConfig>> waves;
+  const auto add = [&](std::string name, auto edit) {
+    LinkConfig c = base;
+    edit(c);
+    waves.emplace_back(std::move(name), c);
+  };
+  add("default chain", [](LinkConfig&) {});
+  add("clipped-cubic LNA", [](LinkConfig& c) {
+    c.rf.lna_model = rf::NonlinearityModel::kClippedCubic;
+  });
+  for (const double deg : {10.0, 30.0})
+    add("AM/PM LNA " + std::to_string(deg),
+        [deg](LinkConfig& c) { c.rf.lna_am_pm_max_deg = deg; });
+  add("LO offset", [](LinkConfig& c) { c.rf.lo_offset_hz = 37e3; });
+  for (const double dbc : {-95.0, -66.0})
+    add("phase noise " + std::to_string(dbc), [dbc](LinkConfig& c) {
+      c.rf.lo_phase_noise.level_dbc_hz = dbc;
+    });
+  add("LO offset plus phase noise", [](LinkConfig& c) {
+    c.rf.lo_offset_hz = -52e3;
+    c.rf.lo_phase_noise.level_dbc_hz = -80.0;
+  });
+  add("custom RF: Rapp p = 3 amplifier with noise", [](LinkConfig& c) {
+    c.rf_engine = RfEngine::kCustom;
+    c.custom_rf = [](dsp::Rng rng) -> std::unique_ptr<rf::RfBlock> {
+      rf::AmplifierConfig amp;
+      amp.rapp_smoothness = 3.0;
+      amp.noise_figure_db = 4.0;
+      return std::make_unique<rf::Amplifier>(amp, 80e6, rng);
+    };
+  });
+  add("custom RF: double-conversion receiver", [](LinkConfig& c) {
+    c.rf_engine = RfEngine::kCustom;
+    const rf::DoubleConversionConfig rf = c.rf;
+    c.custom_rf = [rf](dsp::Rng rng) -> std::unique_ptr<rf::RfBlock> {
+      return std::make_unique<rf::DoubleConversionReceiver>(rf, rng);
+    };
+  });
+  for (const std::size_t os : {1u, 4u, 8u}) {
+    add("no RF, " + std::to_string(os) + "x", [os](LinkConfig& c) {
+      c.rf_engine = RfEngine::kNone;
+      c.oversample = os;
+    });
+  }
+  add("RF at 1x", [](LinkConfig& c) { c.oversample = 1; });
+  add("RF at 8x", [](LinkConfig& c) { c.oversample = 8; });
+  add("SCO", [](LinkConfig& c) { c.sco_ppm = 20.0; });
+  add("fading", [](LinkConfig& c) { c.fading = channel::FadingConfig{}; });
+  add("adjacent channel", [](LinkConfig& c) {
+    c.interferer =
+        channel::InterfererConfig{.offset_hz = 20e6, .level_db = 16.0};
+  });
+  add("non-adjacent channel at 8x", [](LinkConfig& c) {
+    c.oversample = 8;
+    c.interferer =
+        channel::InterfererConfig{.offset_hz = 40e6, .level_db = 32.0};
+  });
+  add("TX PA", [](LinkConfig& c) {
+    c.tx_pa_backoff_db = 8.0;
+    c.tx_pa_am_pm_max_deg = 2.0;
+  });
+  add("TX IQ", [](LinkConfig& c) {
+    c.tx_iq_gain_imbalance_db = 0.3;
+    c.tx_iq_phase_error_deg = 1.0;
+    c.tx_lo_leakage_rel = 0.02;
+  });
+
+  PacketBatch batch;
+  for (const auto& [name, cfg] : waves) {
+    SCOPED_TRACE(name);
+    WlanLink wave(cfg), graph(on_graph(cfg));
+    PacketResult out[2];
+    ASSERT_TRUE(wave.run_packet_wave(0, 2, batch, nullptr, out));
+    for (std::size_t p = 0; p < 2; ++p) {
+      SCOPED_TRACE("packet " + std::to_string(p));
+      expect_identical(out[p], graph.run_packet(p));
+    }
+  }
+
+  // Only the graph's own configs are refused, and only widths 1 to 8 run.
+  LinkConfig cosim = base;
+  cosim.rf_engine = RfEngine::kCosim;
+  LinkConfig interpreted = base;
+  interpreted.mode = sim::ExecutionMode::kInterpreted;
+  for (const LinkConfig& cfg : {cosim, on_graph(base), interpreted}) {
+    WlanLink link(cfg);
+    PacketResult out[2];
+    EXPECT_FALSE(link.run_packet_wave(0, 2, batch, nullptr, out));
+  }
+  WlanLink link(base);
+  PacketResult out[dsp::kernels::kLaneWidth + 1];
+  EXPECT_FALSE(link.run_packet_wave(0, 0, batch, nullptr, out));
+  EXPECT_FALSE(link.run_packet_wave(0, dsp::kernels::kLaneWidth + 1, batch,
+                                    nullptr, out));
+}
+
 TEST(BatchWave, AdaptiveSweepWidth8MatchesWidth1) {
-  // The headline contract: the adaptive sweep at batch_width 8 EXPECT_EQs
-  // the scalar-reference engine at batch_width 1, for thread counts
-  // {1, 2, 8}, memoization on and off.
+  // The headline contract: the adaptive sweep on packet waves EXPECT_EQs
+  // the same sweep over graph copies of its configs, which run packet by
+  // packet on the reference path, for thread counts {1, 2, 8},
+  // memoization on and off.
   const auto points = waterfall({12.0, 16.0});
+  const auto graph_points = on_graph(points);
   sim::StoppingRule rule;
   rule.target_rel_ci = 0.5;
   rule.min_errors = 10;
@@ -230,14 +355,11 @@ TEST(BatchWave, AdaptiveSweepWidth8MatchesWidth1) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
       SCOPED_TRACE("memo=" + std::to_string(memo) +
                    " threads=" + std::to_string(threads));
-      SweepOptions wide;
-      wide.threads = threads;
-      wide.memoize_tx = memo;
-      wide.batch_width = 8;
-      SweepOptions narrow = wide;
-      narrow.batch_width = 1;
-      const auto a = sweep_ber_adaptive(points, rule, wide);
-      const auto b = sweep_ber_adaptive(points, rule, narrow);
+      SweepOptions opts;
+      opts.threads = threads;
+      opts.memoize_tx = memo;
+      const auto a = sweep_ber_adaptive(points, rule, opts);
+      const auto b = sweep_ber_adaptive(graph_points, rule, opts);
       ASSERT_EQ(a.size(), b.size());
       for (std::size_t k = 0; k < a.size(); ++k) {
         SCOPED_TRACE("point " + std::to_string(k));
@@ -250,19 +372,17 @@ TEST(BatchWave, AdaptiveSweepWidth8MatchesWidth1) {
 
 TEST(BatchWave, FixedSweepWidth8MatchesWidth1) {
   const auto points = waterfall({14.0, 20.0});
+  const auto graph_points = on_graph(points);
   for (const bool memo : {true, false}) {
     SCOPED_TRACE("memo=" + std::to_string(memo));
-    SweepOptions wide;
-    wide.threads = 2;
-    wide.memoize_tx = memo;
-    wide.batch_width = 8;
-    SweepOptions narrow = wide;
-    narrow.batch_width = 1;
+    SweepOptions opts;
+    opts.threads = 2;
+    opts.memoize_tx = memo;
     sim::StoppingRule fixed;
     fixed.target_rel_ci = 0.0;  // CI test off: a pure packet budget
     fixed.max_packets = 19;     // ragged tail chunk
-    const auto a = sweep_ber_adaptive(points, fixed, wide);
-    const auto b = sweep_ber_adaptive(points, fixed, narrow);
+    const auto a = sweep_ber_adaptive(points, fixed, opts);
+    const auto b = sweep_ber_adaptive(graph_points, fixed, opts);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t k = 0; k < a.size(); ++k) {
       SCOPED_TRACE("point " + std::to_string(k));

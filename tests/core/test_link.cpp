@@ -169,7 +169,7 @@ TEST(WlanLink, RejectsBadConfig) {
   // Configs no packet can run fail at construction, through validate().
   LinkConfig base = default_link_config();
   base.interferer = channel::InterfererConfig{.offset_hz = 20e6};
-  std::vector<LinkConfig> bad(8, base);
+  std::vector<LinkConfig> bad(9, base);
   bad[0].psdu_bytes = 0;
   bad[1].oversample = 0;
   bad[2].psdu_bytes = 4096;
@@ -178,6 +178,7 @@ TEST(WlanLink, RejectsBadConfig) {
   bad[5].rf.bb_bandwidth_factor = 5.0;  // 43 MHz corner at 80 Msps
   bad[6].sco_ppm = -1e6;
   bad[7].sco_ppm = 1e6;
+  bad[8].rf_engine = RfEngine::kCustom;  // with no custom_rf factory
   for (std::size_t b = 0; b < bad.size(); ++b) {
     SCOPED_TRACE(b);
     EXPECT_THROW(validate(bad[b]), std::invalid_argument);

@@ -1,7 +1,8 @@
-// The direct (workspace-reuse) packet path must be indistinguishable from
-// the dataflow-graph reference — bit for bit, across every feature that
-// changes the chain's topology (interferer, TX impairments, SCO, fading,
-// both supported RF engines).
+// The packet wave (kAuto: run_packet as a width-1 wave in place on the
+// link's workspace) must be indistinguishable from the dataflow-graph
+// reference — bit for bit, across every feature that changes the chain's
+// topology (interferer, TX impairments, SCO, fading, both built-in RF
+// engines).
 #include <gtest/gtest.h>
 
 #include "core/experiments.h"
@@ -25,24 +26,25 @@ void expect_identical(const PacketResult& a, const PacketResult& b) {
 }
 
 void expect_paths_match(LinkConfig cfg, std::uint64_t packets = 2) {
-  cfg.packet_path = PacketPath::kDirect;
-  WlanLink direct(cfg);
+  cfg.packet_path = PacketPath::kAuto;
+  WlanLink wave(cfg);
   cfg.packet_path = PacketPath::kGraph;
   WlanLink graph(cfg);
 
   for (std::uint64_t i = 0; i < packets; ++i) {
-    const PacketResult rd = direct.run_packet(i);
+    const PacketResult rw = wave.run_packet(i);
     const PacketResult rg = graph.run_packet(i);
-    expect_identical(rd, rg);
+    expect_identical(rw, rg);
 
-    const dsp::CVec& bd = direct.last_rx_baseband();
+    const dsp::CVec& bw = wave.last_rx_baseband();
     const dsp::CVec& bg = graph.last_rx_baseband();
-    ASSERT_EQ(bd.size(), bg.size());
-    for (std::size_t k = 0; k < bd.size(); ++k) {
-      ASSERT_EQ(bd[k].real(), bg[k].real()) << "sample " << k;
-      ASSERT_EQ(bd[k].imag(), bg[k].imag()) << "sample " << k;
+    ASSERT_EQ(bw.size(), bg.size());
+    for (std::size_t k = 0; k < bw.size(); ++k) {
+      ASSERT_EQ(bw[k].real(), bg[k].real()) << "sample " << k;
+      ASSERT_EQ(bw[k].imag(), bg[k].imag()) << "sample " << k;
     }
-    ASSERT_EQ(direct.last_rf_input().size(), graph.last_rf_input().size());
+    ASSERT_EQ(wave.last_rf_input().size(), graph.last_rf_input().size());
+    EXPECT_EQ(wave.last_rf_input(), graph.last_rf_input());
   }
 }
 
@@ -102,7 +104,6 @@ TEST(PacketPath, NoOversampling) {
 // earlier packet on a warmed-up link reproduces it exactly.
 TEST(PacketPath, WorkspaceReuseIsStateless) {
   LinkConfig cfg = small_config();
-  cfg.packet_path = PacketPath::kDirect;
   WlanLink link(cfg);
   const PacketResult first = link.run_packet(0);
   link.run_packet(1);
@@ -111,8 +112,8 @@ TEST(PacketPath, WorkspaceReuseIsStateless) {
   expect_identical(first, again);
 }
 
-// kAuto must route unsupported engines through the graph rather than
-// misrender them; forcing kDirect on such a config still works via fallback.
+// kAuto must route interpreted mode through the graph rather than
+// misrender it.
 TEST(PacketPath, AutoSelectsGraphForInterpretedMode) {
   LinkConfig cfg = small_config();
   cfg.mode = sim::ExecutionMode::kInterpreted;  // kAuto -> graph

@@ -231,7 +231,6 @@ TEST(SurrogateFingerprint, EveryLinkFieldIsKeyed) {
       FIELD(kTx, c.seed += 1),
       FIELD(kContract, c.receiver.batched_data_path =
                            !c.receiver.batched_data_path),
-      FIELD(kContract, c.rf.tile_size = 256),
       FIELD(kContract, c.rf.agc.label = "renamed"),
       FIELD(kContract, c.rf.adc.label = "renamed"),
   };

@@ -167,9 +167,8 @@ TEST(ChainExecutor, FusedMatchesBlockwiseAcrossTileSizes) {
   for (std::size_t tile : {std::size_t{1}, std::size_t{3}, std::size_t{100},
                            std::size_t{333}, std::size_t{1024},
                            std::size_t{4096}, in.size() + 1000}) {
-    DoubleConversionConfig c = cfg;
-    c.tile_size = tile;
-    DoubleConversionReceiver rx(c, dsp::Rng(42));
+    DoubleConversionReceiver rx(cfg, dsp::Rng(42));
+    rx.set_tile_size(tile);
     dsp::CVec out;
     rx.process_into(in, out);
     ASSERT_EQ(out.size(), ref.size()) << "tile " << tile;

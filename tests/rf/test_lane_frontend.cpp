@@ -1,10 +1,14 @@
 // Lane-vs-scalar bit identity of the RF front-end: a width-W SoA wave
-// through DoubleConversionReceiver::process_tile_lanes must reproduce, per
-// lane, exactly what a scalar receiver reseeded with that lane's rng
-// produces — the contract the batched packet engine stands on.
+// through process_tile_lanes must reproduce, per lane, exactly what a
+// scalar block seeded with that lane's rng produces, for every model the
+// packet wave runs — the contract the packet engine stands on.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "dsp/kernels.h"
@@ -16,8 +20,12 @@ using wlansim::dsp::Cplx;
 using wlansim::dsp::CVec;
 using wlansim::dsp::RVec;
 using wlansim::dsp::Rng;
+using wlansim::rf::Amplifier;
+using wlansim::rf::AmplifierConfig;
 using wlansim::rf::DoubleConversionConfig;
 using wlansim::rf::DoubleConversionReceiver;
+using wlansim::rf::NonlinearityModel;
+using wlansim::rf::RfBlock;
 using wlansim::rf::ShapedNoiseTape;
 
 namespace {
@@ -29,8 +37,8 @@ CVec make_burst(std::size_t n, std::uint64_t seed, double amp) {
   return v;
 }
 
-/// Scalar reference: fresh reset + reseed per lane, exactly what the
-/// direct packet path does per packet.
+/// Scalar reference: a persistent receiver reset and reseeded with the
+/// lane's rng, equivalent to a fresh one built with it.
 CVec scalar_reference(DoubleConversionReceiver& fe, const CVec& in, Rng rng) {
   fe.reset();
   fe.reseed(rng);
@@ -46,53 +54,102 @@ void expect_bit_equal(const CVec& got, const CVec& want, std::size_t lane) {
         << "lane " << lane << " sample " << i;
 }
 
+/// One row of the lanes-against-scalar table: a block every lane of which
+/// must equal a fresh scalar block built with that lane's rng.
+struct LaneRow {
+  std::string name;
+  std::function<std::unique_ptr<RfBlock>(Rng)> make;
+  /// Per-lane equivalent of constructing with `rng` (after begin_lanes).
+  std::function<void(RfBlock&, std::size_t, Rng)> seed_lane;
+};
+
+LaneRow receiver_row(std::string name, const DoubleConversionConfig& cfg) {
+  return {std::move(name),
+          [cfg](Rng rng) {
+            return std::make_unique<DoubleConversionReceiver>(cfg, rng);
+          },
+          [](RfBlock& b, std::size_t lane, Rng rng) {
+            auto& fe = static_cast<DoubleConversionReceiver&>(b);
+            fe.reseed_lanes(lane, rng);
+            fe.set_lane_tapes(lane, nullptr, nullptr);
+          }};
+}
+
+std::vector<LaneRow> lane_rows() {
+  std::vector<LaneRow> rows;
+  DoubleConversionConfig cfg;
+  cfg.lna_model = NonlinearityModel::kClippedCubic;
+  rows.push_back(receiver_row("clipped-cubic LNA", cfg));
+  for (const double deg : {10.0, 30.0}) {
+    cfg = {};
+    cfg.lna_am_pm_max_deg = deg;
+    rows.push_back(receiver_row("AM/PM LNA " + std::to_string(deg), cfg));
+  }
+  AmplifierConfig rapp3;
+  rapp3.rapp_smoothness = 3.0;
+  rapp3.noise_figure_db = 4.0;
+  rapp3.p1db_in_dbm = -30.0;
+  rows.push_back({"stand-alone Rapp p = 3 amplifier with noise",
+                  [rapp3](Rng rng) {
+                    return std::make_unique<Amplifier>(rapp3, 80e6, rng);
+                  },
+                  [](RfBlock& b, std::size_t lane, Rng rng) {
+                    static_cast<Amplifier&>(b).set_lane_rng(lane, rng);
+                  }});
+  cfg = {};
+  cfg.lo_offset_hz = 37e3;
+  rows.push_back(receiver_row("LO offset", cfg));
+  for (const double dbc : {-95.0, -66.0}) {
+    cfg = {};
+    cfg.lo_phase_noise.level_dbc_hz = dbc;
+    cfg.lo_phase_noise.offset_hz = 100e3;
+    rows.push_back(receiver_row("phase noise " + std::to_string(dbc), cfg));
+  }
+  cfg.lo_offset_hz = -52e3;
+  rows.push_back(receiver_row("LO offset plus phase noise", cfg));
+  rows.push_back(receiver_row("default chain", DoubleConversionConfig{}));
+  return rows;
+}
+
 }  // namespace
 
-TEST(LaneFrontend, DefaultChainSupportsLanes) {
-  DoubleConversionConfig cfg;
-  DoubleConversionReceiver fe(cfg, Rng(1));
-  EXPECT_TRUE(fe.supports_lanes());
-}
-
-TEST(LaneFrontend, PhaseNoiseDisablesLanes) {
-  DoubleConversionConfig cfg;
-  cfg.lo_phase_noise.level_dbc_hz = -95.0;
-  cfg.lo_phase_noise.offset_hz = 100e3;
-  DoubleConversionReceiver fe(cfg, Rng(1));
-  EXPECT_FALSE(fe.supports_lanes());
-}
-
 TEST(LaneFrontend, LanesMatchScalarPerLane) {
-  DoubleConversionConfig cfg;
-  DoubleConversionReceiver fe(cfg, Rng(42));
-  ASSERT_TRUE(fe.supports_lanes());
-
-  // Realistic level: around -60 dBm so the AGC actually moves, with enough
-  // samples (> lock_count * detector settling) to cross lock transitions.
+  // Every model that reaches the packet wave, at widths 1, 3 and 8, fed in
+  // outer tiles that do not divide the buffer: lane l must equal a fresh
+  // scalar block built with lane l's rng, memcmp-exact. Lane levels span
+  // -70 to +14 dBm, loudest in lane 0, so the AGC moves and the loud lanes
+  // drive the amplifiers through compression, the cubic's clip and the
+  // AM/PM curve.
   const std::size_t n = 6000;
-  const std::size_t nl = kn::kLaneWidth;
-  std::vector<CVec> inputs(nl);
-  std::vector<Rng> seeds;
-  RVec soa(2 * n * nl);
-  for (std::size_t l = 0; l < nl; ++l) {
-    inputs[l] = make_burst(n, 1000 + l, 2.2e-5 * (1.0 + 0.2 * l));
-    kn::lanes_pack(inputs[l].data(), n, nl, l, soa.data());
-    seeds.emplace_back(9000 + 13 * l);
-  }
-
-  fe.reset();
-  fe.begin_lanes(nl);
-  for (std::size_t l = 0; l < nl; ++l) {
-    fe.reseed_lanes(l, seeds[l]);
-    fe.set_lane_tapes(l, nullptr, nullptr);
-  }
-  fe.process_tile_lanes(soa.data(), n, nl);
-
-  for (std::size_t l = 0; l < nl; ++l) {
-    CVec got(n);
-    kn::lanes_unpack(soa.data(), n, nl, l, got.data());
-    const CVec want = scalar_reference(fe, inputs[l], seeds[l]);
-    expect_bit_equal(got, want, l);
+  constexpr std::size_t kTiles[] = {333, 1, 1024, 777};
+  for (const LaneRow& row : lane_rows()) {
+    for (const std::size_t nl : {std::size_t{1}, std::size_t{3},
+                                 kn::kLaneWidth}) {
+      SCOPED_TRACE(row.name + ", width " + std::to_string(nl));
+      std::vector<CVec> inputs(nl);
+      RVec soa(2 * n * nl);
+      for (std::size_t l = 0; l < nl; ++l) {
+        const double level = static_cast<double>((7 + 5 * l) % 8);
+        inputs[l] = make_burst(n, 1000 + l, 1e-5 * std::pow(4.0, level));
+        kn::lanes_pack(inputs[l].data(), n, nl, l, soa.data());
+      }
+      const auto lanes = row.make(Rng(42));
+      lanes->begin_lanes(nl);
+      for (std::size_t l = 0; l < nl; ++l)
+        row.seed_lane(*lanes, l, Rng(9000 + 13 * l));
+      for (std::size_t off = 0, t = 0; off < n; ++t) {
+        const std::size_t len = std::min(kTiles[t % 4], n - off);
+        lanes->process_tile_lanes(soa.data() + 2 * nl * off, len, nl);
+        off += len;
+      }
+      for (std::size_t l = 0; l < nl; ++l) {
+        CVec got(n);
+        kn::lanes_unpack(soa.data(), n, nl, l, got.data());
+        CVec want;
+        row.make(Rng(9000 + 13 * l))->process_into(inputs[l], want);
+        expect_bit_equal(got, want, l);
+      }
+    }
   }
 }
 
