@@ -34,7 +34,8 @@ int main() {
   std::printf("extracting (frequency grid + envelope sweep + noise)...\n");
   rf::ExtractionConfig ec;
   const auto t0 = std::chrono::steady_clock::now();
-  const rf::BlackBoxData data = rf::extract_blackbox(chain, ec);
+  const auto fit = rf::fit_blackbox(rf::extract_blackbox(chain, ec));
+  const rf::BlackBoxData& data = fit->data;
   const double t_extract =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -50,8 +51,10 @@ int main() {
 
   core::LinkConfig surr = base;
   surr.rf_engine = core::RfEngine::kCustom;
-  surr.custom_rf = [&data](dsp::Rng rng) {
-    return std::make_unique<rf::BlackBoxModel>(data, rng);
+  // The link builds one block per packet; each shares the one fit and
+  // brings only its filter delay line and rng.
+  surr.custom_rf = [fit](dsp::Rng rng) {
+    return std::make_unique<rf::BlackBoxModel>(fit, rng);
   };
   core::WlanLink surr_link(surr);
   const core::BerResult r_surr = surr_link.run_ber(packets);

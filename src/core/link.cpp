@@ -74,8 +74,7 @@ WlanLink::ThreadScratch& WlanLink::thread_scratch() {
 }
 
 bool WlanLink::needs_graph() const {
-  return cfg_.rf_engine == RfEngine::kCosim ||
-         cfg_.packet_path == PacketPath::kGraph ||
+  return cfg_.packet_path == PacketPath::kGraph ||
          cfg_.mode != sim::ExecutionMode::kCompiled;
 }
 
@@ -293,8 +292,8 @@ std::size_t WlanLink::build_scene_prenoise(const dsp::CVec& padded,
 }
 
 // Reference path: assemble and run the dataflow block diagram. Required for
-// interpreted execution and co-simulation; also the baseline the packet
-// wave is verified against.
+// interpreted execution; also the baseline the packet wave is verified
+// against, co-simulation included.
 void WlanLink::run_scene_graph(dsp::CVec padded, dsp::Rng& rng) {
   const double p_sig = dsp::dbm_to_watts(cfg_.rx_power_dbm);
   const double fs_over = cfg_.rf.sample_rate_hz;

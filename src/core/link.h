@@ -10,8 +10,9 @@
 //
 // and reports bit errors and constellation quality. The chain runs on one
 // of two engines with the same bits: the packet wave (1 to 8 packets in
-// lockstep, see run_packet_wave) and the dataflow graph, the reference and
-// the only home of co-simulation and interpreted mode.
+// lockstep, see run_packet_wave), which runs every RF engine, co-simulation
+// included, and the dataflow graph, the reference and the only home of
+// interpreted mode.
 #pragma once
 
 #include <limits>
@@ -160,8 +161,8 @@ class WlanLink {
   /// Run one packet; `packet_index` seeds the per-packet randomness so
   /// runs are reproducible and sweep points can share random numbers. The
   /// packet runs as a width-1 run_packet_wave, or on the dataflow graph
-  /// when the config needs it (co-simulation, PacketPath::kGraph,
-  /// interpreted mode); both give the same bits.
+  /// when the config needs it (PacketPath::kGraph, interpreted mode); both
+  /// give the same bits.
   PacketResult run_packet(std::uint64_t packet_index);
 
   /// Run one packet carrying a caller-supplied PSDU (e.g. a framed MPDU
@@ -196,9 +197,10 @@ class WlanLink {
   /// `scenes` is either null (no memoization; batch-local scratch scenes
   /// are used) or `count` TxScene slots, one per lane, with the same
   /// build-or-replay semantics as run_packet_memo. On the memoized path
-  /// the wave additionally records the front-end's unit-normal noise tapes
+  /// a system-level wave additionally records the front end's noise tapes
   /// into the scenes so later sweep points replay the gaussians instead of
-  /// re-deriving them.
+  /// re-deriving them; a co-simulated wave draws its fine-rate noise
+  /// fresh.
   ///
   /// Returns false — leaving `out` untouched — for a count outside [1, W],
   /// for a config that needs the graph (see run_packet), and when `scenes`
@@ -234,6 +236,7 @@ class WlanLink {
     std::unique_ptr<rf::Amplifier> tx_pa;
     std::unique_ptr<rf::Mixer> tx_upconverter;
     std::unique_ptr<rf::DoubleConversionReceiver> frontend;
+    std::unique_ptr<sim::CosimRfReceiver> cosim;
   };
 
   /// Packet scratch of the calling thread, shared by every link that runs
@@ -252,8 +255,8 @@ class WlanLink {
     phy::Bytes* rx_psdu = nullptr;
   };
 
-  /// Co-simulation, PacketPath::kGraph and interpreted mode run on the
-  /// dataflow graph; everything else runs as a packet wave.
+  /// PacketPath::kGraph and interpreted mode run on the dataflow graph;
+  /// everything else runs as a packet wave.
   bool needs_graph() const;
   bool run_wave(std::uint64_t begin_index, std::size_t count,
                 PacketBatch& batch, TxScene* scenes, PacketResult* out,

@@ -11,8 +11,12 @@
 // -> modulate -> [fading] -> pad -> build_scene_prenoise (TX impairments +
 // interferer, per-lane AoS since it is packet-specific and cheap), then the
 // shared half in lockstep: fork 1 = AWGN normals, fork 2 = front-end
-// reseed (or the custom block's rng), RF lane tiles, decimation, DSP
-// receiver epilogue. That is the fork order of run_scene_graph.
+// reseed (system-level or co-simulated) or the custom block's rng, RF lane
+// tiles, decimation, DSP receiver epilogue. That is the fork order of
+// run_scene_graph. The co-simulated front end runs its lane loop per
+// system sample: every lane pays its own handshake and its own
+// analog_oversample fine steps of the whole analog chain, so a packet costs
+// what it costs on the graph, and up to W packets share the SIMD lanes.
 #include <cmath>
 #include <memory>
 
@@ -21,6 +25,7 @@
 #include "dsp/mathutil.h"
 #include "dsp/resample.h"
 #include "rf/receiver_chain.h"
+#include "sim/cosim.h"
 
 namespace wlansim::core {
 
@@ -167,6 +172,20 @@ bool WlanLink::run_wave(std::uint64_t begin_index, std::size_t count,
       }
       fe.set_lane_tapes(l, lna_tape, flicker_tape);
     }
+    fe.process_tile_lanes(soa, n, count);
+  } else if (cfg_.rf_engine == RfEngine::kCosim) {
+    // The co-simulated front end, built once per link like the
+    // system-level one and reseeded per lane at the graph's fork. No noise
+    // tapes: with noise functions on, the fine-rate streams are
+    // analog_oversample times the scene's length, so each lane draws from
+    // its own rng.
+    if (!ws_.cosim)
+      ws_.cosim = std::make_unique<sim::CosimRfReceiver>(
+          cfg_.rf, cfg_.cosim, dsp::Rng(packet_seed(cfg_.seed, begin_index)));
+    sim::CosimRfReceiver& fe = *ws_.cosim;
+    fe.begin_lanes(count);
+    for (std::size_t l = 0; l < count; ++l)
+      fe.reseed_lanes(l, batch.lane_rng[l].fork());
     fe.process_tile_lanes(soa, n, count);
   } else if (cfg_.rf_engine == RfEngine::kCustom) {
     // One caller-supplied block per lane, built at the graph's fork and run

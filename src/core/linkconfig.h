@@ -96,9 +96,8 @@ struct LinkConfig {
   sim::ExecutionMode mode = sim::ExecutionMode::kCompiled;
   /// How packets evaluate the chain. kAuto runs the packet wave
   /// (WlanLink::run_packet_wave: persistent blocks, reused buffers) for
-  /// every compiled-mode config but co-simulation, which runs on the
-  /// dataflow graph; kGraph forces the graph (the reference). Both give
-  /// the same bits.
+  /// every compiled-mode config, co-simulation included; kGraph forces
+  /// the dataflow graph (the reference). Both give the same bits.
   PacketPath packet_path = PacketPath::kAuto;
   /// Idle samples (20 Msps) before the frame: AGC settling + detection run-in.
   std::size_t lead_samples = 600;

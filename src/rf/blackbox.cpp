@@ -122,26 +122,32 @@ BlackBoxData extract_blackbox(RfBlock& dut, const ExtractionConfig& cfg) {
   return data;
 }
 
+std::shared_ptr<const BlackBoxFit> fit_blackbox(BlackBoxData data) {
+  if (data.h.empty() || data.env_in.empty())
+    throw std::invalid_argument("BlackBoxModel: empty extraction data");
+  auto fit = std::make_shared<BlackBoxFit>();
+  // Normalize the linear part to unit gain at the envelope reference (the
+  // nonlinearity carries the absolute gain there). Reference gain =
+  // small-signal envelope gain.
+  const double gref = data.env_out.front() / data.env_in.front();
+  dsp::CVec hn = data.h;
+  for (auto& v : hn) v /= gref;
+  fit->taps = fit_complex_fir(hn);
+  fit->data = std::move(data);
+  return fit;
+}
+
+BlackBoxModel::BlackBoxModel(std::shared_ptr<const BlackBoxFit> fit,
+                             dsp::Rng rng)
+    : fit_(std::move(fit)), filter_(fit_->taps), rng_(rng) {}
+
 BlackBoxModel::BlackBoxModel(BlackBoxData data, dsp::Rng rng)
-    : data_(std::move(data)),
-      filter_([this] {
-        // Normalize the linear part to unit gain at the envelope reference
-        // (the nonlinearity carries the absolute gain there).
-        if (data_.h.empty() || data_.env_in.empty())
-          throw std::invalid_argument("BlackBoxModel: empty extraction data");
-        // Reference gain = small-signal envelope gain.
-        const double gref = data_.env_out.front() / data_.env_in.front();
-        dsp::CVec hn = data_.h;
-        for (auto& v : hn) v /= gref;
-        return dsp::CFirFilter(fit_complex_fir(hn));
-      }()),
-      noise_sqrt_(std::sqrt(std::max(0.0, data_.noise_power))),
-      rng_(rng) {}
+    : BlackBoxModel(fit_blackbox(std::move(data)), rng) {}
 
 void BlackBoxModel::nl_gain_phase(double a, double* g, double* phi) const {
-  const auto& xin = data_.env_in;
-  const auto& xout = data_.env_out;
-  const auto& ph = data_.env_phase;
+  const auto& xin = fit_->data.env_in;
+  const auto& xout = fit_->data.env_out;
+  const auto& ph = fit_->data.env_phase;
   if (a <= xin.front()) {
     *g = xout.front() / xin.front();
     *phi = ph.front();
@@ -206,9 +212,9 @@ void BlackBoxModel::process_tile(std::span<const dsp::Cplx> in,
     }
   }
   filter_.process_into(out, out);
-  if (noise_sqrt_ > 0.0) {
+  if (fit_->data.noise_power > 0.0) {
     for (std::size_t i = 0; i < out.size(); ++i)
-      out[i] += rng_.cgaussian(data_.noise_power);
+      out[i] += rng_.cgaussian(fit_->data.noise_power);
   }
 }
 

@@ -63,9 +63,26 @@ struct BlackBoxData {
 /// Characterize `dut` (resets it repeatedly).
 BlackBoxData extract_blackbox(RfBlock& dut, const ExtractionConfig& cfg);
 
+/// The fitted, immutable half of a surrogate: the extracted tables and the
+/// linear part's FIR taps, normalized to unit gain at the envelope
+/// reference. Fitting designs the FIR, which costs far more than a block's
+/// per-packet state, so a link that builds a BlackBoxModel per packet fits
+/// once and shares the result.
+struct BlackBoxFit {
+  BlackBoxData data;
+  dsp::CVec taps;
+};
+
+/// Fit `data` (throws std::invalid_argument when a table is empty).
+std::shared_ptr<const BlackBoxFit> fit_blackbox(BlackBoxData data);
+
 /// Replayable surrogate built from extracted data.
 class BlackBoxModel : public RfBlock {
  public:
+  /// A model over a shared fit: only the filter delay line and `rng` are
+  /// its own.
+  BlackBoxModel(std::shared_ptr<const BlackBoxFit> fit, dsp::Rng rng);
+  /// A model that fits `data` for itself.
   BlackBoxModel(BlackBoxData data, dsp::Rng rng);
 
   dsp::CVec process(std::span<const dsp::Cplx> in) override;
@@ -75,7 +92,7 @@ class BlackBoxModel : public RfBlock {
   void reset() override;
   std::string name() const override { return "blackbox"; }
 
-  const BlackBoxData& data() const { return data_; }
+  const BlackBoxData& data() const { return fit_->data; }
 
   /// Static envelope gain (|out|/|in|) at input envelope `a` —
   /// interpolated from the extracted AM/AM table.
@@ -90,9 +107,8 @@ class BlackBoxModel : public RfBlock {
   /// search; the replay loop needs both per sample).
   void nl_gain_phase(double a, double* g, double* phi) const;
 
-  BlackBoxData data_;
+  std::shared_ptr<const BlackBoxFit> fit_;
   dsp::CFirFilter filter_;  ///< normalized linear part H(f)/H(f_ref)
-  double noise_sqrt_ = 0.0;
   dsp::Rng rng_;
 };
 

@@ -70,9 +70,9 @@ class RfBlock {
   virtual void begin_lanes(std::size_t nl) { (void)nl; }
 
   /// Process `n` SoA rows of `nl` lanes in place. The base aborts: blocks
-  /// that never run inside a wave (black-box tables, co-simulation
-  /// wrappers, the direct-conversion receiver) keep it, and a custom RF
-  /// block runs in the wave through process_into(), one call per lane.
+  /// that never run inside a wave (black-box tables, the direct-conversion
+  /// receiver) keep it, and a custom RF block runs in the wave through
+  /// process_into(), one call per lane.
   virtual void process_tile_lanes(double* soa, std::size_t n, std::size_t nl);
 };
 

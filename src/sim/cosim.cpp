@@ -1,5 +1,6 @@
 #include "sim/cosim.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -27,30 +28,34 @@ CosimRfReceiver::CosimRfReceiver(const rf::DoubleConversionConfig& rf_cfg,
   analog_ = std::make_unique<rf::DoubleConversionReceiver>(fine, rng);
 }
 
+void CosimRfReceiver::handshake() {
+  // Event synchronization handshake between the two simulators.
+  double h = 0.0;
+  for (std::size_t k = 0; k < cfg_.sync_overhead_ops; ++k)
+    h += std::sqrt(static_cast<double>(k + 1));
+  sync_sink_ = h;
+}
+
 dsp::CVec CosimRfReceiver::process(std::span<const dsp::Cplx> in) {
   const std::size_t r = cfg_.analog_oversample;
   dsp::CVec out;
   out.reserve(in.size());
-  dsp::CVec fine(r);
+  fine_.resize(r);
   for (const dsp::Cplx& x : in) {
-    // Event synchronization handshake between the two simulators.
-    double h = 0.0;
-    for (std::size_t k = 0; k < cfg_.sync_overhead_ops; ++k)
-      h += std::sqrt(static_cast<double>(k + 1));
-    sync_sink_ = h;
+    handshake();
 
     // First-order hold: the analog solver sees a continuous ramp between
     // consecutive digital samples.
     for (std::size_t k = 0; k < r; ++k) {
       const double a =
           (static_cast<double>(k) + 1.0) / static_cast<double>(r);
-      fine[k] = prev_in_ + a * (x - prev_in_);
+      fine_[k] = prev_in_ + a * (x - prev_in_);
     }
     prev_in_ = x;
 
-    const dsp::CVec y = analog_->process(fine);
+    analog_->process_tile(fine_, fine_);
     analog_steps_ += r;
-    out.push_back(y.back());  // value at the synchronization boundary
+    out.push_back(fine_.back());  // value at the synchronization boundary
   }
   return out;
 }
@@ -59,6 +64,42 @@ void CosimRfReceiver::reset() {
   analog_->reset();
   prev_in_ = dsp::Cplx{0.0, 0.0};
   analog_steps_ = 0;
+}
+
+void CosimRfReceiver::begin_lanes(std::size_t nl) {
+  analog_->begin_lanes(nl);
+  lane_prev_.assign(2 * nl, 0.0);
+  lane_fine_.resize(2 * nl * cfg_.analog_oversample);
+  analog_steps_ = 0;
+}
+
+void CosimRfReceiver::process_tile_lanes(double* soa, std::size_t n,
+                                         std::size_t nl) {
+  const std::size_t r = cfg_.analog_oversample;
+  const std::size_t w = 2 * nl;
+  double* prev = lane_prev_.data();
+  double* fine = lane_fine_.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    double* row = soa + i * w;
+    // One handshake per packet per system sample, as process() pays it.
+    for (std::size_t l = 0; l < nl; ++l) handshake();
+
+    // First-order hold, rail by rail: a real times a complex difference
+    // is componentwise, so each rail is process()'s arithmetic on its part.
+    for (std::size_t k = 0; k < r; ++k) {
+      const double a =
+          (static_cast<double>(k) + 1.0) / static_cast<double>(r);
+      double* f = fine + k * w;
+      for (std::size_t c = 0; c < w; ++c)
+        f[c] = prev[c] + a * (row[c] - prev[c]);
+    }
+    std::copy(row, row + w, prev);
+
+    analog_->process_tile_lanes(fine, r, nl);
+    analog_steps_ += r;
+    // The value at the synchronization boundary: the last fine row.
+    std::copy(fine + (r - 1) * w, fine + r * w, row);
+  }
 }
 
 }  // namespace wlansim::sim

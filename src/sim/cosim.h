@@ -12,6 +12,13 @@
 //    white_noise/flicker_noise functions in transient analysis (§4.3), so
 //    co-simulated BER came out optimistic (§5.1). The same limitation is
 //    the default here and can be lifted like the paper's proposed fix.
+//
+// The receiver runs two ways with the same bits: process(), the scalar
+// reference the dataflow graph runs, and the width-W lane loop the packet
+// wave runs (begin_lanes / reseed_lanes / process_tile_lanes). The lane
+// loop keeps the per-packet cost model — each lane pays its own handshake
+// and its own fine steps of the whole analog chain per system sample — and
+// lets up to W co-simulated packets share the fine chain's SIMD lanes.
 #pragma once
 
 #include "dsp/rng.h"
@@ -47,15 +54,35 @@ class CosimRfReceiver : public rf::RfBlock {
   void reset() override;
   std::string name() const override { return "cosim_rf_rx"; }
 
+  /// Width-W packet-lane path (see rf::RfBlock). begin_lanes() clears the
+  /// per-lane hold state and the step count as reset() does; lane l of
+  /// process_tile_lanes() then equals process() of a fresh receiver built
+  /// with the rng passed to reseed_lanes(l, ...), bit for bit.
+  void begin_lanes(std::size_t nl) override;
+  /// Fork the fine-rate chain's per-stage rngs into lane `lane`'s slots in
+  /// the constructor's order (see DoubleConversionReceiver::reseed_lanes).
+  void reseed_lanes(std::size_t lane, dsp::Rng rng) {
+    analog_->reseed_lanes(lane, rng);
+  }
+  void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
+
   const CosimConfig& cosim_config() const { return cfg_; }
 
-  /// Number of analog fine-step evaluations performed so far.
+  /// Number of analog fine-step evaluations performed so far — per lane
+  /// on the lane path, where every lane steps in lockstep.
   std::size_t analog_steps() const { return analog_steps_; }
 
  private:
+  /// The modelled simulator-coupling cost of one system sample of one
+  /// packet: `sync_overhead_ops` square roots into the volatile sink.
+  void handshake();
+
   CosimConfig cfg_;
   std::unique_ptr<rf::DoubleConversionReceiver> analog_;
   dsp::Cplx prev_in_{0.0, 0.0};
+  dsp::CVec fine_;           ///< process()'s fine-rate buffer, one sample
+  dsp::RVec lane_prev_;      ///< 2*nl rails: each lane's previous sample
+  dsp::RVec lane_fine_;      ///< one fine SoA tile: analog_oversample rows
   std::size_t analog_steps_ = 0;
   volatile double sync_sink_ = 0.0;  ///< defeats optimizing the handshake away
 };

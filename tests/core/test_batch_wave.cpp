@@ -51,6 +51,13 @@ std::vector<LinkConfig> on_graph(std::span<const LinkConfig> configs) {
   return out;
 }
 
+/// Co-simulation at a fine rate a test can afford (the default steps 128
+/// times per system sample).
+void set_cosim(LinkConfig& cfg) {
+  cfg.rf_engine = RfEngine::kCosim;
+  cfg.cosim.analog_oversample = 16;
+}
+
 std::vector<LinkConfig> waterfall(std::initializer_list<double> snrs) {
   LinkConfig base = default_link_config();
   base.psdu_bytes = 40;
@@ -236,9 +243,10 @@ TEST(BatchWave, GraphPathRefusesToWave) {
 }
 
 TEST(BatchWave, RefusesOnlyConfigsThatNeedTheGraph) {
-  // The wave is the direct engine of every model and channel feature: each
-  // config below runs a width-2 wave whose lanes equal the graph
-  // reference. One batch serves them all, across oversampling factors.
+  // The wave is the direct engine of every model and channel feature,
+  // co-simulation included: each config below runs a width-2 wave whose
+  // lanes equal the graph reference. One batch serves them all, across
+  // oversampling factors.
   LinkConfig base = default_link_config();
   base.psdu_bytes = 40;
   base.snr_db = 18.0;
@@ -308,6 +316,16 @@ TEST(BatchWave, RefusesOnlyConfigsThatNeedTheGraph) {
     c.tx_iq_phase_error_deg = 1.0;
     c.tx_lo_leakage_rel = 0.02;
   });
+  add("co-simulation", [](LinkConfig& c) { set_cosim(c); });
+  add("co-simulation, adjacent channel", [](LinkConfig& c) {
+    set_cosim(c);
+    c.interferer =
+        channel::InterfererConfig{.offset_hz = 20e6, .level_db = 16.0};
+  });
+  add("co-simulation with noise functions", [](LinkConfig& c) {
+    set_cosim(c);
+    c.cosim.supports_noise_functions = true;
+  });
 
   PacketBatch batch;
   for (const auto& [name, cfg] : waves) {
@@ -322,11 +340,9 @@ TEST(BatchWave, RefusesOnlyConfigsThatNeedTheGraph) {
   }
 
   // Only the graph's own configs are refused, and only widths 1 to 8 run.
-  LinkConfig cosim = base;
-  cosim.rf_engine = RfEngine::kCosim;
   LinkConfig interpreted = base;
   interpreted.mode = sim::ExecutionMode::kInterpreted;
-  for (const LinkConfig& cfg : {cosim, on_graph(base), interpreted}) {
+  for (const LinkConfig& cfg : {on_graph(base), interpreted}) {
     WlanLink link(cfg);
     PacketResult out[2];
     EXPECT_FALSE(link.run_packet_wave(0, 2, batch, nullptr, out));
@@ -387,6 +403,40 @@ TEST(BatchWave, FixedSweepWidth8MatchesWidth1) {
     for (std::size_t k = 0; k < a.size(); ++k) {
       SCOPED_TRACE("point " + std::to_string(k));
       expect_identical(a[k], b[k]);
+    }
+  }
+}
+
+TEST(BatchWave, CosimFixedSweepMatchesGraph) {
+  // A pooled fixed-budget sweep of a co-simulated link runs its packets as
+  // lane waves (cut_wave hands a 16-packet point to 4 workers as runs of
+  // 4); it must EXPECT_EQ the same sweep over graph copies, at 1 and 4
+  // threads, with TX-scene memoization on (the second point replays the
+  // first one's scenes) and off. The noise functions are on, so every
+  // lane's fine-rate chain draws from its own packet's fork.
+  auto points = waterfall({14.0, 18.0});
+  for (LinkConfig& c : points) {
+    set_cosim(c);
+    c.cosim.supports_noise_functions = true;
+  }
+  const auto graph_points = on_graph(points);
+  sim::StoppingRule fixed;
+  fixed.target_rel_ci = 0.0;
+  fixed.max_packets = 16;
+  for (const bool memo : {true, false}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("memo=" + std::to_string(memo) +
+                   " threads=" + std::to_string(threads));
+      SweepOptions opts;
+      opts.threads = threads;
+      opts.memoize_tx = memo;
+      const auto a = sweep_ber_adaptive(points, fixed, opts);
+      const auto b = sweep_ber_adaptive(graph_points, fixed, opts);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t k = 0; k < a.size(); ++k) {
+        SCOPED_TRACE("point " + std::to_string(k));
+        expect_identical(a[k], b[k]);
+      }
     }
   }
 }

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -771,7 +772,18 @@ const OracleRow kOracle[] = {
      [](Diff& d) {
        Rng rng(124);
        const double lin_gain = 5.62, inv_vsat2 = 1.0 / 0.031623;
+       // The clone computes sqrt and division packed: every third rail
+       // takes a value at the edge of the range, so lanes meet signed
+       // zeros, denormals, squares that underflow or overflow, infinities
+       // (inf * 0 makes a NaN) and NaN next to ordinary samples.
+       using lim = std::numeric_limits<double>;
+       const double extremes[] = {
+           0.0,    -0.0,   lim::denorm_min(), -3e-310,          1e150,
+           -1e150, 1e-150, -1e-150,           lim::infinity(), -lim::infinity(),
+           lim::quiet_NaN()};
        for_lane_grid(rng, [&](std::size_t n, std::size_t nl, RVec a) {
+         for (std::size_t j = 0; j < a.size(); j += 3)
+           a[j] = extremes[(j / 3) % std::size(extremes)];
          RVec b = a;
          kn::lanes_amp_rapp_p2(a.data(), n, nl, lin_gain, lin_gain * lin_gain,
                                inv_vsat2);
