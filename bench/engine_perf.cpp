@@ -165,10 +165,9 @@ void BM_RfChainSteadyState(benchmark::State& state) {
 BENCHMARK(BM_RfChainSteadyState);
 
 void BM_RfChainFused(benchmark::State& state) {
-  // The fused ChainExecutor path: L1-sized tiles pushed through the whole
-  // cascade so each sample is touched once while hot in cache. Compare
-  // against BM_RfChainBlockwise — same blocks, same arithmetic, different
-  // traversal order.
+  // The chain's width-1 lane loop on a long buffer: L1-sized tiles pushed
+  // through the whole cascade in place, so each sample is touched once
+  // while hot in cache.
   rf::DoubleConversionConfig cfg;
   rf::DoubleConversionReceiver rx(cfg, dsp::Rng(3));
   dsp::Rng rng(4);
@@ -182,24 +181,6 @@ void BM_RfChainFused(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(in.size()));
 }
 BENCHMARK(BM_RfChainFused);
-
-void BM_RfChainBlockwise(benchmark::State& state) {
-  // Reference block-at-a-time traversal: every stage streams the full
-  // buffer before the next one starts (N x buffer memory traffic). Produces
-  // bit-identical output to the fused path.
-  rf::DoubleConversionConfig cfg;
-  rf::DoubleConversionReceiver rx(cfg, dsp::Rng(3));
-  dsp::Rng rng(4);
-  dsp::CVec in(65536), out;
-  for (auto& v : in) v = 1e-4 * rng.cgaussian(1.0);
-  rx.process_blockwise_into(in, out);
-  for (auto _ : state) {
-    rx.process_blockwise_into(in, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(in.size()));
-}
-BENCHMARK(BM_RfChainBlockwise);
 
 void BM_SyncDetect(benchmark::State& state) {
   // Packet detection + long-training fine timing over a realistic frame:

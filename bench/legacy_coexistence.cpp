@@ -79,11 +79,14 @@ core::BerResult run_with_dsss(double level_db) {
       std::unique_ptr<rf::RfBlock> inner;
       dsp::Rng rng;
       double fs, p_sig, level_db;
-      dsp::CVec process(std::span<const dsp::Cplx> in) override {
-        dsp::CVec jam = channel::make_dsss_interferer(
-            in.size(), fs, p_sig, 20e6, level_db, rng);
-        for (std::size_t i = 0; i < in.size(); ++i) jam[i] += in[i];
-        return inner->process(jam);
+      // The link runs a custom block at width 1: one complex sample a row.
+      void process_tile_lanes(double* soa, std::size_t n,
+                              std::size_t nl) override {
+        const dsp::CVec jam = channel::make_dsss_interferer(
+            n, fs, p_sig, 20e6, level_db, rng);
+        dsp::Cplx* x = reinterpret_cast<dsp::Cplx*>(soa);
+        for (std::size_t i = 0; i < n; ++i) x[i] = jam[i] + x[i];
+        inner->process_tile_lanes(soa, n, nl);
       }
       void reset() override { inner->reset(); }
       std::string name() const override { return "dsss_jam+rf"; }

@@ -241,9 +241,9 @@ std::size_t WlanLink::build_scene_prenoise(const dsp::CVec& padded,
     }
   }
 
-  // The fork order below must match run_scene_graph exactly — every
-  // consumer draws from the same packet stream whether or not its block is
-  // freshly constructed.
+  // The fork order below must match run_scene_graph exactly: each block
+  // is built once per link, and every packet clears it and seeds lane 0
+  // with the rng a freshly constructed block would receive there.
   if (cfg_.tx_pa_backoff_db.has_value()) {
     if (!ws_.tx_pa) {
       rf::AmplifierConfig pa;
@@ -253,11 +253,10 @@ std::size_t WlanLink::build_scene_prenoise(const dsp::CVec& padded,
       pa.p1db_in_dbm = cfg_.rx_power_dbm + *cfg_.tx_pa_backoff_db;
       pa.am_pm_max_deg = cfg_.tx_pa_am_pm_max_deg;
       pa.noise_enabled = false;
-      ws_.tx_pa = std::make_unique<rf::Amplifier>(pa, fs_over, rng.fork());
-    } else {
-      ws_.tx_pa->reset();
-      ws_.tx_pa->set_rng(rng.fork());
+      ws_.tx_pa = std::make_unique<rf::Amplifier>(pa, fs_over, dsp::Rng{});
     }
+    ws_.tx_pa->begin_lanes(1);
+    ws_.tx_pa->set_lane_rng(0, rng.fork());
     ws_.tx_pa->process_into(a, a);
   }
 
@@ -271,11 +270,10 @@ std::size_t WlanLink::build_scene_prenoise(const dsp::CVec& padded,
       up.dc_offset = cfg_.tx_lo_leakage_rel * std::sqrt(p_sig);
       up.noise_enabled = false;
       ws_.tx_upconverter =
-          std::make_unique<rf::Mixer>(up, fs_over, rng.fork());
-    } else {
-      ws_.tx_upconverter->reset();
-      ws_.tx_upconverter->set_rng(rng.fork());
+          std::make_unique<rf::Mixer>(up, fs_over, dsp::Rng{});
     }
+    ws_.tx_upconverter->begin_lanes(1);
+    ws_.tx_upconverter->set_lane_rng(0, rng.fork());
     ws_.tx_upconverter->process_into(a, a);
   }
 

@@ -12,7 +12,8 @@
 // of two engines with the same bits: the packet wave (1 to 8 packets in
 // lockstep, see run_packet_wave), which runs every RF engine, co-simulation
 // included, and the dataflow graph, the reference and the only home of
-// interpreted mode.
+// interpreted mode. Both run each RF block's one loop (rf/rfblock.h): the
+// wave at its width, the graph at width 1 through RfBlock::process().
 #pragma once
 
 #include <limits>

@@ -146,9 +146,9 @@ bool WlanLink::run_wave(std::uint64_t begin_index, std::size_t count,
 
   // --- RF front-end ---------------------------------------------------------
   if (cfg_.rf_engine == RfEngine::kSystemLevel) {
-    // Constructed once per link; every lane reseeds its own state from its
-    // packet rng, the per-lane form of reset() + reseed() == fresh
-    // construction, so the construction rng is irrelevant.
+    // Constructed once per link; begin_lanes() clears every lane and each
+    // lane reseeds from its packet rng, which equals fresh construction, so
+    // the construction rng is irrelevant.
     if (!ws_.frontend)
       ws_.frontend = std::make_unique<rf::DoubleConversionReceiver>(
           cfg_.rf, dsp::Rng(packet_seed(cfg_.seed, begin_index)));
@@ -189,20 +189,19 @@ bool WlanLink::run_wave(std::uint64_t begin_index, std::size_t count,
     fe.process_tile_lanes(soa, n, count);
   } else if (cfg_.rf_engine == RfEngine::kCustom) {
     // One caller-supplied block per lane, built at the graph's fork and run
-    // by one process_into() on the lane's whole buffer: a block may depend
-    // on how its input is split (see RfBlock). Width 1 hands it the scene
-    // buffer itself and decimates from its output.
-    dsp::CVec& lane_out = scratch.scene_b;
+    // at width 1 over the lane's whole buffer: a block may depend on how
+    // its input is split (see RfBlock). Width 1 runs it in place on the
+    // scene buffer; wider waves unpack each lane into the scene buffer.
     for (std::size_t l = 0; l < count; ++l) {
       const auto block = cfg_.custom_rf(batch.lane_rng[l].fork());
       if (in_place) {
-        block->process_into(ws_.scene_a, lane_out);
-        soa = reinterpret_cast<double*>(lane_out.data());
+        block->process_tile_lanes(soa, n, 1);
       } else {
         ws_.scene_a.resize(n);
         kn::lanes_unpack(soa, n, count, l, ws_.scene_a.data());
-        block->process_into(ws_.scene_a, lane_out);
-        kn::lanes_pack(lane_out.data(), n, count, l, soa);
+        block->process_tile_lanes(
+            reinterpret_cast<double*>(ws_.scene_a.data()), n, 1);
+        kn::lanes_pack(ws_.scene_a.data(), n, count, l, soa);
       }
     }
   }

@@ -25,11 +25,10 @@ struct PacketBatch {
   std::vector<dsp::Rng> lane_rng;
 };
 
-/// A custom RF block writes its output into `scene_b`, so it must not run a
-/// WlanLink packet on its calling thread.
+/// A custom RF block runs while a wave holds this scratch, so it must not
+/// run a WlanLink packet on its calling thread.
 struct WlanLink::ThreadScratch {
   dsp::CVec padded;         ///< 20 Msps frame with lead/tail padding
-  dsp::CVec scene_b;        ///< custom RF block output (oversampled)
   dsp::CVec jam;            ///< interferer waveform
   dsp::RVec noise_scratch;  ///< bulk unit normals for the AWGN fill
   PacketBatch batch;        ///< the per-packet calls' width-1 waves

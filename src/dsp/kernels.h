@@ -45,12 +45,8 @@ struct MixParams {
   Cplx dc{0.0, 0.0};       ///< additive DC offset (always added)
 };
 
-/// Mix with a constant LO phasor: y = g*x*lo [+ ia*g*conj(x*lo)] [IQ] + dc.
-/// In-place safe (out may alias in).
-void mix_const_lo(const Cplx* in, std::size_t n, Cplx lo, const MixParams& p,
-                  Cplx* out);
-
-/// Mix with a per-sample LO phase (radians): lo[i] = exp(j*phase[i]).
+/// Mix with a per-sample LO phase (radians): lo[i] = exp(j*phase[i]):
+/// y = g*x*lo [+ ia*g*conj(x*lo)] [IQ] + dc. In-place safe.
 void mix_phase(const Cplx* in, const double* phase, std::size_t n,
                const MixParams& p, Cplx* out);
 
@@ -110,10 +106,6 @@ void xcorr_accum(const Cplx* x, const Cplx* ref, std::size_t n, double* re,
 /// LLR / weight scaling: x[i] *= s.
 void scale(double* x, std::size_t n, double s);
 
-/// Noise replay: a[i] += Cplx{s*units[2i], s*units[2i+1]} — the arithmetic
-/// of adding Rng::cgaussian draws whose unit normals were cached.
-void add_scaled_pairs(Cplx* a, std::size_t n, double s, const double* units);
-
 /// Per-rail mid-tread quantizer with rail clamp (the rf::Adc hot loop):
 /// each rail v becomes clamp(round(v*inv_step)*step, -fs, fs) where round
 /// is std::round (half away from zero), computed arithmetically so the
@@ -128,11 +120,11 @@ void quantize_clamp(const Cplx* in, std::size_t n, double inv_step,
 // The batched packet engine (core::PacketBatch) runs W same-config packets
 // in lockstep through one flat buffer: sample i occupies one 2*nl-double
 // row [re lane 0..nl-1][im lane 0..nl-1]. Lanes never mix arithmetically —
-// every lane kernel performs, per lane, the exact operation sequence of the
-// scalar block it replaces (same products, same association order, libm
-// calls kept scalar per lane), so lane l of a batch is bit-identical to the
-// single-packet path by construction. nl == kLaneWidth hits the fixed-width
-// fast instantiation; any other nl takes the runtime-width body (same
+// every lane kernel performs, per lane, one fixed operation sequence (same
+// products, same association order, libm calls kept scalar per lane), so
+// lane l of a batch is bit-identical to the same packet run alone at width
+// 1 by construction. nl == kLaneWidth hits the fixed-width fast
+// instantiation; any other nl takes the runtime-width body (same
 // arithmetic).
 
 /// Default batch width of the packet-lane kernels: one 8-packet scheduling
@@ -152,28 +144,16 @@ void lanes_unpack(const double* soa, std::size_t n, std::size_t nl,
 void lanes_unpack_decim(const double* soa, std::size_t n, std::size_t nl,
                         std::size_t lane, std::size_t decim, Cplx* dst);
 
-/// add_scaled_pairs into one lane: row i of lane `lane` gains
-/// {s*units[2i], s*units[2i+1]} — the AWGN / front-end noise add.
-void lanes_add_scaled_pairs(double* soa, std::size_t n, std::size_t nl,
-                            std::size_t lane, double s, const double* units);
-
-/// Write (s0*units[2i])*s1 / (s0*units[2i+1])*s1 into lane `lane` (the
-/// flicker drive: cgaussian(1)*drive decomposes into exactly these two
-/// multiplies per rail).
-void lanes_write_scaled_pairs(double* soa, std::size_t n, std::size_t nl,
-                              std::size_t lane, double s0, double s1,
-                              const double* units);
-
-/// All-lane fusion of lanes_add_scaled_pairs: one row-major pass adds
-/// {s*units[l][2i], s*units[l][2i+1]} to every lane l < nl. Each element
-/// op is the same single multiply-add as the per-lane kernel (elements are
-/// independent, so iteration order cannot change bits) — the fusion only
-/// replaces nl strided passes over the SoA buffer with one.
+/// Noise add over all lanes in one row-major pass: row i of lane l < nl
+/// gains {s*units[l][2i], s*units[l][2i+1]} — per lane the arithmetic of
+/// adding Rng::cgaussian draws (s = sqrt(variance/2)) whose unit normals
+/// were drawn in bulk: the AWGN and front-end noise adds.
 void lanes_add_scaled_pairs_multi(double* soa, std::size_t n, std::size_t nl,
                                   double s, const double* const* units);
 
-/// All-lane fusion of lanes_write_scaled_pairs (same contract as the
-/// _multi add: identical per-element arithmetic, one pass).
+/// Write (s0*units[l][2i])*s1 / (s0*units[l][2i+1])*s1 into row i of every
+/// lane l < nl in one pass (the flicker drive: cgaussian(1)*drive
+/// decomposes into exactly these two multiplies per rail).
 void lanes_write_scaled_pairs_multi(double* soa, std::size_t n,
                                     std::size_t nl, double s0, double s1,
                                     const double* const* units);
@@ -190,8 +170,10 @@ void lanes_biquad(double* soa, std::size_t n, std::size_t nl, double b0,
                   double b1, double b2, double a1, double a2, double* state);
 
 /// Unity-LO mixer over all lanes in place (the default receiver chain's
-/// mixers: no LO offset, no phase noise, phase 0). Per lane the arithmetic
-/// of detail::mix_unity_lo_t, including the image and IQ stages.
+/// mixers: no LO offset, no phase noise, phase 0). With lo == (1, 0) every
+/// rotation of mix_phase's arithmetic is an exact identity (x*1 - y*0 == x
+/// and x*0 + y*1 == y up to the sign of zero), so the four multiplies per
+/// rotation are dropped; the image and IQ stages stay.
 void lanes_mix_unity_lo(double* soa, std::size_t n, std::size_t nl,
                         const MixParams& p);
 

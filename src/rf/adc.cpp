@@ -28,35 +28,12 @@ double Adc::quantize(double v) const {
                     cfg_.full_scale);
 }
 
-dsp::CVec Adc::process(std::span<const dsp::Cplx> in) {
-  dsp::CVec out;
-  process_into(in, out);
-  return out;
-}
-
-void Adc::process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) {
-  out.resize(in.size());
-  process_tile(in, std::span<dsp::Cplx>(out.data(), out.size()));
-}
-
-void Adc::process_tile(std::span<const dsp::Cplx> in,
-                       std::span<dsp::Cplx> out) {
-  if (!cfg_.enabled) {
-    if (out.data() != in.data())
-      std::copy(in.begin(), in.end(), out.begin());
-    return;
-  }
-  // Same per-rail arithmetic as quantize() — the kernel computes the
-  // std::round call arithmetically and is pinned bit-identical to it by
-  // tests/dsp/test_kernels.cpp.
-  dsp::kernels::quantize_clamp(in.data(), in.size(), inv_step_, step_,
-                               cfg_.full_scale, out.data());
-}
-
 void Adc::process_tile_lanes(double* soa, std::size_t n, std::size_t nl) {
   if (!cfg_.enabled) return;
   // Element-wise per rail: the 2*n*nl SoA doubles quantize exactly as the
-  // same rails would in AoS order.
+  // same rails would in AoS order. The kernel computes quantize()'s
+  // std::round arithmetically and is pinned bit-identical to it by
+  // tests/dsp/test_kernels.cpp.
   dsp::Cplx* samples = reinterpret_cast<dsp::Cplx*>(soa);
   dsp::kernels::quantize_clamp(samples, n * nl, inv_step_, step_,
                                cfg_.full_scale, samples);

@@ -19,17 +19,13 @@ class Adc : public RfBlock {
  public:
   explicit Adc(const AdcConfig& cfg);
 
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override;
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override;
   std::string name() const override { return cfg_.label; }
 
   /// Quantize one rail value.
   double quantize(double v) const;
 
-  /// Lane path: quantize_clamp is element-wise per rail, so the SoA buffer
-  /// quantizes as n*nl contiguous complex samples.
+  /// quantize_clamp is element-wise per rail, so the SoA buffer quantizes
+  /// as n*nl contiguous complex samples.
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
 
   const AdcConfig& config() const { return cfg_; }

@@ -10,11 +10,7 @@
 namespace wlansim::rf {
 
 Agc::Agc(const AgcConfig& cfg)
-    : cfg_(cfg),
-      gain_db_(cfg.initial_gain_db),
-      det_power_(0.0),
-      alpha_(1.0 / std::max(1.0, cfg.detector_time_const)),
-      cached_gain_db_(std::numeric_limits<double>::quiet_NaN()) {
+    : cfg_(cfg), alpha_(1.0 / std::max(1.0, cfg.detector_time_const)) {
   if (cfg_.min_gain_db > cfg_.max_gain_db)
     throw std::invalid_argument("Agc: min gain above max gain");
   if (cfg_.attack_db_per_sample < 0.0 || cfg_.decay_db_per_sample < 0.0 ||
@@ -23,71 +19,14 @@ Agc::Agc(const AgcConfig& cfg)
   // Widen the brackets by 1e-9 relative — orders of magnitude beyond the
   // rounding error of dbm_to_watts — so they are a strict superset of the
   // set where the exact dB comparison could unlock. Inside them, skipping
-  // the comparison is decision-identical to the legacy per-sample form.
+  // the comparison is decision-identical to the exact dB comparison.
   unlock_lo_w_ =
       dsp::dbm_to_watts(cfg_.target_power_dbm - cfg_.unlock_window_db) *
       (1.0 + 1e-9);
   unlock_hi_w_ =
       dsp::dbm_to_watts(cfg_.target_power_dbm + cfg_.unlock_window_db) *
       (1.0 - 1e-9);
-}
-
-dsp::CVec Agc::process(std::span<const dsp::Cplx> in) {
-  dsp::CVec out;
-  process_into(in, out);
-  return out;
-}
-
-void Agc::process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) {
-  out.resize(in.size());
-  process_tile(in, std::span<dsp::Cplx>(out.data(), out.size()));
-}
-
-void Agc::process_tile(std::span<const dsp::Cplx> in,
-                       std::span<dsp::Cplx> out) {
-  const double target_dbm = cfg_.target_power_dbm;
-  const dsp::Cplx* src = in.data();
-  dsp::Cplx* dst = out.data();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    if (gain_db_ != cached_gain_db_) {
-      cached_gain_db_ = gain_db_;
-      cached_gain_lin_ = std::pow(10.0, gain_db_ / 20.0);
-    }
-    const dsp::Cplx y = cached_gain_lin_ * src[i];
-    dst[i] = y;
-
-    det_power_ += alpha_ * (std::norm(y) - det_power_);
-    if (det_power_ > 1e-30) {
-      if (locked_) {
-        // Level jumped: re-acquire. The cheap linear-domain bracket test
-        // rules out an unlock in the common settled case; only near or
-        // beyond the window does the exact dB comparison (the legacy
-        // decision boundary) run.
-        if (det_power_ < unlock_lo_w_ || det_power_ > unlock_hi_w_) {
-          const double err_db = target_dbm - dsp::watts_to_dbm(det_power_);
-          if (std::abs(err_db) > cfg_.unlock_window_db) {
-            locked_ = false;
-            settled_run_ = 0;
-          }
-        }
-      }
-      if (!frozen_ && !locked_) {
-        const double err_db = target_dbm - dsp::watts_to_dbm(det_power_);
-        const double step =
-            std::clamp(cfg_.loop_gain * err_db, -cfg_.attack_db_per_sample,
-                       cfg_.decay_db_per_sample);
-        gain_db_ =
-            std::clamp(gain_db_ + step, cfg_.min_gain_db, cfg_.max_gain_db);
-        if (cfg_.lock_count > 0) {
-          if (std::abs(err_db) < cfg_.lock_window_db) {
-            if (++settled_run_ >= cfg_.lock_count) locked_ = true;
-          } else {
-            settled_run_ = 0;
-          }
-        }
-      }
-    }
-  }
+  begin_lanes(1);
 }
 
 void Agc::begin_lanes(std::size_t nl) {
@@ -96,12 +35,12 @@ void Agc::begin_lanes(std::size_t nl) {
                               false, 0});
 }
 
+void Agc::reset() { begin_lanes(lanes_.size()); }
+
 void Agc::process_tile_lanes(double* soa, std::size_t n, std::size_t nl) {
-  // Sample-outer, lane-inner transcription of process_tile: every lane
-  // carries its own gain/detector/lock state and performs the identical
-  // per-sample decisions, so lane l is bit-identical to a reset() scalar
-  // loop over that lane's stream. The pow/log10 calls stay scalar per lane
-  // and are rare (gain memoization, linear-domain unlock brackets).
+  // Sample-outer, lane-inner: every lane carries its own gain, detector and
+  // lock state and makes its own per-sample decisions. The pow/log10 calls
+  // are rare (gain memoization, linear-domain unlock brackets).
   const double target_dbm = cfg_.target_power_dbm;
   for (std::size_t i = 0; i < n; ++i) {
     double* re = soa + i * 2 * nl;
@@ -120,6 +59,9 @@ void Agc::process_tile_lanes(double* soa, std::size_t n, std::size_t nl) {
       st.det_power += alpha_ * ((yr * yr + yi * yi) - st.det_power);
       if (st.det_power > 1e-30) {
         if (st.locked) {
+          // Level jumped: re-acquire. The cheap linear-domain bracket test
+          // rules out an unlock in the common settled case; only near or
+          // beyond the window does the exact dB comparison run.
           if (st.det_power < unlock_lo_w_ || st.det_power > unlock_hi_w_) {
             const double err_db = target_dbm - dsp::watts_to_dbm(st.det_power);
             if (std::abs(err_db) > cfg_.unlock_window_db) {
@@ -128,7 +70,7 @@ void Agc::process_tile_lanes(double* soa, std::size_t n, std::size_t nl) {
             }
           }
         }
-        if (!frozen_ && !st.locked) {
+        if (!st.locked) {
           const double err_db = target_dbm - dsp::watts_to_dbm(st.det_power);
           const double step =
               std::clamp(cfg_.loop_gain * err_db, -cfg_.attack_db_per_sample,
@@ -147,15 +89,5 @@ void Agc::process_tile_lanes(double* soa, std::size_t n, std::size_t nl) {
     }
   }
 }
-
-void Agc::reset() {
-  gain_db_ = cfg_.initial_gain_db;
-  det_power_ = 0.0;
-  frozen_ = false;
-  locked_ = false;
-  settled_run_ = 0;
-}
-
-double Agc::current_gain_db() const { return gain_db_; }
 
 }  // namespace wlansim::rf

@@ -40,57 +40,44 @@ class Agc : public RfBlock {
  public:
   explicit Agc(const AgcConfig& cfg);
 
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override;
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override;
   void reset() override;
   std::string name() const override { return cfg_.label; }
 
-  double current_gain_db() const;
+  /// Lane 0's gain [dB].
+  double current_gain_db() const { return lanes_[0].gain_db; }
 
-  /// Manual freeze/unfreeze of the loop (in addition to auto-lock).
-  void freeze(bool on) { frozen_ = on; }
+  /// True once lane 0's loop has auto-locked on a settled level.
+  bool locked() const { return lanes_[0].locked; }
 
-  /// True once the loop has auto-locked on a settled level.
-  bool locked() const { return locked_; }
+  const AgcConfig& config() const { return cfg_; }
 
-  /// Lane path: the same per-sample loop, lanes-inner, with fully
-  /// independent per-lane loop state initialized as reset() leaves the
-  /// scalar block.
+  /// The per-sample loop, lanes inner, each lane with its own loop state.
   void begin_lanes(std::size_t nl) override;
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
 
  private:
   struct LaneState {
     double gain_db;
-    double det_power;
+    double det_power;  ///< smoothed power estimate [W]
+    /// pow(10, gain_db/20) memoized on gain_db: once the loop locks (or a
+    /// step lands on the slew clamp) the gain repeats for long runs and the
+    /// per-sample pow() disappears. Keyed on NaN initially so the first
+    /// sample always computes.
     double cached_gain_db;
     double cached_gain_lin;
     bool locked;
     std::size_t settled_run;
   };
-  std::vector<LaneState> lanes_;
 
   AgcConfig cfg_;
-  double gain_db_;
-  double det_power_;  ///< smoothed power estimate [W]
   double alpha_;      ///< detector smoothing factor
-  bool frozen_ = false;
-  bool locked_ = false;
-  std::size_t settled_run_ = 0;
-  /// pow(10, gain_db_/20) memoized on gain_db_: once the loop locks (or a
-  /// step lands on the slew clamp) the gain repeats for long runs and the
-  /// per-sample pow() disappears. Keyed on NaN initially so the first
-  /// sample always computes.
-  double cached_gain_db_;
-  double cached_gain_lin_ = 1.0;
   /// Slightly widened linear-domain [W] brackets of the unlock window:
-  /// while det_power_ sits inside them the dB-domain unlock test cannot
+  /// while a detector sits inside them the dB-domain unlock test cannot
   /// fire, so the locked steady state skips the per-sample log10; outside
-  /// them the exact legacy comparison runs, preserving its boundary.
+  /// them the exact dB comparison runs, preserving its boundary.
   double unlock_lo_w_;
   double unlock_hi_w_;
+  std::vector<LaneState> lanes_;
 };
 
 }  // namespace wlansim::rf

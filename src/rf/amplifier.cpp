@@ -16,7 +16,7 @@ const double kComp1dB = 1.0 - std::pow(10.0, -1.0 / 20.0);
 
 Amplifier::Amplifier(const AmplifierConfig& cfg, double sample_rate_hz,
                      dsp::Rng rng)
-    : cfg_(cfg), rng_(rng) {
+    : cfg_(cfg) {
   if (sample_rate_hz <= 0.0)
     throw std::invalid_argument("Amplifier: bad sample rate");
   lin_gain_ = std::pow(10.0, cfg_.gain_db / 20.0);
@@ -42,6 +42,8 @@ Amplifier::Amplifier(const AmplifierConfig& cfg, double sample_rate_hz,
   noise_power_ = cfg_.noise_enabled && cfg_.noise_figure_db > 0.0
                      ? dsp::kBoltzmann * dsp::kT0 * sample_rate_hz * (f - 1.0)
                      : 0.0;
+  begin_lanes(1);
+  set_lane_rng(0, rng);
 }
 
 double Amplifier::rapp_gain_from_norm(double n2) const {
@@ -91,49 +93,6 @@ inline dsp::Cplx Amplifier::envelope_sample(dsp::Cplx x,
   return x * g * dsp::Cplx{std::cos(phi), std::sin(phi)};
 }
 
-dsp::CVec Amplifier::process(std::span<const dsp::Cplx> in) {
-  dsp::CVec out;
-  process_into(in, out);
-  return out;
-}
-
-void Amplifier::process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) {
-  out.resize(in.size());
-  process_tile(in, std::span<dsp::Cplx>(out.data(), out.size()));
-}
-
-void Amplifier::process_tile(std::span<const dsp::Cplx> in,
-                             std::span<dsp::Cplx> out) {
-  const std::size_t n = in.size();
-  // Split the sequential part (the rng-ordered noise draws) from the
-  // element-wise envelope math, and skip the AM/PM rotation entirely when
-  // it is configured off: x*g*{cos 0, sin 0} is x*g.
-  const dsp::Cplx* src = in.data();
-  dsp::Cplx* dst = out.data();
-  if (noise_power_ > 0.0) {
-    // Bulk form of dst[i] = src[i] + cgaussian(p): fill the unit normals
-    // first, then add the scaled pairs — identical stream, identical
-    // arithmetic (cgaussian evaluates s*u per rail with s = sqrt(p/2)).
-    if (dst != src) std::copy(src, src + n, dst);
-    noise_scratch_.resize(2 * n);
-    rng_.fill_gaussian(noise_scratch_.data(), noise_scratch_.size());
-    const double s = std::sqrt(noise_power_ / 2.0);
-    dsp::kernels::add_scaled_pairs(dst, n, s, noise_scratch_.data());
-    src = dst;
-  }
-  const bool pm_active = cfg_.am_pm_max_deg != 0.0;
-  if (!pm_active && cfg_.model == NonlinearityModel::kRapp) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] = rapp_sample(src[i]);
-    return;
-  }
-  if (!pm_active && cfg_.model == NonlinearityModel::kLinear) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] * lin_gain_;
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    dst[i] = envelope_sample(src[i], pm_active);
-}
-
 namespace {
 
 /// Apply a per-sample map to every lane of `n` SoA rows in place.
@@ -161,9 +120,9 @@ void Amplifier::begin_lanes(std::size_t nl) {
 void Amplifier::process_tile_lanes(double* soa, std::size_t n,
                                    std::size_t nl) {
   if (noise_power_ > 0.0) {
-    // Per lane the exact bulk noise add of process_tile: 2n unit normals in
-    // rng order (or their taped recording), then dst += s * u per rail —
-    // gathered first so one fused row-major pass adds all lanes at once.
+    // Per lane 2n unit normals in rng order (or their taped recording),
+    // then x += s * u per rail, the bulk form of x += cgaussian(p): all
+    // lanes' units are gathered first so one fused row-major pass adds them.
     const double s = std::sqrt(noise_power_ / 2.0);
     noise_scratch_.resize(2 * n * nl);
     lane_units_.resize(nl);
@@ -175,7 +134,8 @@ void Amplifier::process_tile_lanes(double* soa, std::size_t n,
     dsp::kernels::lanes_add_scaled_pairs_multi(soa, n, nl, s,
                                                lane_units_.data());
   }
-  // The branches of process_tile, lane by lane.
+  // Skip the AM/PM rotation when it is configured off: x*g*{cos 0, sin 0}
+  // is x*g.
   const bool pm_active = cfg_.am_pm_max_deg != 0.0;
   if (!pm_active && cfg_.model == NonlinearityModel::kRapp) {
     if (rapp_is_p2_) {

@@ -37,23 +37,15 @@ class Amplifier : public RfBlock {
  public:
   Amplifier(const AmplifierConfig& cfg, double sample_rate_hz, dsp::Rng rng);
 
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override;
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override;
   std::string name() const override { return cfg_.label; }
 
-  /// Replace the noise generator — with the rng a fresh construction would
-  /// receive, this makes a persistent block equivalent to a new one.
-  void set_rng(dsp::Rng rng) { rng_ = rng; }
-
-  /// Lane path: every model, with the per-lane noise draws. Each lane
-  /// runs the per-sample arithmetic of process_tile.
+  /// Every model, per lane: the additive noise (per-lane draws), then the
+  /// envelope map.
   void begin_lanes(std::size_t nl) override;
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
 
-  /// Per-lane noise generator — the rng a fresh scalar block would receive
-  /// for that lane's packet. Call after begin_lanes().
+  /// Per-lane noise generator: with the rng a fresh block would receive,
+  /// lane `lane` reproduces that block.
   void set_lane_rng(std::size_t lane, dsp::Rng rng) { lane_rng_[lane] = rng; }
 
   /// Optional per-lane unit-normal tape: when the tape already holds this
@@ -85,10 +77,9 @@ class Amplifier : public RfBlock {
   /// sqrt() (g / (1 + (g^2 n2 / Vsat^2)^2)^(1/4)).
   double rapp_gain_from_norm(double n2) const;
 
-  /// The per-sample maps of process_tile's loops, shared with the lane
-  /// loop so every lane runs the same arithmetic: the norm-domain Rapp
-  /// curve (no AM/PM), and the general envelope map (clipped-cubic, or any
-  /// model with AM/PM).
+  /// The per-sample maps of the lane loop: the norm-domain Rapp curve (no
+  /// AM/PM), and the general envelope map (clipped-cubic, or any model with
+  /// AM/PM).
   dsp::Cplx rapp_sample(dsp::Cplx x) const;
   dsp::Cplx envelope_sample(dsp::Cplx x, bool pm_active) const;
 
@@ -103,8 +94,7 @@ class Amplifier : public RfBlock {
   double cubic_a3_;       ///< cubic coefficient (envelope domain)
   double clip_in_;        ///< cubic model: input clip level
   double noise_power_;    ///< input-referred added noise power [W]
-  dsp::Rng rng_;
-  dsp::RVec noise_scratch_;  ///< per-tile unit normals for the bulk fill
+  dsp::RVec noise_scratch_;  ///< per-tile unit normals, lane after lane
   std::vector<dsp::Rng> lane_rng_;
   std::vector<dsp::RVec*> lane_tape_;
   std::vector<std::size_t> lane_tape_pos_;

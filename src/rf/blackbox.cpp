@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "dsp/kernels.h"
 #include "dsp/mathutil.h"
 #include "rf/analyses.h"
 
@@ -178,43 +179,43 @@ double BlackBoxModel::am_pm(double a) const {
   return phi;
 }
 
-dsp::CVec BlackBoxModel::process(std::span<const dsp::Cplx> in) {
-  dsp::CVec out(in.size());
-  process_tile(in, out);
-  return out;
+void BlackBoxModel::begin_lanes(std::size_t nl) {
+  if (nl != 1)
+    throw std::invalid_argument("BlackBoxModel: runs at width 1 only");
 }
 
-void BlackBoxModel::process_into(std::span<const dsp::Cplx> in,
-                                 dsp::CVec& out) {
-  out.resize(in.size());
-  process_tile(in, out);
-}
-
-void BlackBoxModel::process_tile(std::span<const dsp::Cplx> in,
-                                 std::span<dsp::Cplx> out) {
+void BlackBoxModel::process_tile_lanes(double* soa, std::size_t n,
+                                       std::size_t nl) {
+  begin_lanes(nl);
   // Three passes over the tile instead of one interleaved per-sample loop:
   // the nonlinearity is sample-local, the filter state consumes only the
   // NL outputs in order, and the noise stream is independent of the
   // signal. Note the linear part is evaluated by block convolution, whose
   // rounding depends on the call partition (see CFirFilter::process_into)
-  // — this block is exempt from the chain's tile-schedule bit-exactness
-  // contract, as the RfBlock doc allows for black-box models.
-  for (std::size_t i = 0; i < in.size(); ++i) {
+  // — this block is exempt from the tiling rule, as the RfBlock doc allows
+  // for black-box models.
+  const std::span<dsp::Cplx> x(reinterpret_cast<dsp::Cplx*>(soa), n);
+  for (dsp::Cplx& v : x) {
     // sqrt(norm) instead of std::abs: the envelope range here is far from
     // over/underflow, and hypot's extra rounding care costs ~3x per sample.
-    const double a = std::sqrt(std::norm(in[i]));
+    const double a = std::sqrt(std::norm(v));
     if (a > 0.0) {
       double g, phi;
       nl_gain_phase(a, &g, &phi);
-      out[i] = in[i] * g * dsp::Cplx{std::cos(phi), std::sin(phi)};
+      v = v * g * dsp::Cplx{std::cos(phi), std::sin(phi)};
     } else {
-      out[i] = dsp::Cplx{0.0, 0.0};
+      v = dsp::Cplx{0.0, 0.0};
     }
   }
-  filter_.process_into(out, out);
+  filter_.process_into(x, x);
   if (fit_->data.noise_power > 0.0) {
-    for (std::size_t i = 0; i < out.size(); ++i)
-      out[i] += rng_.cgaussian(fit_->data.noise_power);
+    // Bulk form of x += cgaussian(p): the same stream drawn 2n at a time,
+    // and s*u per rail with s = sqrt(p/2), as cgaussian evaluates it.
+    noise_scratch_.resize(2 * n);
+    rng_.fill_gaussian(noise_scratch_.data(), noise_scratch_.size());
+    const double* units = noise_scratch_.data();
+    dsp::kernels::lanes_add_scaled_pairs_multi(
+        soa, n, 1, std::sqrt(fit_->data.noise_power / 2.0), &units);
   }
 }
 

@@ -85,12 +85,13 @@ class BlackBoxModel : public RfBlock {
   /// A model that fits `data` for itself.
   BlackBoxModel(BlackBoxData data, dsp::Rng rng);
 
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override;
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override;
   void reset() override;
   std::string name() const override { return "blackbox"; }
+
+  /// Width 1 only: a link builds one model per packet. begin_lanes() and
+  /// process_tile_lanes() throw std::invalid_argument for any other width.
+  void begin_lanes(std::size_t nl) override;
+  void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
 
   const BlackBoxData& data() const { return fit_->data; }
 
@@ -110,6 +111,7 @@ class BlackBoxModel : public RfBlock {
   std::shared_ptr<const BlackBoxFit> fit_;
   dsp::CFirFilter filter_;  ///< normalized linear part H(f)/H(f_ref)
   dsp::Rng rng_;
+  dsp::RVec noise_scratch_;  ///< per-call unit normals for the bulk fill
 };
 
 /// Frequency-sampling FIR fit: `h` sampled on the uniform grid

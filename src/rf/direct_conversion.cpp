@@ -57,8 +57,4 @@ DirectConversionReceiver::DirectConversionReceiver(
   chain_.emplace<Adc>(cfg_.adc);
 }
 
-dsp::CVec DirectConversionReceiver::process(std::span<const dsp::Cplx> in) {
-  return chain_.process(in);
-}
-
 }  // namespace wlansim::rf

@@ -80,16 +80,16 @@ class DirectConversionReceiver : public RfBlock {
  public:
   DirectConversionReceiver(const DirectConversionConfig& cfg, dsp::Rng rng);
 
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override {
-    chain_.process_into(in, out);
-  }
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override {
-    chain_.process_tile(in, out);
-  }
   void reset() override { chain_.reset(); }
   std::string name() const override { return "direct_conversion_rx"; }
+
+  /// The cascade on lanes, fused (see RfChain). Its blocks have no
+  /// per-lane reseed here: a link builds one receiver per packet, at
+  /// width 1.
+  void begin_lanes(std::size_t nl) override { chain_.begin_lanes(nl); }
+  void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override {
+    chain_.process_tile_lanes(soa, n, nl);
+  }
 
   const DirectConversionConfig& config() const { return cfg_; }
   double front_end_gain_db() const {

@@ -13,83 +13,45 @@ namespace wlansim::rf {
 /// std::invalid_argument on a corner outside this range.
 bool corner_fits_rate(double f_hz, double fs_hz);
 
-/// Chebyshev-I lowpass channel-select filter. The SpectreRF rflib has no
-/// wideband bandpass model (paper §4.2), so — exactly like the authors —
-/// we realize channel selection with low/high-pass sections.
-class ChebyshevLowpass : public RfBlock {
+/// A cascade of biquad sections on lanes: a gain pre-scale pass, then each
+/// section stage-outer over all 2*nl rails with its registers carried per
+/// lane.
+class BiquadBlock : public RfBlock {
  public:
-  ChebyshevLowpass(std::size_t order, double ripple_db, double edge_hz,
-                   double sample_rate_hz, std::string label = "bb_lpf");
-
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override;
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override;
-  void reset() override { filt_.reset(); }
+  void begin_lanes(std::size_t nl) override;
+  void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
+  void reset() override;
   std::string name() const override { return label_; }
-
-  double edge_hz() const { return edge_hz_; }
 
   /// Magnitude response at frequency f [Hz].
   double magnitude_at(double f_hz) const;
 
-  void begin_lanes(std::size_t nl) override;
-  void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
+ protected:
+  BiquadBlock(dsp::BiquadCascade design, double sample_rate_hz,
+              std::string label);
 
  private:
   std::string label_;
-  double edge_hz_;
   double sample_rate_hz_;
-  dsp::BiquadCascade filt_;
-  dsp::RVec lane_state_;  ///< per-section s1/s2 rows (4*nl doubles each)
+  dsp::BiquadCascade design_;  ///< coefficients and gain; its state unused
+  dsp::RVec lane_state_;       ///< per-section s1/s2 rows (4*nl doubles each)
+};
+
+/// Chebyshev-I lowpass channel-select filter. The SpectreRF rflib has no
+/// wideband bandpass model (paper §4.2), so — exactly like the authors —
+/// we realize channel selection with low/high-pass sections.
+class ChebyshevLowpass : public BiquadBlock {
+ public:
+  ChebyshevLowpass(std::size_t order, double ripple_db, double edge_hz,
+                   double sample_rate_hz, std::string label = "bb_lpf");
 };
 
 /// Butterworth high-pass DC block (removes self-mixing DC offsets and
 /// flicker noise between the mixer stages).
-class DcBlockHighpass : public RfBlock {
+class DcBlockHighpass : public BiquadBlock {
  public:
   DcBlockHighpass(std::size_t order, double cutoff_hz, double sample_rate_hz,
                   std::string label = "hpf");
-
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override;
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override;
-  void reset() override { filt_.reset(); }
-  std::string name() const override { return label_; }
-
-  double cutoff_hz() const { return cutoff_hz_; }
-
-  void begin_lanes(std::size_t nl) override;
-  void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
-
- private:
-  std::string label_;
-  double cutoff_hz_;
-  dsp::BiquadCascade filt_;
-  dsp::RVec lane_state_;  ///< per-section s1/s2 rows (4*nl doubles each)
-};
-
-/// Butterworth lowpass (anti-alias / generic band limiting).
-class ButterworthLowpass : public RfBlock {
- public:
-  ButterworthLowpass(std::size_t order, double cutoff_hz,
-                     double sample_rate_hz, std::string label = "lpf");
-
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override;
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override;
-  void reset() override { filt_.reset(); }
-  std::string name() const override { return label_; }
-
-  void begin_lanes(std::size_t nl) override;
-  void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
-
- private:
-  std::string label_;
-  dsp::BiquadCascade filt_;
-  dsp::RVec lane_state_;  ///< per-section s1/s2 rows (4*nl doubles each)
 };
 
 }  // namespace wlansim::rf

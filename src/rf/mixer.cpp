@@ -1,5 +1,6 @@
 #include "rf/mixer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -14,7 +15,7 @@ double PhaseNoiseSpec::linewidth_hz() const {
 }
 
 Mixer::Mixer(const MixerConfig& cfg, double sample_rate_hz, dsp::Rng rng)
-    : cfg_(cfg), rng_(rng) {
+    : cfg_(cfg) {
   if (sample_rate_hz <= 0.0)
     throw std::invalid_argument("Mixer: bad sample rate");
   gain_ = std::pow(10.0, cfg_.conversion_gain_db / 20.0);
@@ -31,17 +32,8 @@ Mixer::Mixer(const MixerConfig& cfg, double sample_rate_hz, dsp::Rng rng)
                    : std::pow(10.0, -cfg_.image_rejection_db / 20.0);
   iq_eps_ = std::pow(10.0, cfg_.iq_gain_imbalance_db / 20.0);
   iq_phi_ = cfg_.iq_phase_error_deg * dsp::kPi / 180.0;
-}
-
-dsp::CVec Mixer::process(std::span<const dsp::Cplx> in) {
-  dsp::CVec out;
-  process_into(in, out);
-  return out;
-}
-
-void Mixer::process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) {
-  out.resize(in.size());
-  process_tile(in, std::span<dsp::Cplx>(out.data(), out.size()));
+  begin_lanes(1);
+  set_lane_rng(0, rng);
 }
 
 dsp::kernels::MixParams Mixer::mix_params() const {
@@ -68,33 +60,9 @@ void Mixer::advance_phase(double& lo, double& pn, dsp::Rng& rng,
   }
 }
 
-void Mixer::process_tile(std::span<const dsp::Cplx> in,
-                         std::span<dsp::Cplx> out) {
-  const std::size_t n = in.size();
-  if (n == 0) return;
-  const dsp::kernels::MixParams p = mix_params();
-
-  // With no LO offset and no phase noise the LO phasor is one constant for
-  // the whole block (and no state advances), so the per-sample cos/sin —
-  // the bulk of this block's cost in the default receiver chain, where the
-  // phase is identically zero — collapses to a single evaluation.
-  if (constant_lo() && lo_phase_ <= 64.0 * dsp::kPi) {
-    const double phi = lo_phase_ + pn_phase_;
-    const dsp::Cplx lo{std::cos(phi), std::sin(phi)};
-    dsp::kernels::mix_const_lo(in.data(), n, lo, p, out.data());
-    return;
-  }
-
-  // General case: fill the per-sample phase stream (the sequential part —
-  // phase-noise draws and accumulator wrapping), then mix element-wise.
-  phase_scratch_.resize(n);
-  advance_phase(lo_phase_, pn_phase_, rng_, phase_scratch_.data(), n);
-  dsp::kernels::mix_phase(in.data(), phase_scratch_.data(), n, p, out.data());
-}
-
 void Mixer::reset() {
-  lo_phase_ = 0.0;
-  pn_phase_ = 0.0;
+  std::fill(lane_lo_phase_.begin(), lane_lo_phase_.end(), 0.0);
+  std::fill(lane_pn_phase_.begin(), lane_pn_phase_.end(), 0.0);
 }
 
 void Mixer::begin_lanes(std::size_t nl) {
@@ -107,13 +75,24 @@ void Mixer::begin_lanes(std::size_t nl) {
 void Mixer::process_tile_lanes(double* soa, std::size_t n, std::size_t nl) {
   const dsp::kernels::MixParams p = mix_params();
   if (constant_lo()) {
-    // Every lane's phase stays at the 0 begin_lanes() set: process_tile's
-    // constant-LO branch with lo = {1, 0}, which is the unity-LO kernel.
+    // With no LO offset and no phase noise the LO phasor is the constant
+    // {1, 0}: no state advances and no per-sample cos/sin — the bulk of
+    // this block's cost in the default receiver chain — is evaluated.
     dsp::kernels::lanes_mix_unity_lo(soa, n, nl, p);
     return;
   }
-  // Per lane, process_tile's general branch on the lane's own oscillator.
+  // General case, per lane: fill the per-sample phase stream (the
+  // sequential part — phase-noise draws and accumulator wrapping) on the
+  // lane's own oscillator, then mix element-wise. A width-1 row is one
+  // complex sample, so width 1 mixes in place.
   phase_scratch_.resize(n);
+  if (nl == 1) {
+    dsp::Cplx* x = reinterpret_cast<dsp::Cplx*>(soa);
+    advance_phase(lane_lo_phase_[0], lane_pn_phase_[0], lane_rng_[0],
+                  phase_scratch_.data(), n);
+    dsp::kernels::mix_phase(x, phase_scratch_.data(), n, p, x);
+    return;
+  }
   lane_tile_.resize(n);
   for (std::size_t l = 0; l < nl; ++l) {
     advance_phase(lane_lo_phase_[l], lane_pn_phase_[l], lane_rng_[l],

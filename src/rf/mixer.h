@@ -46,19 +46,11 @@ class Mixer : public RfBlock {
  public:
   Mixer(const MixerConfig& cfg, double sample_rate_hz, dsp::Rng rng);
 
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override;
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override;
   void reset() override;
   std::string name() const override { return cfg_.label; }
 
-  /// Replace the phase-noise generator (see Amplifier::set_rng).
-  void set_rng(dsp::Rng rng) { rng_ = rng; }
-
-  /// Lane path: every lane keeps its own LO phase, phase-noise phase and
-  /// rng, starting where reset() leaves the scalar block. A config without
-  /// LO offset or phase noise keeps no per-lane state at all.
+  /// Every lane keeps its own LO phase, phase-noise phase and rng. A config
+  /// without LO offset or phase noise keeps no per-lane state at all.
   void begin_lanes(std::size_t nl) override;
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
 
@@ -86,9 +78,6 @@ class Mixer : public RfBlock {
   double image_amp_;     ///< conj-term amplitude from image rejection
   double iq_eps_;        ///< Q gain factor
   double iq_phi_;        ///< quadrature phase error [rad]
-  double lo_phase_ = 0.0;
-  double pn_phase_ = 0.0;
-  dsp::Rng rng_;
   dsp::RVec phase_scratch_;  ///< per-sample LO phase (SoA) for the kernel
   dsp::RVec lane_lo_phase_;
   dsp::RVec lane_pn_phase_;

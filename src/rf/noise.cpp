@@ -14,45 +14,8 @@
 
 namespace wlansim::rf {
 
-WhiteNoiseSource::WhiteNoiseSource(double psd_w_per_hz, double sample_rate_hz,
-                                   dsp::Rng rng)
-    : power_(psd_w_per_hz * sample_rate_hz), rng_(rng) {
-  if (psd_w_per_hz < 0.0 || sample_rate_hz <= 0.0)
-    throw std::invalid_argument("WhiteNoiseSource: bad parameters");
-}
-
-dsp::CVec WhiteNoiseSource::process(std::span<const dsp::Cplx> in) {
-  dsp::CVec out;
-  process_into(in, out);
-  return out;
-}
-
-void WhiteNoiseSource::process_into(std::span<const dsp::Cplx> in,
-                                    dsp::CVec& out) {
-  out.resize(in.size());
-  process_tile(in, std::span<dsp::Cplx>(out.data(), out.size()));
-}
-
-void WhiteNoiseSource::process_tile(std::span<const dsp::Cplx> in,
-                                    std::span<dsp::Cplx> out) {
-  if (out.data() != in.data())
-    std::copy(in.begin(), in.end(), out.begin());
-  if (power_ > 0.0) {
-    // Bulk form of v += cgaussian(p): same stream, same arithmetic
-    // (cgaussian evaluates s*u per rail with s = sqrt(p/2)).
-    scratch_.resize(2 * out.size());
-    rng_.fill_gaussian(scratch_.data(), scratch_.size());
-    const double s = std::sqrt(power_ / 2.0);
-    dsp::kernels::add_scaled_pairs(out.data(), out.size(), s,
-                                   scratch_.data());
-  }
-}
-
-namespace {
-
-/// Build log-spaced pole/zero first-order sections approximating a
-/// -10 dB/decade magnitude slope between f_lo and f_hi.
-std::vector<dsp::Biquad> pink_sections(double f_lo, double f_hi, double fs) {
+std::vector<dsp::Biquad> flicker_sections(double f_lo, double f_hi,
+                                          double fs) {
   if (f_lo <= 0.0 || f_hi <= f_lo || f_hi >= fs / 2.0)
     throw std::invalid_argument("FlickerNoiseSource: bad corner frequencies");
   const double decades = std::log10(f_hi / f_lo);
@@ -96,6 +59,8 @@ std::vector<dsp::Biquad> pink_sections(double f_lo, double f_hi, double fs) {
   return out;
 }
 
+namespace {
+
 /// Output power of the shaping cascade `stages` (designed for the corners
 /// and rate given) under unit-variance drive, measured empirically: 2^15
 /// samples of fixed-seed noise through a copy of the cascade. The value is
@@ -136,6 +101,16 @@ double unit_drive_power(const std::vector<dsp::Biquad>& stages,
 
 }  // namespace
 
+double flicker_drive_sigma(double power_watts,
+                           const std::vector<dsp::Biquad>& sections,
+                           double corner_low_hz, double corner_high_hz,
+                           double sample_rate_hz) {
+  if (power_watts <= 0.0) return 0.0;
+  return std::sqrt(power_watts / unit_drive_power(sections, corner_low_hz,
+                                                  corner_high_hz,
+                                                  sample_rate_hz));
+}
+
 FlickerNoiseSource::FlickerNoiseSource(double power_watts, double corner_low_hz,
                                        double corner_high_hz,
                                        double sample_rate_hz, dsp::Rng rng)
@@ -143,70 +118,17 @@ FlickerNoiseSource::FlickerNoiseSource(double power_watts, double corner_low_hz,
              std::bit_cast<std::uint64_t>(corner_low_hz),
              std::bit_cast<std::uint64_t>(corner_high_hz),
              std::bit_cast<std::uint64_t>(sample_rate_hz)},
-      drive_sigma_(0.0),
-      stages_(pink_sections(corner_low_hz, corner_high_hz, sample_rate_hz)),
-      rng_(rng) {
+      stages_(flicker_sections(corner_low_hz, corner_high_hz, sample_rate_hz)) {
   if (power_watts < 0.0)
     throw std::invalid_argument("FlickerNoiseSource: negative power");
-  if (power_watts == 0.0) return;
-
-  drive_sigma_ = std::sqrt(
-      power_watts /
-      unit_drive_power(stages_, corner_low_hz, corner_high_hz, sample_rate_hz));
-}
-
-dsp::CVec FlickerNoiseSource::process(std::span<const dsp::Cplx> in) {
-  dsp::CVec out;
-  process_into(in, out);
-  return out;
-}
-
-void FlickerNoiseSource::process_into(std::span<const dsp::Cplx> in,
-                                      dsp::CVec& out) {
-  out.resize(in.size());
-  process_tile(in, std::span<dsp::Cplx>(out.data(), out.size()));
-}
-
-void FlickerNoiseSource::process_tile(std::span<const dsp::Cplx> in,
-                                      std::span<dsp::Cplx> out) {
-  if (out.data() != in.data())
-    std::copy(in.begin(), in.end(), out.begin());
-  if (drive_sigma_ <= 0.0) return;
-  // Stage-outer shaping (the BiquadCascade::process_into argument): draw
-  // the whole tile's noise stream first (the rng-ordered sequential part),
-  // then stream each section over it with its state in registers. Every
-  // sample still traverses the sections in order with the same recurrence,
-  // so the values are identical to the sample-inner step() form.
-  const std::size_t n = in.size();
-  scratch_.resize(n);
-  dsp::Cplx* w = scratch_.data();
-  // cgaussian(1.0) * drive_sigma_ decomposes to (s0*u) * drive per rail
-  // with s0 = sqrt(1/2); drawing the normals in bulk and applying the
-  // same two multiplies in the same order reproduces it exactly.
-  rscratch_.resize(2 * n);
-  rng_.fill_gaussian(rscratch_.data(), rscratch_.size());
-  const double s0 = std::sqrt(1.0 / 2.0);
-  for (std::size_t i = 0; i < n; ++i)
-    w[i] = dsp::Cplx{s0 * rscratch_[2 * i], s0 * rscratch_[2 * i + 1]} *
-           drive_sigma_;
-  for (auto& s : stages_) {
-    const double b0 = s.b0, b1 = s.b1, b2 = s.b2, a1 = s.a1, a2 = s.a2;
-    dsp::Cplx s1 = s.s1, s2 = s.s2;
-    for (std::size_t i = 0; i < n; ++i) {
-      const dsp::Cplx x = w[i];
-      const dsp::Cplx y = b0 * x + s1;
-      s1 = b1 * x - a1 * y + s2;
-      s2 = b2 * x - a2 * y;
-      w[i] = y;
-    }
-    s.s1 = s1;
-    s.s2 = s2;
-  }
-  for (std::size_t i = 0; i < n; ++i) out[i] += w[i];
+  drive_sigma_ = flicker_drive_sigma(power_watts, stages_, corner_low_hz,
+                                     corner_high_hz, sample_rate_hz);
+  begin_lanes(1);
+  set_lane_rng(0, rng);
 }
 
 void FlickerNoiseSource::reset() {
-  for (auto& s : stages_) s.reset();
+  std::fill(lane_state_.begin(), lane_state_.end(), 0.0);
 }
 
 void FlickerNoiseSource::begin_lanes(std::size_t nl) {
@@ -240,9 +162,10 @@ void FlickerNoiseSource::process_tile_lanes(double* soa, std::size_t n,
     return;
   }
 
-  // The lane form of process_tile: per lane the same 2n drive normals and
-  // the same (s0*u)*drive rails, then the shaping cascade stage-outer over
-  // all 2*nl rails, then out += w.
+  // Draw the tile's noise stream first (the rng-ordered sequential part):
+  // per lane 2n drive normals, and rails (s0*u)*drive — cgaussian(1.0) *
+  // drive_sigma_ decomposed per rail, s0 = sqrt(1/2). Then stream each
+  // shaping section stage-outer over all 2*nl rails, then x += w.
   w_soa_.resize(need * nl);
   rscratch_.resize(need * nl);
   for (std::size_t l = 0; l < nl; ++l) {
@@ -283,7 +206,7 @@ void FlickerNoiseSource::process_tile_lanes(double* soa, std::size_t n,
 
 WanderingDcSource::WanderingDcSource(double rms_amplitude, double bandwidth_hz,
                                      double sample_rate_hz, dsp::Rng rng)
-    : rms_(rms_amplitude), rng_(rng) {
+    : rms_(rms_amplitude) {
   if (rms_amplitude < 0.0 || bandwidth_hz <= 0.0 || sample_rate_hz <= 0.0 ||
       bandwidth_hz >= sample_rate_hz / 2.0)
     throw std::invalid_argument("WanderingDcSource: bad parameters");
@@ -291,72 +214,48 @@ WanderingDcSource::WanderingDcSource(double rms_amplitude, double bandwidth_hz,
   // One-pole AR(1): var_state = drive^2 * alpha / (2 - alpha) per rail.
   const double var_per_rail = rms_ * rms_ / 2.0;
   drive_std_ = std::sqrt(var_per_rail * (2.0 - alpha_) / alpha_);
+  begin_lanes(1);
+  reseed(rng);
+}
+
+void WanderingDcSource::begin_lanes(std::size_t nl) {
+  lane_state_.assign(nl, dsp::Cplx{0.0, 0.0});
+  lane_rng_.assign(nl, dsp::Rng{});
+}
+
+void WanderingDcSource::reset() {
+  std::fill(lane_state_.begin(), lane_state_.end(), dsp::Cplx{0.0, 0.0});
+}
+
+void WanderingDcSource::reseed(dsp::Rng rng, std::size_t lane) {
   // Start the walk at a random point of its stationary distribution so
   // short runs are representative.
-  state_ = {rng_.gaussian(std::sqrt(var_per_rail)),
-            rng_.gaussian(std::sqrt(var_per_rail))};
+  lane_rng_[lane] = rng;
+  dsp::Rng& r = lane_rng_[lane];
+  const double var_per_rail = rms_ * rms_ / 2.0;
+  lane_state_[lane] = {r.gaussian(std::sqrt(var_per_rail)),
+                       r.gaussian(std::sqrt(var_per_rail))};
 }
 
-dsp::CVec WanderingDcSource::process(std::span<const dsp::Cplx> in) {
-  dsp::CVec out;
-  process_into(in, out);
-  return out;
-}
-
-void WanderingDcSource::process_into(std::span<const dsp::Cplx> in,
-                                     dsp::CVec& out) {
-  out.resize(in.size());
-  process_tile(in, std::span<dsp::Cplx>(out.data(), out.size()));
-}
-
-void WanderingDcSource::process_tile(std::span<const dsp::Cplx> in,
-                                     std::span<dsp::Cplx> out) {
-  if (out.data() != in.data())
-    std::copy(in.begin(), in.end(), out.begin());
+void WanderingDcSource::process_tile_lanes(double* soa, std::size_t n,
+                                           std::size_t nl) {
   if (rms_ <= 0.0) return;
   // The AR(1) recurrence is inherently sequential, but the two gaussian
   // draws per sample are not: fill them in bulk (gaussian(sigma) is
   // sigma*u, reproduced below) and keep only the recurrence in the loop.
-  const std::size_t n = out.size();
   scratch_.resize(2 * n);
-  rng_.fill_gaussian(scratch_.data(), scratch_.size());
-  dsp::Cplx state = state_;
-  for (std::size_t i = 0; i < n; ++i) {
-    state += alpha_ * (dsp::Cplx{drive_std_ * scratch_[2 * i],
-                                 drive_std_ * scratch_[2 * i + 1]} -
-                       state);
-    out[i] += state;
+  for (std::size_t l = 0; l < nl; ++l) {
+    lane_rng_[l].fill_gaussian(scratch_.data(), scratch_.size());
+    dsp::Cplx state = lane_state_[l];
+    for (std::size_t i = 0; i < n; ++i) {
+      state += alpha_ * (dsp::Cplx{drive_std_ * scratch_[2 * i],
+                                   drive_std_ * scratch_[2 * i + 1]} -
+                         state);
+      soa[i * 2 * nl + l] += state.real();
+      soa[i * 2 * nl + nl + l] += state.imag();
+    }
+    lane_state_[l] = state;
   }
-  state_ = state;
-}
-
-void WanderingDcSource::reset() { state_ = dsp::Cplx{0.0, 0.0}; }
-
-void WanderingDcSource::reseed(dsp::Rng rng) {
-  rng_ = rng;
-  // Same draw a fresh construction performs.
-  const double var_per_rail = rms_ * rms_ / 2.0;
-  state_ = {rng_.gaussian(std::sqrt(var_per_rail)),
-            rng_.gaussian(std::sqrt(var_per_rail))};
-}
-
-dsp::CVec DcOffsetSource::process(std::span<const dsp::Cplx> in) {
-  dsp::CVec out;
-  process_into(in, out);
-  return out;
-}
-
-void DcOffsetSource::process_into(std::span<const dsp::Cplx> in,
-                                  dsp::CVec& out) {
-  out.resize(in.size());
-  process_tile(in, std::span<dsp::Cplx>(out.data(), out.size()));
-}
-
-void DcOffsetSource::process_tile(std::span<const dsp::Cplx> in,
-                                  std::span<dsp::Cplx> out) {
-  if (out.data() != in.data())
-    std::copy(in.begin(), in.end(), out.begin());
-  for (auto& v : out) v += offset_;
 }
 
 }  // namespace wlansim::rf

@@ -1,4 +1,6 @@
-// Noise sources: thermal (white) and flicker (1/f) noise generators.
+// Noise sources: flicker (1/f) noise and a wandering DC offset. (Thermal
+// noise is the amplifier's noise figure; a static offset is the mixer's
+// dc_offset.)
 //
 // These are the behavioral equivalents of the Verilog-A white_noise /
 // flicker_noise functions whose absence in the AMS Designer transient
@@ -12,28 +14,20 @@
 
 namespace wlansim::rf {
 
-/// Additive white Gaussian noise with a one-sided density of `psd_w_per_hz`
-/// watts/Hz over the complex bandwidth fs (total power = psd * fs).
-class WhiteNoiseSource : public RfBlock {
- public:
-  WhiteNoiseSource(double psd_w_per_hz, double sample_rate_hz, dsp::Rng rng);
+/// The flicker source's shaping filter: log-spaced first-order pole/zero
+/// sections approximating a -10 dB/decade slope between the corners, then
+/// a 2nd-order Butterworth lowpass at the upper corner. Throws
+/// std::invalid_argument unless 0 < f_lo < f_hi < fs/2.
+std::vector<dsp::Biquad> flicker_sections(double f_lo, double f_hi,
+                                          double fs);
 
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override;
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override;
-  std::string name() const override { return "white_noise"; }
-
-  /// Replace the noise generator (see Amplifier::set_rng).
-  void set_rng(dsp::Rng rng) { rng_ = rng; }
-
-  double total_power_watts() const { return power_; }
-
- private:
-  double power_;
-  dsp::Rng rng_;
-  dsp::RVec scratch_;  ///< per-tile unit normals for the bulk fill
-};
+/// The drive standard deviation that makes `sections` (designed for these
+/// corners and rate) output `power_watts`, from a fixed-seed calibration
+/// measured once per shape in the process; 0 for power_watts <= 0.
+double flicker_drive_sigma(double power_watts,
+                           const std::vector<dsp::Biquad>& sections,
+                           double corner_low_hz, double corner_high_hz,
+                           double sample_rate_hz);
 
 /// Additive 1/f (flicker) noise: white noise shaped by a cascade of
 /// first-order sections approximating a -10 dB/decade slope between
@@ -45,23 +39,16 @@ class FlickerNoiseSource : public RfBlock {
                      double corner_high_hz, double sample_rate_hz,
                      dsp::Rng rng);
 
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override;
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override;
   void reset() override;
   std::string name() const override { return "flicker_noise"; }
 
-  /// Replace the drive generator (the calibration in the constructor uses
-  /// its own fixed-seed rng, so reset() + set_rng() makes a persistent
-  /// source equivalent to a freshly constructed one).
-  void set_rng(dsp::Rng rng) { rng_ = rng; }
-
-  /// Lane path: per-lane drive draws + stage-outer lanes_biquad shaping,
-  /// or the shaped noise replayed from the lanes' tapes.
+  /// Per-lane drive draws + stage-outer lanes_biquad shaping, or the shaped
+  /// noise replayed from the lanes' tapes.
   void begin_lanes(std::size_t nl) override;
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
-  /// Per-lane drive generator (see Amplifier::set_lane_rng).
+  /// Per-lane drive generator (see Amplifier::set_lane_rng). The
+  /// calibration in the constructor uses its own fixed-seed rng, so
+  /// reset() plus this makes a persistent source equivalent to a fresh one.
   void set_lane_rng(std::size_t lane, dsp::Rng rng) { lane_rng_[lane] = rng; }
   /// Per-lane shaped-noise tape (see rf/lane_tape.h). An empty tape records
   /// the lane's noise after the shaping filter, stamped with this source's
@@ -77,11 +64,9 @@ class FlickerNoiseSource : public RfBlock {
   /// the unit normals they fix the shaped noise exactly.
   NoiseShape shape_;
   double drive_sigma_;
-  std::vector<dsp::Biquad> stages_;
-  dsp::Rng rng_;
-  dsp::CVec scratch_;   ///< per-tile noise stream for stage-outer shaping
+  std::vector<dsp::Biquad> stages_;  ///< coefficients; registers per lane
   dsp::RVec rscratch_;  ///< per-tile unit normals for the bulk fill
-  dsp::RVec w_soa_;     ///< lane path: per-tile SoA noise stream
+  dsp::RVec w_soa_;     ///< per-tile SoA noise stream
   dsp::RVec lane_state_;  ///< per-stage s1/s2 rows (4*nl doubles each)
   std::vector<dsp::Rng> lane_rng_;
   std::vector<ShapedNoiseTape*> lane_tape_;
@@ -101,42 +86,25 @@ class WanderingDcSource : public RfBlock {
   WanderingDcSource(double rms_amplitude, double bandwidth_hz,
                     double sample_rate_hz, dsp::Rng rng);
 
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override;
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override;
   void reset() override;
   std::string name() const override { return "wandering_dc"; }
 
-  /// Replace the rng and redo the construction-time draw of the initial
-  /// walk state, so the source behaves exactly like a new one.
-  void reseed(dsp::Rng rng);
+  /// Per lane one walk with its own rng; begin_lanes() starts every walk
+  /// at 0, as reset() does.
+  void begin_lanes(std::size_t nl) override;
+  void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
+
+  /// Replace lane `lane`'s rng and redo the construction-time draw of its
+  /// walk's start, so the lane behaves exactly like a new source.
+  void reseed(dsp::Rng rng, std::size_t lane = 0);
 
  private:
   double rms_;
   double alpha_;       ///< one-pole smoothing factor
   double drive_std_;   ///< per-sample drive giving the target RMS
-  dsp::Cplx state_{0.0, 0.0};
-  dsp::Rng rng_;
+  std::vector<dsp::Cplx> lane_state_;
+  std::vector<dsp::Rng> lane_rng_;
   dsp::RVec scratch_;  ///< per-tile unit normals for the bulk fill
-};
-
-/// Static complex DC offset (e.g. LO self-mixing in the second mixer of
-/// the double-conversion receiver).
-class DcOffsetSource : public RfBlock {
- public:
-  explicit DcOffsetSource(dsp::Cplx offset) : offset_(offset) {}
-
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override;
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override;
-  std::string name() const override { return "dc_offset"; }
-
-  dsp::Cplx offset() const { return offset_; }
-
- private:
-  dsp::Cplx offset_;
 };
 
 }  // namespace wlansim::rf

@@ -61,31 +61,8 @@ DoubleConversionReceiver::DoubleConversionReceiver(
   chain_.emplace<Adc>(cfg_.adc);
 }
 
-dsp::CVec DoubleConversionReceiver::process(std::span<const dsp::Cplx> in) {
-  return chain_.process(in);
-}
-
-void DoubleConversionReceiver::process_into(std::span<const dsp::Cplx> in,
-                                            dsp::CVec& out) {
-  chain_.process_into(in, out);
-}
-
-void DoubleConversionReceiver::process_tile(std::span<const dsp::Cplx> in,
-                                            std::span<dsp::Cplx> out) {
-  chain_.process_tile(in, out);
-}
-
-void DoubleConversionReceiver::reseed(dsp::Rng rng) {
-  // Same fork order as the constructor: lna, mixer1, mixer2, flicker.
-  lna_->set_rng(rng.fork());
-  mixer1_->set_rng(rng.fork());
-  mixer2_->set_rng(rng.fork());
-  if (flicker_) flicker_->set_rng(rng.fork());
-}
-
 void DoubleConversionReceiver::reseed_lanes(std::size_t lane, dsp::Rng rng) {
-  // Same fork order as the constructor and reseed(): lna, mixer1, mixer2,
-  // flicker.
+  // Same fork order as the constructor: lna, mixer1, mixer2, flicker.
   lna_->set_lane_rng(lane, rng.fork());
   mixer1_->set_lane_rng(lane, rng.fork());
   mixer2_->set_lane_rng(lane, rng.fork());

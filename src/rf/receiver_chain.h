@@ -84,41 +84,26 @@ class DoubleConversionReceiver : public RfBlock {
  public:
   DoubleConversionReceiver(const DoubleConversionConfig& cfg, dsp::Rng rng);
 
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override;
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override;
   void reset() override { chain_.reset(); }
   std::string name() const override { return "double_conversion_rx"; }
 
-  /// Reference block-at-a-time execution (see RfChain::process_blockwise_into)
-  /// for the fused-vs-blockwise equivalence tests and benchmarks.
-  void process_blockwise_into(std::span<const dsp::Cplx> in, dsp::CVec& out) {
-    chain_.process_blockwise_into(in, out);
-  }
-
-  /// Fused-executor tile size (samples); 0 = auto. Any value produces
-  /// bit-identical output (see ChainExecutor).
-  void set_tile_size(std::size_t t) { chain_.set_tile_size(t); }
-
-  /// Re-fork the per-stage rngs from `rng` in construction order. After
-  /// reset() + reseed(rng) a persistent receiver produces exactly the
-  /// stream a DoubleConversionReceiver(cfg, rng) built from scratch would
-  /// (the flicker calibration uses its own fixed seed, so skipping it
-  /// changes nothing).
-  void reseed(dsp::Rng rng);
-
-  /// Width-W packet-lane path (see RfBlock): every block of the cascade
-  /// runs its current configuration on lanes.
+  /// Every block of the cascade runs its configuration on lanes, fused
+  /// (see RfChain).
   void begin_lanes(std::size_t nl) override { chain_.begin_lanes(nl); }
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override {
     chain_.process_tile_lanes(soa, n, nl);
   }
 
-  /// Per-lane equivalent of reset() + reseed(rng): fork the per-stage rngs
-  /// from `rng` into lane `lane`'s slots, same construction order. Call
-  /// after begin_lanes(); lane l then reproduces a fresh scalar receiver
-  /// reseeded with that lane's rng, bit for bit.
+  /// Lane 0's reseed_lanes(): after reset() + reseed(rng) a persistent
+  /// width-1 receiver produces exactly the stream a
+  /// DoubleConversionReceiver(cfg, rng) built from scratch would (the
+  /// flicker calibration uses its own fixed seed, so skipping it changes
+  /// nothing).
+  void reseed(dsp::Rng rng) { reseed_lanes(0, rng); }
+
+  /// Fork the per-stage rngs from `rng` into lane `lane`'s slots in the
+  /// constructor's order. After begin_lanes(), lane l then reproduces a
+  /// receiver built with that rng, bit for bit.
   void reseed_lanes(std::size_t lane, dsp::Rng rng);
 
   /// Optional per-lane noise tapes for the two noisy stages (see

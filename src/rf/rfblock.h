@@ -7,7 +7,31 @@
 //    power [W] == mean |x|^2 and a tone of amplitude A carries A^2 watts;
 //  * every block is constructed with the sample rate it runs at, because
 //    noise floors and filter corners are physical (Hz) quantities;
-//  * blocks keep state across process() calls so long runs can stream.
+//  * blocks keep state across calls so long runs can stream.
+//
+// One loop per block. A block runs 1 to dsp::kernels::kLaneWidth
+// same-config streams ("lanes", one packet each) in lockstep: sample i is
+// one 2*nl-double SoA row [re lanes][im lanes] of a flat buffer, and
+// process_tile_lanes() is the block's only processing code. A width-1 row
+// is [re, im], the memory layout of std::complex<double>, so process(),
+// process_into() and process_tile() run that loop at width 1 in place on a
+// complex buffer — the analyses, the dataflow graph and the packet wave
+// all run the same arithmetic.
+//
+// The lane contract:
+//  * a newly constructed block is a width-1 block; lane 0 draws from the
+//    rng the constructor received;
+//  * begin_lanes(nl) sets the width and clears every lane: its carried
+//    state and its rng, which the block's per-lane rng setter then seeds;
+//  * reset() clears every lane's carried state — filter registers, LO and
+//    phase-noise phases, the AGC loop, co-simulation's hold value and step
+//    count — and keeps each lane's rng;
+//  * lane l of a block whose lane rngs were set to what fresh blocks would
+//    receive reproduces such a fresh block on lane l's stream, bit for bit;
+//  * tiling: the output depends only on carried state plus the input rows
+//    in order, so consecutive calls over tiles of any sizes equal one call
+//    over the whole buffer. Black-box table models are exempt (their FIR
+//    rounds per call partition, see rf/blackbox.h).
 #pragma once
 
 #include <memory>
@@ -16,7 +40,6 @@
 #include <vector>
 
 #include "dsp/types.h"
-#include "rf/chain_executor.h"
 
 namespace wlansim::rf {
 
@@ -24,63 +47,45 @@ class RfBlock {
  public:
   virtual ~RfBlock() = default;
 
-  /// Process a chunk; output has the same length as the input.
-  virtual dsp::CVec process(std::span<const dsp::Cplx> in) = 0;
+  /// Process `n` SoA rows of `nl` lanes in place.
+  virtual void process_tile_lanes(double* soa, std::size_t n,
+                                  std::size_t nl) = 0;
 
-  /// Process a chunk into a caller-provided vector, which is resized to the
-  /// input length. Blocks on the packet hot path override this so that a
-  /// warm `out` means zero heap allocation; the default delegates to
-  /// process(). `out` must not alias `in`.
-  virtual void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) {
-    out = process(in);
-  }
+  /// Set the width to `nl` lanes and clear every lane (see above).
+  virtual void begin_lanes(std::size_t nl) { (void)nl; }
 
-  /// Tile-safe streaming contract for the fused ChainExecutor: filter `in`
-  /// into the pre-sized `out` (out.size() == in.size(), aliasing allowed).
-  /// The output must depend only on carried state plus the input samples in
-  /// order, so that processing a buffer in consecutive tiles of any size is
-  /// bit-identical to one whole-buffer call. Every concrete block overrides
-  /// this with its allocation-free core loop; the base default routes
-  /// through process() (allocating) for blocks that never see the hot path
-  /// (black-box table models, co-simulation wrappers).
-  virtual void process_tile(std::span<const dsp::Cplx> in,
-                            std::span<dsp::Cplx> out);
-
-  /// Clear internal state (filters, AGC loops, oscillator phase).
+  /// Clear every lane's carried state; keep each lane's rng.
   virtual void reset() {}
 
   /// Human-readable block name for reports.
   virtual std::string name() const = 0;
 
-  // ---- width-W packet-lane interface (SoA, sample-major / packet-minor) ---
-  //
-  // The packet engine runs 1 to dsp::kernels::kLaneWidth same-config
-  // packets in lockstep: sample i is one 2*nl-double row [re lanes][im
-  // lanes] of a flat buffer. Every block of the double-conversion receiver
-  // runs there, and lane l of its process_tile_lanes() must be
-  // bit-identical to its scalar process_tile() on that lane's stream (same
-  // carried state per lane, same per-sample arithmetic, per-lane RNG
-  // streams drawn in the same call-granularity-invariant way). Tiling applies per the ChainExecutor
-  // contract: consecutive lane tiles of any size must equal one
-  // whole-buffer call.
+  // Width-1 adapters. Each copies `in` to the output unless the two are the
+  // same buffer, then runs process_tile_lanes() at width 1 in place on the
+  // output. None calls begin_lanes(), so state streams across calls; the
+  // block must be at width 1. A warm `out` means no heap allocation.
 
-  /// Prepare per-lane state for a batch of `nl` lanes, lane l seeded /
-  /// reset exactly as reset() leaves the scalar block. Called once per
-  /// wave, before any process_tile_lanes().
-  virtual void begin_lanes(std::size_t nl) { (void)nl; }
-
-  /// Process `n` SoA rows of `nl` lanes in place. The base aborts: blocks
-  /// that never run inside a wave (black-box tables, the direct-conversion
-  /// receiver) keep it, and a custom RF block runs in the wave through
-  /// process_into(), one call per lane.
-  virtual void process_tile_lanes(double* soa, std::size_t n, std::size_t nl);
+  /// Process a chunk; the output has the input's length.
+  dsp::CVec process(std::span<const dsp::Cplx> in);
+  /// process() into `out`, resized to the input length; `in` may be `out`.
+  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out);
+  /// process() into the pre-sized `out` (out.size() == in.size()), which
+  /// may be `in`.
+  void process_tile(std::span<const dsp::Cplx> in, std::span<dsp::Cplx> out);
 };
 
-/// A serial cascade of RF blocks, executed fused: L1-sized tiles stream
-/// through the whole cascade (see ChainExecutor), bit-identical to the
-/// retained block-at-a-time reference process_blockwise_into().
+/// A serial cascade of RF blocks, run fused: one tile of rows streams
+/// through every block before the next tile starts, so a tile's
+/// intermediate values stay in L1 cache and each sample is loaded from
+/// memory once. Under the tiling rule of the lane contract this is
+/// bit-identical to running each block over the whole buffer in turn.
 class RfChain : public RfBlock {
  public:
+  /// Tile budget in complex samples: a tile of kTileSamples / nl rows of nl
+  /// lanes is 16 KiB, which with the blocks' state (biquad registers, AGC
+  /// loop, rng) stays inside a typical 32-48 KiB L1d.
+  static constexpr std::size_t kTileSamples = 1024;
+
   RfChain() = default;
 
   /// Append a block; returns a handle for later inspection.
@@ -88,48 +93,24 @@ class RfChain : public RfBlock {
   T* emplace(Args&&... args) {
     auto block = std::make_unique<T>(std::forward<Args>(args)...);
     T* raw = block.get();
-    raw_.push_back(raw);
     blocks_.push_back(std::move(block));
     return raw;
   }
 
   void append(std::unique_ptr<RfBlock> block) {
-    raw_.push_back(block.get());
     blocks_.push_back(std::move(block));
   }
 
   std::size_t size() const { return blocks_.size(); }
   RfBlock& at(std::size_t i) { return *blocks_.at(i); }
 
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
-  void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) override;
-  void process_tile(std::span<const dsp::Cplx> in,
-                    std::span<dsp::Cplx> out) override;
+  void begin_lanes(std::size_t nl) override;
+  void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
   void reset() override;
   std::string name() const override { return "chain"; }
 
-  /// Fused-execution tile size (samples); 0 = auto. Forwarded to the
-  /// executor — see ChainExecutor::auto_tile_size() for the L1 model.
-  void set_tile_size(std::size_t t) { exec_.set_tile_size(t); }
-  std::size_t tile_size() const { return exec_.tile_size(); }
-
-  /// Reference block-at-a-time execution (the pre-fusion semantics): each
-  /// block does a full pass over the buffer, ping-ponging between `out` and
-  /// a member scratch vector. Kept for the fused-vs-blockwise equivalence
-  /// tests and the BM_RfChainBlockwise benchmark.
-  void process_blockwise_into(std::span<const dsp::Cplx> in, dsp::CVec& out);
-
-  void begin_lanes(std::size_t nl) override;
-  /// Fused lane execution: one ~L1-sized tile of SoA rows (the scalar tile
-  /// budget divided by nl) streams through the whole cascade in place
-  /// before the next tile starts.
-  void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
-
  private:
   std::vector<std::unique_ptr<RfBlock>> blocks_;
-  std::vector<RfBlock*> raw_;  // same order; flat array for the executor
-  ChainExecutor exec_;
-  dsp::CVec scratch_;  // ping-pong partner of `out` in the blockwise path
 };
 
 }  // namespace wlansim::rf

@@ -25,7 +25,10 @@ CosimRfReceiver::CosimRfReceiver(const rf::DoubleConversionConfig& rf_cfg,
   fine.agc.loop_gain /= static_cast<double>(cfg_.analog_oversample);
   fine.agc.detector_time_const *= static_cast<double>(cfg_.analog_oversample);
 
+  // A width-1 receiver whose fine chain keeps the rngs forked from `rng`.
   analog_ = std::make_unique<rf::DoubleConversionReceiver>(fine, rng);
+  lane_prev_.assign(2, 0.0);
+  lane_fine_.resize(2 * cfg_.analog_oversample);
 }
 
 void CosimRfReceiver::handshake() {
@@ -36,33 +39,9 @@ void CosimRfReceiver::handshake() {
   sync_sink_ = h;
 }
 
-dsp::CVec CosimRfReceiver::process(std::span<const dsp::Cplx> in) {
-  const std::size_t r = cfg_.analog_oversample;
-  dsp::CVec out;
-  out.reserve(in.size());
-  fine_.resize(r);
-  for (const dsp::Cplx& x : in) {
-    handshake();
-
-    // First-order hold: the analog solver sees a continuous ramp between
-    // consecutive digital samples.
-    for (std::size_t k = 0; k < r; ++k) {
-      const double a =
-          (static_cast<double>(k) + 1.0) / static_cast<double>(r);
-      fine_[k] = prev_in_ + a * (x - prev_in_);
-    }
-    prev_in_ = x;
-
-    analog_->process_tile(fine_, fine_);
-    analog_steps_ += r;
-    out.push_back(fine_.back());  // value at the synchronization boundary
-  }
-  return out;
-}
-
 void CosimRfReceiver::reset() {
   analog_->reset();
-  prev_in_ = dsp::Cplx{0.0, 0.0};
+  std::fill(lane_prev_.begin(), lane_prev_.end(), 0.0);
   analog_steps_ = 0;
 }
 
@@ -81,11 +60,11 @@ void CosimRfReceiver::process_tile_lanes(double* soa, std::size_t n,
   double* fine = lane_fine_.data();
   for (std::size_t i = 0; i < n; ++i) {
     double* row = soa + i * w;
-    // One handshake per packet per system sample, as process() pays it.
+    // Event synchronization: one handshake per packet per system sample.
     for (std::size_t l = 0; l < nl; ++l) handshake();
 
-    // First-order hold, rail by rail: a real times a complex difference
-    // is componentwise, so each rail is process()'s arithmetic on its part.
+    // First-order hold, rail by rail: the analog solver sees a continuous
+    // ramp between consecutive digital samples.
     for (std::size_t k = 0; k < r; ++k) {
       const double a =
           (static_cast<double>(k) + 1.0) / static_cast<double>(r);

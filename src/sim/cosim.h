@@ -13,10 +13,9 @@
 //    co-simulated BER came out optimistic (§5.1). The same limitation is
 //    the default here and can be lifted like the paper's proposed fix.
 //
-// The receiver runs two ways with the same bits: process(), the scalar
-// reference the dataflow graph runs, and the width-W lane loop the packet
-// wave runs (begin_lanes / reseed_lanes / process_tile_lanes). The lane
-// loop keeps the per-packet cost model — each lane pays its own handshake
+// The receiver has one loop, on lanes (see rf::RfBlock): the packet wave
+// runs it at width W, and the dataflow graph through process() at width 1.
+// It keeps the per-packet cost model — each lane pays its own handshake
 // and its own fine steps of the whole analog chain per system sample — and
 // lets up to W co-simulated packets share the fine chain's SIMD lanes.
 #pragma once
@@ -50,13 +49,13 @@ class CosimRfReceiver : public rf::RfBlock {
   CosimRfReceiver(const rf::DoubleConversionConfig& rf_cfg,
                   const CosimConfig& cosim_cfg, dsp::Rng rng);
 
-  dsp::CVec process(std::span<const dsp::Cplx> in) override;
+  /// Clears the fine chain's carried state, every lane's hold value and
+  /// the step count.
   void reset() override;
   std::string name() const override { return "cosim_rf_rx"; }
 
-  /// Width-W packet-lane path (see rf::RfBlock). begin_lanes() clears the
-  /// per-lane hold state and the step count as reset() does; lane l of
-  /// process_tile_lanes() then equals process() of a fresh receiver built
+  /// Sets the width and clears every lane's hold value and the step count;
+  /// lane l of process_tile_lanes() then equals a fresh receiver built
   /// with the rng passed to reseed_lanes(l, ...), bit for bit.
   void begin_lanes(std::size_t nl) override;
   /// Fork the fine-rate chain's per-stage rngs into lane `lane`'s slots in
@@ -68,8 +67,8 @@ class CosimRfReceiver : public rf::RfBlock {
 
   const CosimConfig& cosim_config() const { return cfg_; }
 
-  /// Number of analog fine-step evaluations performed so far — per lane
-  /// on the lane path, where every lane steps in lockstep.
+  /// Number of analog fine-step evaluations performed so far, per lane:
+  /// every lane steps in lockstep.
   std::size_t analog_steps() const { return analog_steps_; }
 
  private:
@@ -79,8 +78,6 @@ class CosimRfReceiver : public rf::RfBlock {
 
   CosimConfig cfg_;
   std::unique_ptr<rf::DoubleConversionReceiver> analog_;
-  dsp::Cplx prev_in_{0.0, 0.0};
-  dsp::CVec fine_;           ///< process()'s fine-rate buffer, one sample
   dsp::RVec lane_prev_;      ///< 2*nl rails: each lane's previous sample
   dsp::RVec lane_fine_;      ///< one fine SoA tile: analog_oversample rows
   std::size_t analog_steps_ = 0;

@@ -14,10 +14,16 @@
 
 #include "core/experiments.h"
 #include "core/parallel.h"
-#include "rf/noise.h"
+#include "rf/rfblock.h"
 
 namespace wlansim::core {
 namespace {
+
+/// A custom front end that leaves the signal as it is.
+struct Passthrough : rf::RfBlock {
+  void process_tile_lanes(double*, std::size_t, std::size_t) override {}
+  std::string name() const override { return "passthrough"; }
+};
 
 void expect_identical(const BerResult& a, const BerResult& b) {
   EXPECT_EQ(a.packets, b.packets);
@@ -171,7 +177,7 @@ TEST(AdaptiveSweep, SmallWaveFeedsEveryWorker) {
     seen.insert(std::this_thread::get_id());
     arrived.notify_all();
     arrived.wait_until(lock, deadline, [&] { return seen.size() >= 4; });
-    return std::make_unique<rf::DcOffsetSource>(dsp::Cplx{0.0, 0.0});
+    return std::make_unique<Passthrough>();
   };
   SweepOptions opts;
   opts.threads = 4;

@@ -46,6 +46,8 @@ void expect_exact(const CVec& a, const CVec& b) {
 }
 
 TEST(Kernels, MixConstLoMatchesReference) {
+  // A constant LO is the mixer's phase kernel at a constant phase: the
+  // shipped mix_phase must equal the reference constant-LO arithmetic.
   std::mt19937_64 gen(11);
   const CVec in = random_cvec(501, gen);
   kernels::MixParams p;
@@ -56,16 +58,17 @@ TEST(Kernels, MixConstLoMatchesReference) {
   p.iq_cos = std::cos(0.02);
   p.iq_active = true;
   p.dc = Cplx{1e-3, -2e-3};
+  const RVec phase(in.size(), 0.7);
   const Cplx lo{std::cos(0.7), std::sin(0.7)};
   CVec a(in.size()), b(in.size());
-  kernels::mix_const_lo(in.data(), in.size(), lo, p, a.data());
+  kernels::mix_phase(in.data(), phase.data(), in.size(), p, a.data());
   kernels::ref::mix_const_lo(in.data(), in.size(), lo, p, b.data());
   expect_exact(a, b);
 
   // All impairments off: the plain-gain specialization.
   kernels::MixParams plain;
   plain.gain = 0.5;
-  kernels::mix_const_lo(in.data(), in.size(), lo, plain, a.data());
+  kernels::mix_phase(in.data(), phase.data(), in.size(), plain, a.data());
   kernels::ref::mix_const_lo(in.data(), in.size(), lo, plain, b.data());
   expect_exact(a, b);
 }
@@ -262,10 +265,13 @@ TEST(Kernels, ScaleAndAddScaledPairsMatchReference) {
   kernels::ref::scale(b.data(), b.size(), 0.8125);
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 
+  // The noise add, at width 1 the reference's AoS add_scaled_pairs.
   const CVec cbase = random_cvec(77, gen);
   const RVec units = random_rvec(2 * cbase.size(), gen);
   CVec ca = cbase, cb = cbase;
-  kernels::add_scaled_pairs(ca.data(), ca.size(), 0.37, units.data());
+  const double* unit_ptr = units.data();
+  kernels::lanes_add_scaled_pairs_multi(reinterpret_cast<double*>(ca.data()),
+                                        ca.size(), 1, 0.37, &unit_ptr);
   kernels::ref::add_scaled_pairs(cb.data(), cb.size(), 0.37, units.data());
   expect_exact(ca, cb);
 

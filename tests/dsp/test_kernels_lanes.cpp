@@ -97,16 +97,22 @@ TEST(KernelsLanes, UnpackDecimTakesPhaseZero) {
 }
 
 TEST(KernelsLanes, AddScaledPairsMatchesScalar) {
+  // Lane l of the all-lanes noise add is the AoS add on lane l's buffer.
   for_grid([](std::size_t n, std::size_t nl) {
     RVec soa;
     auto lanes = fill_lanes(soa, n, nl, 13 * n + nl);
     wlansim::dsp::Rng rng(99);
     const double s = 0.37;
+    std::vector<RVec> units(nl);
+    std::vector<const double*> ptrs(nl);
     for (std::size_t l = 0; l < nl; ++l) {
-      RVec units(2 * n);
-      rng.fill_gaussian(units.data(), units.size());
-      kn::lanes_add_scaled_pairs(soa.data(), n, nl, l, s, units.data());
-      kn::ref::add_scaled_pairs(lanes[l].data(), n, s, units.data());
+      units[l].resize(2 * n);
+      rng.fill_gaussian(units[l].data(), units[l].size());
+      ptrs[l] = units[l].data();
+    }
+    kn::lanes_add_scaled_pairs_multi(soa.data(), n, nl, s, ptrs.data());
+    for (std::size_t l = 0; l < nl; ++l) {
+      kn::ref::add_scaled_pairs(lanes[l].data(), n, s, units[l].data());
       expect_lane_equals(soa, n, nl, l, lanes[l]);
     }
   });
@@ -119,23 +125,31 @@ TEST(KernelsLanes, WriteScaledPairsMatchesFlickerDrive) {
     wlansim::dsp::Rng rng(5);
     const double s0 = std::sqrt(1.0 / 2.0);
     const double s1 = 3.25e-4;
+    std::vector<RVec> units(nl);
+    std::vector<const double*> ptrs(nl);
     for (std::size_t l = 0; l < nl; ++l) {
-      RVec units(2 * n);
-      rng.fill_gaussian(units.data(), units.size());
-      kn::lanes_write_scaled_pairs(soa.data(), n, nl, l, s0, s1, units.data());
+      units[l].resize(2 * n);
+      rng.fill_gaussian(units[l].data(), units[l].size());
+      ptrs[l] = units[l].data();
+    }
+    kn::lanes_write_scaled_pairs_multi(soa.data(), n, nl, s0, s1,
+                                       ptrs.data());
+    for (std::size_t l = 0; l < nl; ++l) {
       // The flicker drive: cgaussian(1) * drive, left-associated per rail.
+      const RVec& u = units[l];
       CVec want(n);
       for (std::size_t i = 0; i < n; ++i)
-        want[i] = Cplx{(s0 * units[2 * i]) * s1, (s0 * units[2 * i + 1]) * s1};
+        want[i] = Cplx{(s0 * u[2 * i]) * s1, (s0 * u[2 * i + 1]) * s1};
       expect_lane_equals(soa, n, nl, l, want);
     }
   });
 }
 
 TEST(KernelsLanes, AddScaledPairsMultiMatchesPerLane) {
-  // The fused all-lanes pass must be bit-identical to nl per-lane passes:
-  // every element op is the same multiply-add, only the iteration order over
-  // independent elements changes.
+  // The fused all-lanes pass must be bit-identical to nl per-lane passes of
+  // the reference single-lane kernel: every element op is the same
+  // multiply-add, only the iteration order over independent elements
+  // changes.
   for_grid([](std::size_t n, std::size_t nl) {
     RVec soa_multi;
     fill_lanes(soa_multi, n, nl, 43 * n + nl);
@@ -151,7 +165,8 @@ TEST(KernelsLanes, AddScaledPairsMultiMatchesPerLane) {
     }
     kn::lanes_add_scaled_pairs_multi(soa_multi.data(), n, nl, s, ptrs.data());
     for (std::size_t l = 0; l < nl; ++l)
-      kn::lanes_add_scaled_pairs(soa_per.data(), n, nl, l, s, units[l].data());
+      kn::ref::lanes_add_scaled_pairs(soa_per.data(), n, nl, l, s,
+                                      units[l].data());
     ASSERT_EQ(std::memcmp(soa_multi.data(), soa_per.data(),
                           soa_multi.size() * 8), 0)
         << "n=" << n << " nl=" << nl;
@@ -176,8 +191,8 @@ TEST(KernelsLanes, WriteScaledPairsMultiMatchesPerLane) {
     kn::lanes_write_scaled_pairs_multi(soa_multi.data(), n, nl, s0, s1,
                                        ptrs.data());
     for (std::size_t l = 0; l < nl; ++l)
-      kn::lanes_write_scaled_pairs(soa_per.data(), n, nl, l, s0, s1,
-                                   units[l].data());
+      kn::ref::lanes_write_scaled_pairs(soa_per.data(), n, nl, l, s0, s1,
+                                        units[l].data());
     ASSERT_EQ(std::memcmp(soa_multi.data(), soa_per.data(),
                           soa_multi.size() * 8), 0)
         << "n=" << n << " nl=" << nl;
@@ -256,8 +271,8 @@ TEST(KernelsLanes, MixUnityLoMatchesScalar) {
       auto lanes = fill_lanes(soa, n, nl, 31 * n + nl);
       kn::lanes_mix_unity_lo(soa.data(), n, nl, p);
       for (std::size_t l = 0; l < nl; ++l) {
-        kn::mix_const_lo(lanes[l].data(), n, Cplx{1.0, 0.0}, p,
-                         lanes[l].data());
+        kn::ref::mix_const_lo(lanes[l].data(), n, Cplx{1.0, 0.0}, p,
+                              lanes[l].data());
         expect_lane_equals(soa, n, nl, l, lanes[l]);
       }
     });
@@ -419,24 +434,6 @@ struct OracleRow {
 };
 
 const OracleRow kOracle[] = {
-    {"mix_const_lo",
-     [](Diff& d) {
-       Rng rng(101);
-       const Cplx los[] = {Cplx{std::cos(0.7), std::sin(0.7)},
-                           Cplx{1.0, 0.0}};
-       for (std::size_t n : kOracleLens) {
-         const CVec in = cnormals(n, rng);
-         for (const Cplx lo : los)
-           for (const kn::MixParams& p : mix_cases()) {
-             CVec a(n), b(n);
-             kn::mix_const_lo(in.data(), n, lo, p, a.data());
-             ref::mix_const_lo(in.data(), n, lo, p, b.data());
-             d.same(a, b, shape({{"n", n}, {"unity_lo", lo.imag() == 0.0},
-                                 {"image", p.image_amp > 0.0},
-                                 {"iq", p.iq_active}}));
-           }
-       }
-     }},
     {"mix_phase",
      [](Diff& d) {
        Rng rng(102);
@@ -595,17 +592,6 @@ const OracleRow kOracle[] = {
          d.same(a, b, shape({{"n", n}}));
        }
      }},
-    {"add_scaled_pairs",
-     [](Diff& d) {
-       Rng rng(112);
-       for (std::size_t n : kOracleLens) {
-         CVec a = cnormals(n, rng), b = a;
-         const RVec units = normals(2 * n, rng);
-         kn::add_scaled_pairs(a.data(), n, 0.37, units.data());
-         ref::add_scaled_pairs(b.data(), n, 0.37, units.data());
-         d.same(a, b, shape({{"n", n}}));
-       }
-     }},
     {"quantize_clamp",
      [](Diff& d) {
        Rng rng(113);
@@ -665,36 +651,6 @@ const OracleRow kOracle[] = {
              d.same(a, b, shape({{"n", n}, {"nl", nl}, {"decim", decim},
                                  {"lane", lane}}));
            }
-       });
-     }},
-    {"lanes_add_scaled_pairs",
-     [](Diff& d) {
-       Rng rng(117);
-       for_lane_grid(rng, [&](std::size_t n, std::size_t nl, RVec a) {
-         RVec b = a;
-         for (std::size_t lane = 0; lane < nl; ++lane) {
-           const RVec units = normals(2 * n, rng);
-           kn::lanes_add_scaled_pairs(a.data(), n, nl, lane, 0.37,
-                                      units.data());
-           ref::lanes_add_scaled_pairs(b.data(), n, nl, lane, 0.37,
-                                       units.data());
-         }
-         d.same(a, b, shape({{"n", n}, {"nl", nl}}));
-       });
-     }},
-    {"lanes_write_scaled_pairs",
-     [](Diff& d) {
-       Rng rng(118);
-       for_lane_grid(rng, [&](std::size_t n, std::size_t nl, RVec a) {
-         RVec b = a;
-         for (std::size_t lane = 0; lane < nl; ++lane) {
-           const RVec units = normals(2 * n, rng);
-           kn::lanes_write_scaled_pairs(a.data(), n, nl, lane, 0.7, 3.25e-4,
-                                        units.data());
-           ref::lanes_write_scaled_pairs(b.data(), n, nl, lane, 0.7, 3.25e-4,
-                                         units.data());
-         }
-         d.same(a, b, shape({{"n", n}, {"nl", nl}}));
        });
      }},
     {"lanes_add_scaled_pairs_multi",
@@ -818,7 +774,7 @@ const OracleRow kOracle[] = {
 
 TEST(KernelsLanes, DispatchedAgreesWithRef) {
   // One row per kernel declared in dsp/kernels.h.
-  EXPECT_EQ(std::size(kOracle), 25u);
+  EXPECT_EQ(std::size(kOracle), 21u);
   for (const OracleRow& row : kOracle) {
     Diff d;
     row.run(d);

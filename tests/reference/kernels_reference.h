@@ -12,8 +12,6 @@
 
 namespace wlansim::dsp::kernels::ref {
 
-void mix_const_lo(const Cplx* in, std::size_t n, Cplx lo, const MixParams& p,
-                  Cplx* out);
 void mix_phase(const Cplx* in, const double* phase, std::size_t n,
                const MixParams& p, Cplx* out);
 std::size_t fir_stream(const double* taps, std::size_t ntaps, Cplx* delay,
@@ -35,7 +33,6 @@ void evm_accum(const Cplx* rx, const Cplx* ref, std::size_t n, double* err,
 void xcorr_accum(const Cplx* x, const Cplx* ref, std::size_t n, double* re,
                  double* im);
 void scale(double* x, std::size_t n, double s);
-void add_scaled_pairs(Cplx* a, std::size_t n, double s, const double* units);
 void quantize_clamp(const Cplx* in, std::size_t n, double inv_step,
                     double step, double fs, Cplx* out);
 void lanes_pack(const Cplx* src, std::size_t n, std::size_t nl,
@@ -44,11 +41,6 @@ void lanes_unpack(const double* soa, std::size_t n, std::size_t nl,
                   std::size_t lane, Cplx* dst);
 void lanes_unpack_decim(const double* soa, std::size_t n, std::size_t nl,
                         std::size_t lane, std::size_t decim, Cplx* dst);
-void lanes_add_scaled_pairs(double* soa, std::size_t n, std::size_t nl,
-                            std::size_t lane, double s, const double* units);
-void lanes_write_scaled_pairs(double* soa, std::size_t n, std::size_t nl,
-                              std::size_t lane, double s0, double s1,
-                              const double* units);
 void lanes_add_scaled_pairs_multi(double* soa, std::size_t n, std::size_t nl,
                                   double s, const double* const* units);
 void lanes_write_scaled_pairs_multi(double* soa, std::size_t n,
@@ -64,5 +56,22 @@ void lanes_amp_rapp_p2(double* soa, std::size_t n, std::size_t nl,
 void lanes_fir_decim(const double* soa, std::size_t n, std::size_t nl,
                      std::size_t lane, const double* taps, std::size_t ntaps,
                      std::size_t decim, Cplx* out);
+
+// Oracle-only kernels (tests/reference/kernels_reference.cpp).
+
+/// Mix with a constant LO phasor: y = g*x*lo [+ ia*g*conj(x*lo)] [IQ] + dc,
+/// with mix_phase's per-sample arithmetic; lo == (1, 0) takes the
+/// unity-LO arithmetic of lanes_mix_unity_lo. In-place safe.
+void mix_const_lo(const Cplx* in, std::size_t n, Cplx lo, const MixParams& p,
+                  Cplx* out);
+/// a[i] += Cplx{s*units[2i], s*units[2i+1]}.
+void add_scaled_pairs(Cplx* a, std::size_t n, double s, const double* units);
+/// add_scaled_pairs into lane `lane` of an SoA buffer.
+void lanes_add_scaled_pairs(double* soa, std::size_t n, std::size_t nl,
+                            std::size_t lane, double s, const double* units);
+/// lanes_write_scaled_pairs_multi's arithmetic into lane `lane` only.
+void lanes_write_scaled_pairs(double* soa, std::size_t n, std::size_t nl,
+                              std::size_t lane, double s0, double s1,
+                              const double* units);
 
 }  // namespace wlansim::dsp::kernels::ref

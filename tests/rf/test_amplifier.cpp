@@ -52,6 +52,73 @@ TEST(Amplifier, RappSaturatesMonotonically) {
   }
 }
 
+TEST(Amplifier, AmAmIsMonotoneAndSaturates) {
+  // A real envelope ramp through the block's own loop (the one the link
+  // runs), noise off, on a 2000-point log grid from 1 nV to 1e6 times the
+  // 1 dB compression envelope. The tolerances only forgive rounding: a
+  // correct curve falls by up to ~6e-16 relative between grid points.
+  struct Model {
+    const char* name;
+    NonlinearityModel model;
+    double p;
+    double am_pm_deg;
+  };
+  const Model models[] = {
+      {"rapp p=1", NonlinearityModel::kRapp, 1.0, 0.0},
+      {"rapp p=2", NonlinearityModel::kRapp, 2.0, 0.0},
+      {"rapp p=3", NonlinearityModel::kRapp, 3.0, 0.0},
+      {"rapp p=10", NonlinearityModel::kRapp, 10.0, 0.0},
+      {"clipped cubic", NonlinearityModel::kClippedCubic, 2.0, 0.0},
+      {"rapp p=2, AM/PM 10 deg", NonlinearityModel::kRapp, 2.0, 10.0},
+      {"rapp p=2, AM/PM 30 deg", NonlinearityModel::kRapp, 2.0, 30.0},
+  };
+  const double kComp1dB = 1.0 - std::pow(10.0, -1.0 / 20.0);
+  for (const Model& m : models) {
+    SCOPED_TRACE(m.name);
+    AmplifierConfig cfg = base_cfg();
+    cfg.model = m.model;
+    cfg.rapp_smoothness = m.p;
+    cfg.am_pm_max_deg = m.am_pm_deg;
+    cfg.noise_enabled = false;
+    const double a1 = std::sqrt(dsp::dbm_to_watts(cfg.p1db_in_dbm));
+    const std::size_t n = 2000;
+    dsp::CVec x(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const double t = static_cast<double>(k) / static_cast<double>(n - 1);
+      x[k] = dsp::Cplx{1e-9 * std::pow(1e6 * a1 / 1e-9, t), 0.0};
+    }
+    const dsp::CVec y = Amplifier(cfg, 80e6, dsp::Rng(1)).process(x);
+
+    const double max_rad = m.am_pm_deg * dsp::kPi / 180.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double phase = std::arg(y[k] / x[k]);
+      EXPECT_LE(phase, max_rad + 1e-14) << "k=" << k;
+      if (k == 0) continue;
+      EXPECT_GE(std::abs(y[k]), std::abs(y[k - 1]) * (1.0 - 1e-14))
+          << "k=" << k;
+      EXPECT_GE(phase, std::arg(y[k - 1] / x[k - 1]) - 1e-14) << "k=" << k;
+    }
+
+    if (m.model == NonlinearityModel::kRapp) {
+      // Saturated: the far end of the ramp has reached the plateau.
+      const dsp::CVec far = Amplifier(cfg, 80e6, dsp::Rng(1))
+                                .process(dsp::CVec{dsp::Cplx{1e4 * a1, 0.0},
+                                                   dsp::Cplx{1e6 * a1, 0.0}});
+      EXPECT_NEAR(std::abs(far[0]) / std::abs(far[1]), 1.0, 1e-6);
+    } else {
+      // Hard-limited: constant above the clip.
+      const double clip = a1 / std::sqrt(3.0 * kComp1dB);
+      double top = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (x[k].real() <= clip) continue;
+        if (top == 0.0) top = std::abs(y[k]);
+        EXPECT_NEAR(std::abs(y[k]) / top, 1.0, 1e-14) << "k=" << k;
+      }
+      EXPECT_GT(top, 0.0);
+    }
+  }
+}
+
 TEST(Amplifier, ClippedCubicHoldsPeakBeyondClip) {
   AmplifierConfig cfg = base_cfg();
   cfg.model = NonlinearityModel::kClippedCubic;

@@ -100,16 +100,6 @@ TEST(Agc, LocksAndHoldsThenUnlocksOnLevelJump) {
   EXPECT_NE(agc.current_gain_db(), locked_gain);
 }
 
-TEST(Agc, FreezeStopsAdaptation) {
-  AgcConfig cfg;
-  cfg.initial_gain_db = 5.0;
-  Agc agc(cfg);
-  agc.freeze(true);
-  dsp::CVec in(5000, dsp::Cplx{1.0, 0.0});
-  agc.process(in);
-  EXPECT_DOUBLE_EQ(agc.current_gain_db(), 5.0);
-}
-
 TEST(Adc, QuantizesAndClips) {
   AdcConfig cfg;
   cfg.bits = 4;

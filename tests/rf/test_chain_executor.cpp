@@ -1,26 +1,33 @@
-// The fused ChainExecutor's bit-exactness contract: every RfBlock's
-// process_tile carries its state across calls such that K tiles of any
-// sizes produce exactly the samples one whole-buffer call would, and the
-// fused chain therefore exactly reproduces the block-at-a-time reference
-// for every tile size (including non-divisors of the buffer length).
+// The tiling rule of the lane contract: every block carries its state
+// across process_tile_lanes() calls such that consecutive tiles of any
+// sizes produce exactly the samples one whole-buffer call would. Each
+// block's lane loop, at widths 1, 3 and 8 and fed in an uneven tile
+// schedule, must match per lane the scalar reference model
+// (tests/reference/rf_reference.h) run over the whole buffer; and the
+// fused chain must match the reference cascade run block at a time.
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <memory>
 
 #include <gtest/gtest.h>
 
+#include "dsp/kernels.h"
 #include "dsp/rng.h"
 #include "rf/adc.h"
 #include "rf/agc.h"
 #include "rf/amplifier.h"
-#include "rf/chain_executor.h"
 #include "rf/filters.h"
 #include "rf/mixer.h"
 #include "rf/noise.h"
 #include "rf/receiver_chain.h"
 #include "rf/rfblock.h"
+#include "rf_reference.h"
 
 namespace wlansim::rf {
 namespace {
+
+namespace kn = dsp::kernels;
 
 dsp::CVec test_signal(std::size_t n, double amp, unsigned seed) {
   dsp::Rng rng(seed);
@@ -41,39 +48,86 @@ void expect_exact_eq(const dsp::CVec& a, const dsp::CVec& b) {
   }
 }
 
-/// Feed `in` through `whole` in one process_tile call and through `tiled`
-/// (an identically-constructed instance) in an uneven tile schedule mixing
-/// tiny, prime-sized, and large tiles; the outputs must match bit for bit.
-void expect_tile_continuity(RfBlock& whole, RfBlock& tiled,
-                            const dsp::CVec& in) {
-  dsp::CVec a(in.size()), b(in.size());
-  whole.process_tile(in, a);
+dsp::Rng lane_rng(std::size_t l) { return dsp::Rng(11 + 7 * l); }
+
+using SeedLane = std::function<void(RfBlock&, std::size_t, dsp::Rng)>;
+const SeedLane kNoRng = [](RfBlock&, std::size_t, dsp::Rng) {};
+
+template <typename Block>
+SeedLane lane_rng_setter() {
+  return [](RfBlock& b, std::size_t l, dsp::Rng rng) {
+    static_cast<Block&>(b).set_lane_rng(l, rng);
+  };
+}
+
+/// At widths 1, 3 and 8, lane l of `block` (seeded with lane_rng(l), fed
+/// `in` scaled by 1 + l/4 in an uneven schedule mixing tiny, prime-sized
+/// and large tiles) must equal the reference built with lane_rng(l) over
+/// the whole buffer, bit for bit.
+void expect_tile_continuity(
+    const std::function<std::unique_ptr<RfBlock>()>& make,
+    const SeedLane& seed,
+    const std::function<std::unique_ptr<ref::Block>(dsp::Rng)>& make_ref,
+    const dsp::CVec& in) {
   static constexpr std::size_t kSchedule[] = {1, 7, 128, 333, 1024};
-  std::size_t o = 0, t = 0;
-  while (o < in.size()) {
-    const std::size_t m = std::min(kSchedule[t++ % 5], in.size() - o);
-    tiled.process_tile(std::span<const dsp::Cplx>(in.data() + o, m),
-                       std::span<dsp::Cplx>(b.data() + o, m));
-    o += m;
+  const std::size_t n = in.size();
+  for (const std::size_t nl : {std::size_t{1}, std::size_t{3},
+                               kn::kLaneWidth}) {
+    SCOPED_TRACE("width " + std::to_string(nl));
+    std::vector<dsp::CVec> lanes(nl, in);
+    dsp::RVec soa(2 * n * nl);
+    for (std::size_t l = 0; l < nl; ++l) {
+      for (dsp::Cplx& x : lanes[l]) x *= 1.0 + 0.25 * static_cast<double>(l);
+      kn::lanes_pack(lanes[l].data(), n, nl, l, soa.data());
+    }
+    const auto block = make();
+    block->begin_lanes(nl);
+    for (std::size_t l = 0; l < nl; ++l) seed(*block, l, lane_rng(l));
+    for (std::size_t o = 0, t = 0; o < n;) {
+      const std::size_t m = std::min(kSchedule[t++ % 5], n - o);
+      block->process_tile_lanes(soa.data() + 2 * nl * o, m, nl);
+      o += m;
+    }
+    for (std::size_t l = 0; l < nl; ++l) {
+      dsp::CVec got(n);
+      kn::lanes_unpack(soa.data(), n, nl, l, got.data());
+      expect_exact_eq(got, make_ref(lane_rng(l))->process(lanes[l]));
+    }
   }
-  expect_exact_eq(a, b);
+}
+
+void expect_amplifier_continuity(const AmplifierConfig& cfg,
+                                 const dsp::CVec& in) {
+  expect_tile_continuity(
+      [&] { return std::make_unique<Amplifier>(cfg, 80e6, dsp::Rng(1)); },
+      lane_rng_setter<Amplifier>(),
+      [&](dsp::Rng rng) {
+        return std::make_unique<ref::Amplifier>(cfg, 80e6, rng);
+      },
+      in);
+}
+
+void expect_mixer_continuity(const MixerConfig& cfg, const dsp::CVec& in) {
+  expect_tile_continuity(
+      [&] { return std::make_unique<Mixer>(cfg, 80e6, dsp::Rng(1)); },
+      lane_rng_setter<Mixer>(),
+      [&](dsp::Rng rng) {
+        return std::make_unique<ref::Mixer>(cfg, 80e6, rng);
+      },
+      in);
 }
 
 TEST(TileContinuity, AmplifierRappWithNoise) {
   AmplifierConfig cfg;
   cfg.noise_figure_db = 5.0;  // exercises the rng stream across tile splits
-  Amplifier whole(cfg, 80e6, dsp::Rng(11));
-  Amplifier tiled(cfg, 80e6, dsp::Rng(11));
-  expect_tile_continuity(whole, tiled, test_signal(3000, 3e-3, 1));
+  expect_amplifier_continuity(cfg, test_signal(3000, 3e-3, 1));
 }
 
 TEST(TileContinuity, AmplifierAmPm) {
   AmplifierConfig cfg;
-  cfg.am_pm_max_deg = 10.0;  // legacy am_am/am_pm per-sample path
+  cfg.am_pm_max_deg = 10.0;  // the general am_am/am_pm per-sample map
   cfg.noise_figure_db = 3.0;
-  Amplifier whole(cfg, 80e6, dsp::Rng(12));
-  Amplifier tiled(cfg, 80e6, dsp::Rng(12));
-  expect_tile_continuity(whole, tiled, test_signal(3000, 3e-3, 2));
+  expect_amplifier_continuity(cfg, test_signal(3000, 3e-3, 2));
 }
 
 TEST(TileContinuity, MixerConstLo) {
@@ -83,94 +137,100 @@ TEST(TileContinuity, MixerConstLo) {
   cfg.iq_gain_imbalance_db = 0.3;
   cfg.iq_phase_error_deg = 2.0;
   cfg.dc_offset = dsp::Cplx{3e-5, 2e-5};
-  Mixer whole(cfg, 80e6, dsp::Rng(13));
-  Mixer tiled(cfg, 80e6, dsp::Rng(13));
-  expect_tile_continuity(whole, tiled, test_signal(3000, 1e-3, 3));
+  expect_mixer_continuity(cfg, test_signal(3000, 1e-3, 3));
 }
 
 TEST(TileContinuity, MixerOffsetAndPhaseNoise) {
   MixerConfig cfg;
   cfg.lo_offset_hz = 187e3;  // rotating-LO path: phase carried across tiles
   cfg.phase_noise.level_dbc_hz = -95.0;
-  Mixer whole(cfg, 80e6, dsp::Rng(14));
-  Mixer tiled(cfg, 80e6, dsp::Rng(14));
-  expect_tile_continuity(whole, tiled, test_signal(3000, 1e-3, 4));
+  expect_mixer_continuity(cfg, test_signal(3000, 1e-3, 4));
 }
 
 TEST(TileContinuity, Filters) {
-  {
-    ChebyshevLowpass whole(7, 1.0, 8.6e6, 80e6, "lpf");
-    ChebyshevLowpass tiled(7, 1.0, 8.6e6, 80e6, "lpf");
-    expect_tile_continuity(whole, tiled, test_signal(3000, 1e-2, 5));
-  }
-  {
-    DcBlockHighpass whole(2, 120e3, 80e6, "hpf");
-    DcBlockHighpass tiled(2, 120e3, 80e6, "hpf");
-    expect_tile_continuity(whole, tiled, test_signal(3000, 1e-2, 6));
-  }
-  {
-    ButterworthLowpass whole(4, 9e6, 80e6, "bw");
-    ButterworthLowpass tiled(4, 9e6, 80e6, "bw");
-    expect_tile_continuity(whole, tiled, test_signal(3000, 1e-2, 7));
-  }
+  expect_tile_continuity(
+      [] { return std::make_unique<ChebyshevLowpass>(7, 1.0, 8.6e6, 80e6); },
+      kNoRng,
+      [](dsp::Rng) {
+        return std::make_unique<ref::Biquads>(
+            dsp::design_chebyshev1_lowpass(7, 1.0, 8.6e6 / 80e6));
+      },
+      test_signal(3000, 1e-2, 5));
+  expect_tile_continuity(
+      [] { return std::make_unique<DcBlockHighpass>(2, 120e3, 80e6); },
+      kNoRng,
+      [](dsp::Rng) {
+        return std::make_unique<ref::Biquads>(
+            dsp::design_butterworth_highpass(2, 120e3 / 80e6));
+      },
+      test_signal(3000, 1e-2, 6));
 }
 
 TEST(TileContinuity, Agc) {
   AgcConfig cfg;
   cfg.lock_count = 96;  // exercise the lock state machine across tiles
-  Agc whole(cfg);
-  Agc tiled(cfg);
-  expect_tile_continuity(whole, tiled, test_signal(3000, 1e-2, 8));
+  expect_tile_continuity([&] { return std::make_unique<Agc>(cfg); }, kNoRng,
+                         [&](dsp::Rng) {
+                           return std::make_unique<ref::Agc>(cfg);
+                         },
+                         test_signal(3000, 1e-2, 8));
 }
 
 TEST(TileContinuity, Adc) {
   AdcConfig cfg;
   cfg.full_scale = 0.08;
-  Adc whole(cfg);
-  Adc tiled(cfg);
-  expect_tile_continuity(whole, tiled, test_signal(3000, 0.05, 9));
+  expect_tile_continuity([&] { return std::make_unique<Adc>(cfg); }, kNoRng,
+                         [&](dsp::Rng) {
+                           return std::make_unique<ref::Adc>(cfg);
+                         },
+                         test_signal(3000, 0.05, 9));
 }
 
 TEST(TileContinuity, NoiseSources) {
-  {
-    WhiteNoiseSource whole(1e-17, 80e6, dsp::Rng(21));
-    WhiteNoiseSource tiled(1e-17, 80e6, dsp::Rng(21));
-    expect_tile_continuity(whole, tiled, test_signal(3000, 1e-3, 10));
-  }
-  {
-    FlickerNoiseSource whole(1e-9, 1e3, 200e3, 80e6, dsp::Rng(22));
-    FlickerNoiseSource tiled(1e-9, 1e3, 200e3, 80e6, dsp::Rng(22));
-    expect_tile_continuity(whole, tiled, test_signal(3000, 1e-3, 11));
-  }
-  {
-    WanderingDcSource whole(1e-4, 50e3, 80e6, dsp::Rng(23));
-    WanderingDcSource tiled(1e-4, 50e3, 80e6, dsp::Rng(23));
-    expect_tile_continuity(whole, tiled, test_signal(3000, 1e-3, 12));
-  }
-  {
-    DcOffsetSource whole(dsp::Cplx{3e-4, 2e-4});
-    DcOffsetSource tiled(dsp::Cplx{3e-4, 2e-4});
-    expect_tile_continuity(whole, tiled, test_signal(3000, 1e-3, 13));
-  }
+  expect_tile_continuity(
+      [] {
+        return std::make_unique<FlickerNoiseSource>(1e-9, 1e3, 200e3, 80e6,
+                                                    dsp::Rng(1));
+      },
+      lane_rng_setter<FlickerNoiseSource>(),
+      [](dsp::Rng rng) {
+        return std::make_unique<ref::FlickerNoise>(1e-9, 1e3, 200e3, 80e6,
+                                                   rng);
+      },
+      test_signal(3000, 1e-3, 11));
+  expect_tile_continuity(
+      [] {
+        return std::make_unique<WanderingDcSource>(1e-4, 50e3, 80e6,
+                                                   dsp::Rng(1));
+      },
+      [](RfBlock& b, std::size_t l, dsp::Rng rng) {
+        static_cast<WanderingDcSource&>(b).reseed(rng, l);
+      },
+      [](dsp::Rng rng) {
+        return std::make_unique<ref::WanderingDc>(1e-4, 50e3, 80e6, rng);
+      },
+      test_signal(3000, 1e-3, 12));
 }
 
 TEST(ChainExecutor, FusedMatchesBlockwiseAcrossTileSizes) {
+  // The receiver's fused lane loop at width 1, fed in outer tiles from
+  // degenerate (1) through non-divisors of the length and the chain's own
+  // tile budget to larger than the buffer, against the reference cascade
+  // run block at a time over the whole buffer.
   const dsp::CVec in = test_signal(4096 + 321, 1e-4, 31);  // non-power-of-2
   DoubleConversionConfig cfg;
-  dsp::CVec ref;
-  {
-    DoubleConversionReceiver rx(cfg, dsp::Rng(42));
-    rx.process_blockwise_into(in, ref);
-  }
-  // Tile sizes spanning degenerate (1), non-divisors of the length, the
-  // auto default, and larger-than-the-buffer.
+  const dsp::CVec ref =
+      ref::double_conversion_receiver(cfg, dsp::Rng(42))->process(in);
   for (std::size_t tile : {std::size_t{1}, std::size_t{3}, std::size_t{100},
-                           std::size_t{333}, std::size_t{1024},
+                           std::size_t{333}, RfChain::kTileSamples,
                            std::size_t{4096}, in.size() + 1000}) {
     DoubleConversionReceiver rx(cfg, dsp::Rng(42));
-    rx.set_tile_size(tile);
-    dsp::CVec out;
-    rx.process_into(in, out);
+    dsp::CVec out(in.size());
+    for (std::size_t o = 0; o < in.size(); o += tile) {
+      const std::size_t m = std::min(tile, in.size() - o);
+      rx.process_tile(std::span<const dsp::Cplx>(in.data() + o, m),
+                      std::span<dsp::Cplx>(out.data() + o, m));
+    }
     ASSERT_EQ(out.size(), ref.size()) << "tile " << tile;
     for (std::size_t i = 0; i < out.size(); ++i) {
       ASSERT_EQ(out[i].real(), ref[i].real())
@@ -192,6 +252,11 @@ TEST(ChainExecutor, InPlaceOutputAliasesInput) {
   dsp::CVec buf = in;  // process in place: out aliases in
   rx.process_tile(buf, buf);
   expect_exact_eq(buf, ref);
+
+  DoubleConversionReceiver rx_into(cfg, dsp::Rng(7));
+  dsp::CVec buf2 = in;
+  rx_into.process_into(buf2, buf2);
+  expect_exact_eq(buf2, ref);
 }
 
 TEST(ChainExecutor, EmptyChainCopies) {
@@ -203,11 +268,12 @@ TEST(ChainExecutor, EmptyChainCopies) {
 }
 
 TEST(ChainExecutor, AutoTileFitsL1) {
-  // The auto tile (two ping-pong buffers of complex doubles) must stay
-  // within a conservative L1 data-cache budget.
-  const std::size_t t = ChainExecutor::auto_tile_size();
+  // The chain's tile (kTileSamples complex doubles, processed in place)
+  // must stay within a conservative L1 data-cache budget, with room left
+  // for the blocks' state.
+  const std::size_t t = RfChain::kTileSamples;
   EXPECT_GE(t, 256u);
-  EXPECT_LE(2 * t * sizeof(dsp::Cplx), 48u * 1024u);
+  EXPECT_LE(t * sizeof(dsp::Cplx), 24u * 1024u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Lane-vs-scalar bit identity of the RF front-end: a width-W SoA wave
-// through process_tile_lanes must reproduce, per lane, exactly what a
-// scalar block seeded with that lane's rng produces, for every model the
-// packet wave runs — the contract the packet engine stands on.
+// through process_tile_lanes must reproduce, per lane, exactly what the
+// scalar reference model (tests/reference/rf_reference.h) seeded with that
+// lane's rng produces, for every model the packet wave runs — the contract
+// the packet engine stands on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include "dsp/kernels.h"
 #include "dsp/rng.h"
 #include "rf/receiver_chain.h"
+#include "rf_reference.h"
 
 namespace kn = wlansim::dsp::kernels;
 using wlansim::dsp::Cplx;
@@ -37,14 +39,11 @@ CVec make_burst(std::size_t n, std::uint64_t seed, double amp) {
   return v;
 }
 
-/// Scalar reference: a persistent receiver reset and reseeded with the
-/// lane's rng, equivalent to a fresh one built with it.
-CVec scalar_reference(DoubleConversionReceiver& fe, const CVec& in, Rng rng) {
-  fe.reset();
-  fe.reseed(rng);
-  CVec out;
-  fe.process_into(in, out);
-  return out;
+/// Scalar reference: the receiver's cascade of reference models built with
+/// the lane's rng, run block at a time over the whole buffer.
+CVec scalar_reference(const DoubleConversionConfig& cfg, const CVec& in,
+                      Rng rng) {
+  return wlansim::rf::ref::double_conversion_receiver(cfg, rng)->process(in);
 }
 
 void expect_bit_equal(const CVec& got, const CVec& want, std::size_t lane) {
@@ -55,12 +54,14 @@ void expect_bit_equal(const CVec& got, const CVec& want, std::size_t lane) {
 }
 
 /// One row of the lanes-against-scalar table: a block every lane of which
-/// must equal a fresh scalar block built with that lane's rng.
+/// must equal the scalar reference built with that lane's rng.
 struct LaneRow {
   std::string name;
   std::function<std::unique_ptr<RfBlock>(Rng)> make;
   /// Per-lane equivalent of constructing with `rng` (after begin_lanes).
   std::function<void(RfBlock&, std::size_t, Rng)> seed_lane;
+  /// The scalar reference built with `rng`, run over a whole buffer.
+  std::function<CVec(const CVec&, Rng)> reference;
 };
 
 LaneRow receiver_row(std::string name, const DoubleConversionConfig& cfg) {
@@ -72,6 +73,9 @@ LaneRow receiver_row(std::string name, const DoubleConversionConfig& cfg) {
             auto& fe = static_cast<DoubleConversionReceiver&>(b);
             fe.reseed_lanes(lane, rng);
             fe.set_lane_tapes(lane, nullptr, nullptr);
+          },
+          [cfg](const CVec& in, Rng rng) {
+            return scalar_reference(cfg, in, rng);
           }};
 }
 
@@ -95,6 +99,10 @@ std::vector<LaneRow> lane_rows() {
                   },
                   [](RfBlock& b, std::size_t lane, Rng rng) {
                     static_cast<Amplifier&>(b).set_lane_rng(lane, rng);
+                  },
+                  [rapp3](const CVec& in, Rng rng) {
+                    return wlansim::rf::ref::Amplifier(rapp3, 80e6, rng)
+                        .process(in);
                   }});
   cfg = {};
   cfg.lo_offset_hz = 37e3;
@@ -115,8 +123,8 @@ std::vector<LaneRow> lane_rows() {
 
 TEST(LaneFrontend, LanesMatchScalarPerLane) {
   // Every model that reaches the packet wave, at widths 1, 3 and 8, fed in
-  // outer tiles that do not divide the buffer: lane l must equal a fresh
-  // scalar block built with lane l's rng, memcmp-exact. Lane levels span
+  // outer tiles that do not divide the buffer: lane l must equal the scalar
+  // reference built with lane l's rng, memcmp-exact. Lane levels span
   // -70 to +14 dBm, loudest in lane 0, so the AGC moves and the loud lanes
   // drive the amplifiers through compression, the cubic's clip and the
   // AM/PM curve.
@@ -145,9 +153,8 @@ TEST(LaneFrontend, LanesMatchScalarPerLane) {
       for (std::size_t l = 0; l < nl; ++l) {
         CVec got(n);
         kn::lanes_unpack(soa.data(), n, nl, l, got.data());
-        CVec want;
-        row.make(Rng(9000 + 13 * l))->process_into(inputs[l], want);
-        expect_bit_equal(got, want, l);
+        expect_bit_equal(got, row.reference(inputs[l], Rng(9000 + 13 * l)),
+                         l);
       }
     }
   }
@@ -175,7 +182,7 @@ TEST(LaneFrontend, PartialWidthMatchesScalar) {
   for (std::size_t l = 0; l < nl; ++l) {
     CVec got(n);
     kn::lanes_unpack(soa.data(), n, nl, l, got.data());
-    expect_bit_equal(got, scalar_reference(fe, inputs[l], Rng(300 + l)), l);
+    expect_bit_equal(got, scalar_reference(cfg, inputs[l], Rng(300 + l)), l);
   }
 }
 
@@ -208,8 +215,8 @@ TEST(LaneFrontend, TapeRecordThenReplayIsBitIdentical) {
     for (std::size_t l = 0; l < nl; ++l) {
       CVec got(n);
       kn::lanes_unpack(soa.data(), n, nl, l, got.data());
-      expect_bit_equal(got, scalar_reference(rx, inputs[l], Rng(seed + l)),
-                       l);
+      expect_bit_equal(
+          got, scalar_reference(rx.config(), inputs[l], Rng(seed + l)), l);
     }
   };
   const auto expect_tape_sizes = [&] {

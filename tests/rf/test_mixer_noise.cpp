@@ -131,15 +131,6 @@ TEST(Mixer, IqImbalanceCreatesImage) {
   EXPECT_LT(irr_db, 32.0);
 }
 
-TEST(WhiteNoise, PowerMatchesDensityTimesBandwidth) {
-  const double psd = 1e-18;  // W/Hz
-  const double fs = 80e6;
-  WhiteNoiseSource src(psd, fs, dsp::Rng(5));
-  dsp::CVec zeros(1 << 16, dsp::Cplx{0.0, 0.0});
-  const dsp::CVec y = src.process(zeros);
-  EXPECT_NEAR(dsp::mean_power(y) / (psd * fs), 1.0, 0.05);
-}
-
 TEST(FlickerNoise, TotalPowerCalibrated) {
   const double p = 1e-9;
   FlickerNoiseSource src(p, 1e3, 200e3, 80e6, dsp::Rng(6));
@@ -224,14 +215,6 @@ TEST(FlickerNoise, CalibrationMemoKeepsOutputBits) {
           << "sample " << i;
     }
   }
-}
-
-TEST(DcOffsetSource, AddsConstant) {
-  DcOffsetSource src({0.5, -0.25});
-  dsp::CVec in = {dsp::Cplx{1.0, 1.0}};
-  const dsp::CVec out = src.process(in);
-  EXPECT_NEAR(out[0].real(), 1.5, 1e-15);
-  EXPECT_NEAR(out[0].imag(), 0.75, 1e-15);
 }
 
 }  // namespace

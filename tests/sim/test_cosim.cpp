@@ -9,6 +9,7 @@
 #include "dsp/kernels.h"
 #include "dsp/mathutil.h"
 #include "rf/analyses.h"
+#include "rf_reference.h"
 #include "sim/cosim.h"
 
 namespace wlansim::sim {
@@ -82,10 +83,11 @@ TEST(Cosim, OutputLengthPreserved) {
 }
 
 TEST(Cosim, LanesMatchScalarPerLane) {
-  // The packet wave's co-simulation: at widths 1, 3 and 8, fed in outer
-  // tiles that do not divide the buffer, lane l must equal process() of a
-  // fresh receiver built with lane l's rng, memcmp-exact, with the noise
-  // functions off (the AMS 2.0 limitation) and on (the workaround). Lane
+  // The co-simulation lane loop: at widths 1, 3 and 8, fed in outer tiles
+  // that do not divide the buffer, lane l must equal the scalar reference
+  // loop (tests/reference/rf_reference.h) built with lane l's rng,
+  // memcmp-exact, with the noise functions off (the AMS 2.0 limitation)
+  // and on (the workaround). Lane
   // levels span -70 to +14 dBm so the fine-rate AGC moves and the loud
   // lanes compress the LNA and clip the ADC.
   namespace kn = dsp::kernels;
@@ -123,7 +125,7 @@ TEST(Cosim, LanesMatchScalarPerLane) {
       for (std::size_t l = 0; l < nl; ++l) {
         dsp::CVec got(n);
         kn::lanes_unpack(soa.data(), n, nl, l, got.data());
-        CosimRfReceiver scalar(rfc, cc, dsp::Rng(9000 + 13 * l));
+        rf::ref::Cosim scalar(rfc, cc, dsp::Rng(9000 + 13 * l));
         const dsp::CVec want = scalar.process(inputs[l]);
         ASSERT_EQ(want.size(), n);
         for (std::size_t i = 0; i < n; ++i)
