@@ -49,8 +49,6 @@ class Agc : public RfBlock {
   /// True once lane 0's loop has auto-locked on a settled level.
   bool locked() const { return lanes_[0].locked; }
 
-  const AgcConfig& config() const { return cfg_; }
-
   /// The per-sample loop, lanes inner, each lane with its own loop state.
   void begin_lanes(std::size_t nl) override;
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;

@@ -83,16 +83,8 @@ void Mixer::process_tile_lanes(double* soa, std::size_t n, std::size_t nl) {
   }
   // General case, per lane: fill the per-sample phase stream (the
   // sequential part — phase-noise draws and accumulator wrapping) on the
-  // lane's own oscillator, then mix element-wise. A width-1 row is one
-  // complex sample, so width 1 mixes in place.
+  // lane's own oscillator, then mix element-wise.
   phase_scratch_.resize(n);
-  if (nl == 1) {
-    dsp::Cplx* x = reinterpret_cast<dsp::Cplx*>(soa);
-    advance_phase(lane_lo_phase_[0], lane_pn_phase_[0], lane_rng_[0],
-                  phase_scratch_.data(), n);
-    dsp::kernels::mix_phase(x, phase_scratch_.data(), n, p, x);
-    return;
-  }
   lane_tile_.resize(n);
   for (std::size_t l = 0; l < nl; ++l) {
     advance_phase(lane_lo_phase_[l], lane_pn_phase_[l], lane_rng_[l],

@@ -1,11 +1,12 @@
-// Scalar reference models of the RF blocks: the tile loops the blocks ran
-// on one complex stream before their lane loop became their only code,
-// kept in the test-only `wlansim_reference` library as the oracles the
-// lanes-against-scalar tests compare with. Each reference computes its
-// constants from the configuration the block was built with, and carries
-// its state across process_tile() calls, so any tiling of a buffer equals
-// one whole-buffer call. Streams are per block, as a fresh rf:: block built
-// with the same rng draws them.
+// Scalar reference models of the RF blocks, in the test-only
+// `wlansim_reference` library: each runs one complex stream through its own
+// loop, written independently of the block's lane loop, so the
+// lanes-against-scalar tests compare two implementations rather than one
+// with itself. Each reference computes its constants from the
+// configuration the block was built with and carries its state across
+// process_tile() calls, so any tiling of a buffer equals one whole-buffer
+// call; its rng draws the stream a fresh rf:: block built with that rng
+// draws.
 #pragma once
 
 #include <memory>
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "dsp/iir.h"
-#include "dsp/kernels.h"
 #include "dsp/rng.h"
 #include "rf/adc.h"
 #include "rf/agc.h"
