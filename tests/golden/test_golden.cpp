@@ -552,6 +552,7 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
   }
   int n = static_cast<int>(args.size());
+  args.push_back(nullptr);  // argv[argc], which gtest's flag parser moves
   testing::InitGoogleTest(&n, args.data());
   const int rc = RUN_ALL_TESTS();
   if (!wlansim::g_regen || rc != 0) return rc;
