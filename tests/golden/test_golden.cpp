@@ -337,9 +337,14 @@ std::vector<BlockCase> block_cases() {
       kNoSeed));
   cases.push_back(flicker_case("flicker-record", false));
   cases.push_back(flicker_case("flicker-replay", true));
-  cases.push_back(per_lane_case("wandering-dc", 3000, [](Rng rng) {
-    return std::make_unique<rf::WanderingDcSource>(1e-4, 50e3, 80e6, rng);
-  }));
+  cases.push_back(lane_case(
+      "wandering-dc", 3000,
+      [](Rng rng) {
+        return std::make_unique<rf::WanderingDcSource>(1e-4, 50e3, 80e6, rng);
+      },
+      [](rf::RfBlock& b, std::size_t l, Rng rng) {
+        static_cast<rf::WanderingDcSource&>(b).reseed(rng, l);
+      }));
   cases.push_back(lane_case(
       "agc", 3000,
       [](Rng) {
