@@ -30,8 +30,8 @@
 //    receive reproduces such a fresh block on lane l's stream, bit for bit;
 //  * tiling: the output depends only on carried state plus the input rows
 //    in order, so consecutive calls over tiles of any sizes equal one call
-//    over the whole buffer. Black-box table models are exempt (their FIR
-//    rounds per call partition, see rf/blackbox.h).
+//    over the whole buffer. BlackBoxModel is exempt: its FIR's block
+//    convolution rounds per call partition.
 #pragma once
 
 #include <memory>
