@@ -57,4 +57,16 @@ DirectConversionReceiver::DirectConversionReceiver(
   chain_.emplace<Adc>(cfg_.adc);
 }
 
+void DirectConversionReceiver::begin_lanes(std::size_t nl) {
+  if (nl != 1)
+    throw std::invalid_argument(
+        "DirectConversionReceiver: runs at width 1 only");
+}
+
+void DirectConversionReceiver::process_tile_lanes(double* soa, std::size_t n,
+                                                  std::size_t nl) {
+  begin_lanes(nl);
+  chain_.process_tile_lanes(soa, n, 1);
+}
+
 }  // namespace wlansim::rf

@@ -83,13 +83,12 @@ class DirectConversionReceiver : public RfBlock {
   void reset() override { chain_.reset(); }
   std::string name() const override { return "direct_conversion_rx"; }
 
-  /// The cascade on lanes, fused (see RfChain). Its blocks have no
-  /// per-lane reseed here: a link builds one receiver per packet, at
-  /// width 1.
-  void begin_lanes(std::size_t nl) override { chain_.begin_lanes(nl); }
-  void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override {
-    chain_.process_tile_lanes(soa, n, nl);
-  }
+  /// The cascade, fused (see RfChain), at width 1 only: a link builds one
+  /// receiver per packet, and its blocks have no per-lane reseed here.
+  /// begin_lanes() and process_tile_lanes() throw std::invalid_argument for
+  /// any other width.
+  void begin_lanes(std::size_t nl) override;
+  void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
 
   const DirectConversionConfig& config() const { return cfg_; }
   double front_end_gain_db() const {

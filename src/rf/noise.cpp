@@ -214,48 +214,43 @@ WanderingDcSource::WanderingDcSource(double rms_amplitude, double bandwidth_hz,
   // One-pole AR(1): var_state = drive^2 * alpha / (2 - alpha) per rail.
   const double var_per_rail = rms_ * rms_ / 2.0;
   drive_std_ = std::sqrt(var_per_rail * (2.0 - alpha_) / alpha_);
-  begin_lanes(1);
   reseed(rng);
 }
 
 void WanderingDcSource::begin_lanes(std::size_t nl) {
-  lane_state_.assign(nl, dsp::Cplx{0.0, 0.0});
-  lane_rng_.assign(nl, dsp::Rng{});
+  if (nl != 1)
+    throw std::invalid_argument("WanderingDcSource: runs at width 1 only");
 }
 
-void WanderingDcSource::reset() {
-  std::fill(lane_state_.begin(), lane_state_.end(), dsp::Cplx{0.0, 0.0});
-}
+void WanderingDcSource::reset() { state_ = {0.0, 0.0}; }
 
-void WanderingDcSource::reseed(dsp::Rng rng, std::size_t lane) {
+void WanderingDcSource::reseed(dsp::Rng rng) {
   // Start the walk at a random point of its stationary distribution so
   // short runs are representative.
-  lane_rng_[lane] = rng;
-  dsp::Rng& r = lane_rng_[lane];
+  rng_ = rng;
   const double var_per_rail = rms_ * rms_ / 2.0;
-  lane_state_[lane] = {r.gaussian(std::sqrt(var_per_rail)),
-                       r.gaussian(std::sqrt(var_per_rail))};
+  state_ = {rng_.gaussian(std::sqrt(var_per_rail)),
+            rng_.gaussian(std::sqrt(var_per_rail))};
 }
 
 void WanderingDcSource::process_tile_lanes(double* soa, std::size_t n,
                                            std::size_t nl) {
+  begin_lanes(nl);
   if (rms_ <= 0.0) return;
   // The AR(1) recurrence is inherently sequential, but the two gaussian
   // draws per sample are not: fill them in bulk (gaussian(sigma) is
   // sigma*u, reproduced below) and keep only the recurrence in the loop.
   scratch_.resize(2 * n);
-  for (std::size_t l = 0; l < nl; ++l) {
-    lane_rng_[l].fill_gaussian(scratch_.data(), scratch_.size());
-    dsp::Cplx state = lane_state_[l];
-    for (std::size_t i = 0; i < n; ++i) {
-      state += alpha_ * (dsp::Cplx{drive_std_ * scratch_[2 * i],
-                                   drive_std_ * scratch_[2 * i + 1]} -
-                         state);
-      soa[i * 2 * nl + l] += state.real();
-      soa[i * 2 * nl + nl + l] += state.imag();
-    }
-    lane_state_[l] = state;
+  rng_.fill_gaussian(scratch_.data(), scratch_.size());
+  dsp::Cplx state = state_;
+  for (std::size_t i = 0; i < n; ++i) {
+    state += alpha_ * (dsp::Cplx{drive_std_ * scratch_[2 * i],
+                                 drive_std_ * scratch_[2 * i + 1]} -
+                       state);
+    soa[2 * i] += state.real();
+    soa[2 * i + 1] += state.imag();
   }
+  state_ = state;
 }
 
 }  // namespace wlansim::rf

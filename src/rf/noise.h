@@ -89,21 +89,22 @@ class WanderingDcSource : public RfBlock {
   void reset() override;
   std::string name() const override { return "wandering_dc"; }
 
-  /// Per lane one walk with its own rng; begin_lanes() starts every walk
-  /// at 0, as reset() does.
+  /// Width 1 only: the zero-IF receiver that uses it is built per packet.
+  /// begin_lanes() and process_tile_lanes() throw std::invalid_argument
+  /// for any other width.
   void begin_lanes(std::size_t nl) override;
   void process_tile_lanes(double* soa, std::size_t n, std::size_t nl) override;
 
-  /// Replace lane `lane`'s rng and redo the construction-time draw of its
-  /// walk's start, so the lane behaves exactly like a new source.
-  void reseed(dsp::Rng rng, std::size_t lane = 0);
+  /// Replace the rng and redo the construction-time draw of the walk's
+  /// start, so the source behaves exactly like a new one.
+  void reseed(dsp::Rng rng);
 
  private:
   double rms_;
   double alpha_;       ///< one-pole smoothing factor
   double drive_std_;   ///< per-sample drive giving the target RMS
-  std::vector<dsp::Cplx> lane_state_;
-  std::vector<dsp::Rng> lane_rng_;
+  dsp::Cplx state_{0.0, 0.0};
+  dsp::Rng rng_;
   dsp::RVec scratch_;  ///< per-tile unit normals for the bulk fill
 };
 

@@ -19,12 +19,6 @@ void RfBlock::process_into(std::span<const dsp::Cplx> in, dsp::CVec& out) {
   process_tile_lanes(rows(out.data()), out.size(), 1);
 }
 
-void RfBlock::process_tile(std::span<const dsp::Cplx> in,
-                           std::span<dsp::Cplx> out) {
-  if (out.data() != in.data()) std::copy(in.begin(), in.end(), out.begin());
-  process_tile_lanes(rows(out.data()), in.size(), 1);
-}
-
 void RfChain::begin_lanes(std::size_t nl) {
   for (auto& b : blocks_) b->begin_lanes(nl);
 }

@@ -13,10 +13,10 @@
 // same-config streams ("lanes", one packet each) in lockstep: sample i is
 // one 2*nl-double SoA row [re lanes][im lanes] of a flat buffer, and
 // process_tile_lanes() is the block's only processing code. A width-1 row
-// is [re, im], the memory layout of std::complex<double>, so process(),
-// process_into() and process_tile() run that loop at width 1 in place on a
-// complex buffer — the analyses, the dataflow graph and the packet wave
-// all run the same arithmetic.
+// is [re, im], the memory layout of std::complex<double>, so process() and
+// process_into() run that loop at width 1 in place on a complex buffer —
+// the analyses, the dataflow graph and the packet wave all run the same
+// arithmetic.
 //
 // The lane contract:
 //  * a newly constructed block is a width-1 block; lane 0 draws from the
@@ -28,6 +28,11 @@
 //    count — and keeps each lane's rng;
 //  * lane l of a block whose lane rngs were set to what fresh blocks would
 //    receive reproduces such a fresh block on lane l's stream, bit for bit;
+//  * a block that a link builds per packet (BlackBoxModel, the zero-IF
+//    receiver and its WanderingDcSource, custom blocks) may run at width 1
+//    only: its begin_lanes() and process_tile_lanes() throw
+//    std::invalid_argument for any other width, and begin_lanes(1) changes
+//    nothing;
 //  * tiling: the output depends only on carried state plus the input rows
 //    in order, so consecutive calls over tiles of any sizes equal one call
 //    over the whole buffer. BlackBoxModel is exempt: its FIR's block
@@ -69,9 +74,6 @@ class RfBlock {
   dsp::CVec process(std::span<const dsp::Cplx> in);
   /// process() into `out`, resized to the input length; `in` may be `out`.
   void process_into(std::span<const dsp::Cplx> in, dsp::CVec& out);
-  /// process() into the pre-sized `out` (out.size() == in.size()), which
-  /// may be `in`.
-  void process_tile(std::span<const dsp::Cplx> in, std::span<dsp::Cplx> out);
 };
 
 /// A serial cascade of RF blocks, run fused: one tile of rows streams

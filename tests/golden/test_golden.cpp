@@ -184,11 +184,11 @@ Outputs run_per_lane(const MakeBlock& make, const Outputs& in) {
   for (std::size_t l = 0; l < in.size(); ++l) {
     const auto block = make(lane_rng(l));
     const std::size_t n = in[l].size();
-    CVec y(n);
+    CVec y = in[l];
     for (std::size_t off = 0, t = 0; off < n; ++t) {
       const std::size_t len = std::min(kTiles[t % 4], n - off);
-      block->process_tile(std::span<const Cplx>(in[l].data() + off, len),
-                          std::span<Cplx>(y.data() + off, len));
+      block->process_tile_lanes(reinterpret_cast<double*>(y.data() + off), len,
+                                1);
       off += len;
     }
     out.push_back(std::move(y));
@@ -337,14 +337,9 @@ std::vector<BlockCase> block_cases() {
       kNoSeed));
   cases.push_back(flicker_case("flicker-record", false));
   cases.push_back(flicker_case("flicker-replay", true));
-  cases.push_back(lane_case(
-      "wandering-dc", 3000,
-      [](Rng rng) {
-        return std::make_unique<rf::WanderingDcSource>(1e-4, 50e3, 80e6, rng);
-      },
-      [](rf::RfBlock& b, std::size_t l, Rng rng) {
-        static_cast<rf::WanderingDcSource&>(b).reseed(rng, l);
-      }));
+  cases.push_back(per_lane_case("wandering-dc", 3000, [](Rng rng) {
+    return std::make_unique<rf::WanderingDcSource>(1e-4, 50e3, 80e6, rng);
+  }));
   cases.push_back(lane_case(
       "agc", 3000,
       [](Rng) {

@@ -60,19 +60,20 @@ SeedLane lane_rng_setter() {
   };
 }
 
-/// At widths 1, 3 and 8, lane l of `block` (seeded with lane_rng(l), fed
-/// `in` scaled by 1 + l/4 in an uneven schedule mixing tiny, prime-sized
-/// and large tiles) must equal the reference built with lane_rng(l) over
-/// the whole buffer, bit for bit.
+/// At widths 1, 3 and 8 (those up to `max_width`), lane l of `block`
+/// (seeded with lane_rng(l), fed `in` scaled by 1 + l/4 in an uneven
+/// schedule mixing tiny, prime-sized and large tiles) must equal the
+/// reference built with lane_rng(l) over the whole buffer, bit for bit.
 void expect_tile_continuity(
     const std::function<std::unique_ptr<RfBlock>()>& make,
     const SeedLane& seed,
     const std::function<std::unique_ptr<ref::Block>(dsp::Rng)>& make_ref,
-    const dsp::CVec& in) {
+    const dsp::CVec& in, std::size_t max_width = kn::kLaneWidth) {
   static constexpr std::size_t kSchedule[] = {1, 7, 128, 333, 1024};
   const std::size_t n = in.size();
   for (const std::size_t nl : {std::size_t{1}, std::size_t{3},
                                kn::kLaneWidth}) {
+    if (nl > max_width) continue;
     SCOPED_TRACE("width " + std::to_string(nl));
     std::vector<dsp::CVec> lanes(nl, in);
     dsp::RVec soa(2 * n * nl);
@@ -203,13 +204,13 @@ TEST(TileContinuity, NoiseSources) {
         return std::make_unique<WanderingDcSource>(1e-4, 50e3, 80e6,
                                                    dsp::Rng(1));
       },
-      [](RfBlock& b, std::size_t l, dsp::Rng rng) {
-        static_cast<WanderingDcSource&>(b).reseed(rng, l);
+      [](RfBlock& b, std::size_t, dsp::Rng rng) {
+        static_cast<WanderingDcSource&>(b).reseed(rng);
       },
       [](dsp::Rng rng) {
         return std::make_unique<ref::WanderingDc>(1e-4, 50e3, 80e6, rng);
       },
-      test_signal(3000, 1e-3, 12));
+      test_signal(3000, 1e-3, 12), /*max_width=*/1);
 }
 
 TEST(ChainExecutor, FusedMatchesBlockwiseAcrossTileSizes) {
@@ -225,11 +226,10 @@ TEST(ChainExecutor, FusedMatchesBlockwiseAcrossTileSizes) {
                            std::size_t{333}, RfChain::kTileSamples,
                            std::size_t{4096}, in.size() + 1000}) {
     DoubleConversionReceiver rx(cfg, dsp::Rng(42));
-    dsp::CVec out(in.size());
+    dsp::CVec out = in;
     for (std::size_t o = 0; o < in.size(); o += tile) {
       const std::size_t m = std::min(tile, in.size() - o);
-      rx.process_tile(std::span<const dsp::Cplx>(in.data() + o, m),
-                      std::span<dsp::Cplx>(out.data() + o, m));
+      rx.process_tile_lanes(reinterpret_cast<double*>(out.data() + o), m, 1);
     }
     ASSERT_EQ(out.size(), ref.size()) << "tile " << tile;
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -250,13 +250,8 @@ TEST(ChainExecutor, InPlaceOutputAliasesInput) {
 
   DoubleConversionReceiver rx(cfg, dsp::Rng(7));
   dsp::CVec buf = in;  // process in place: out aliases in
-  rx.process_tile(buf, buf);
+  rx.process_into(buf, buf);
   expect_exact_eq(buf, ref);
-
-  DoubleConversionReceiver rx_into(cfg, dsp::Rng(7));
-  dsp::CVec buf2 = in;
-  rx_into.process_into(buf2, buf2);
-  expect_exact_eq(buf2, ref);
 }
 
 TEST(ChainExecutor, EmptyChainCopies) {

@@ -101,5 +101,23 @@ TEST(WanderingDc, RejectsBadParameters) {
                std::invalid_argument);
 }
 
+TEST(DirectConversion, RunsAtWidthOneOnly) {
+  // A link builds the zero-IF receiver per packet; it and its wandering DC
+  // source refuse a wider lane call instead of indexing past width 1.
+  DirectConversionConfig cfg;
+  cfg.dynamic_dc_rms = 1e-4;
+  DirectConversionReceiver rx(cfg, dsp::Rng(1));
+  WanderingDcSource src(1e-4, 50e3, 80e6, dsp::Rng(2));
+  dsp::RVec soa(2 * 16 * 3, 0.0);
+  for (RfBlock* b : {static_cast<RfBlock*>(&rx), static_cast<RfBlock*>(&src)}) {
+    EXPECT_THROW(b->begin_lanes(3), std::invalid_argument) << b->name();
+    EXPECT_THROW(b->process_tile_lanes(soa.data(), 16, 3),
+                 std::invalid_argument)
+        << b->name();
+    EXPECT_NO_THROW(b->begin_lanes(1)) << b->name();
+    EXPECT_NO_THROW(b->process_tile_lanes(soa.data(), 16, 1)) << b->name();
+  }
+}
+
 }  // namespace
 }  // namespace wlansim::rf
