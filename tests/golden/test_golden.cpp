@@ -1,7 +1,9 @@
-// Golden digests of the RF front end: "same bits" as a ctest.
+// Golden digests of the RF front end and the 802.11a PHY: "same bits" as a
+// ctest.
 //
-// Each case runs an RF block, an RF analysis or a link packet and folds the
-// bit patterns of everything it outputs into one FNV-1a-64 digest.
+// Each case runs an RF block, an RF analysis, a link packet, a PHY stage or
+// an FFT and folds the bit patterns of everything it outputs into one
+// FNV-1a-64 digest.
 // tests/golden/front_end.txt holds one `<case> <digest>` line per case, and
 // every Golden.* test recomputes its cases and compares them with the file.
 // A change that moves one output bit of one case fails here, on whichever
@@ -26,10 +28,17 @@
 #include <string>
 #include <vector>
 
+#include "channel/fading.h"
 #include "core/experiments.h"
 #include "core/link.h"
+#include "dsp/fft.h"
 #include "dsp/kernels.h"
 #include "dsp/mathutil.h"
+#include "dsp/resample.h"
+#include "phy80211a/preamble.h"
+#include "phy80211a/receiver.h"
+#include "phy80211a/sync.h"
+#include "phy80211a/transmitter.h"
 #include "rf/analyses.h"
 #include "rf/blackbox.h"
 #include "rf/direct_conversion.h"
@@ -535,6 +544,298 @@ TEST(Golden, LinkPackets) {
       golden.add(name + "/p" + std::to_string(i), d);
     }
   }
+  golden.finish();
+}
+
+// ---- 802.11a PHY and FFT -----------------------------------------------------
+
+/// PSDU size putting `nsym` DATA symbols on the air at rate r.
+std::size_t psdu_bytes_for_symbols(phy::Rate r, std::size_t nsym) {
+  const phy::RateParams& p = phy::rate_params(r);
+  const std::size_t bits = nsym * p.ndbps;
+  const std::size_t overhead = phy::kServiceBits + phy::kTailBits;
+  if (bits <= overhead + 8) return 1;
+  return std::min<std::size_t>((bits - overhead) / 8, 4095);
+}
+
+/// A case-name token for rate r ("6mbps").
+std::string rate_key(phy::Rate r) {
+  return std::to_string(static_cast<int>(phy::rate_params(r).rate_mbps)) +
+         "mbps";
+}
+
+CVec padded(const CVec& frame, std::size_t lead, std::size_t tail) {
+  CVec out(lead, Cplx{0.0, 0.0});
+  out.insert(out.end(), frame.begin(), frame.end());
+  out.insert(out.end(), tail, Cplx{0.0, 0.0});
+  return out;
+}
+
+void add_noise(CVec& x, std::uint64_t seed, double var) {
+  Rng noise(seed);
+  for (Cplx& v : x) v += noise.cgaussian(var);
+}
+
+/// Every field of a receive result, each data point's bits included.
+Digest rx_digest(const phy::RxResult& r) {
+  Digest d;
+  d.word(r.detected ? 1 : 0);
+  d.word(r.header_ok ? 1 : 0);
+  d.word(static_cast<std::uint64_t>(r.signal.rate));
+  d.word(r.signal.length);
+  d.word(r.psdu.size());
+  for (const std::uint8_t b : r.psdu) d.word(b);
+  d.real(r.cfo_norm);
+  d.word(r.frame_start);
+  d.word(r.data_points.size());
+  for (const CVec& s : r.data_points) {
+    d.word(s.size());
+    d.cplx(s);
+  }
+  return d;
+}
+
+/// Noise lead + preamble-plus-noise + noise-like payload (the sync tests'
+/// signal).
+CVec sync_signal(double noise_sigma, unsigned seed, std::size_t lead = 400) {
+  Rng rng(seed);
+  const CVec pre = phy::full_preamble();
+  CVec sig;
+  for (std::size_t i = 0; i < lead; ++i)
+    sig.push_back(rng.cgaussian(noise_sigma));
+  for (const Cplx& v : pre) sig.push_back(v + rng.cgaussian(noise_sigma));
+  for (std::size_t i = 0; i < 1200; ++i)
+    sig.push_back(rng.cgaussian(0.3) + rng.cgaussian(noise_sigma));
+  return sig;
+}
+
+void add_detection(Cases& golden, const std::string& name,
+                   std::span<const Cplx> sig, double threshold = 0.6) {
+  const auto det = phy::detect_packet(sig, threshold);
+  Digest d;
+  d.word(det ? 1 : 0);
+  if (det) {
+    d.word(det->detect_index);
+    d.real(det->coarse_cfo_norm);
+  }
+  golden.add("detect/" + name, d);
+}
+
+void add_lts(Cases& golden, const std::string& name, std::span<const Cplx> sig,
+             std::size_t lo, std::size_t hi) {
+  const auto lts = phy::locate_long_training(sig, lo, hi);
+  Digest d;
+  d.word(lts ? 1 : 0);
+  if (lts) d.word(*lts);
+  golden.add("lts/" + name, d);
+}
+
+/// Detection, then the LTS search over the 400 samples after it.
+void add_sync(Cases& golden, const std::string& name,
+              std::span<const Cplx> sig) {
+  add_detection(golden, name, sig);
+  const auto det = phy::detect_packet(sig);
+  if (det)
+    add_lts(golden, name, sig, det->detect_index, det->detect_index + 400);
+}
+
+void add_tx_cases(Cases& golden) {
+  Rng rng(42);
+  for (std::size_t ri = 0; ri < phy::kNumRates; ++ri) {
+    const auto r = static_cast<phy::Rate>(ri);
+    const std::string rate = rate_key(r);
+    for (const std::size_t bytes :
+         {std::size_t{1}, psdu_bytes_for_symbols(r, 7), std::size_t{4095}}) {
+      const phy::Transmitter tx;
+      const phy::Frame f{r, phy::random_bytes(bytes, rng)};
+      Digest d;
+      d.cplx(tx.modulate(f));
+      golden.add("tx/" + rate + "/" + std::to_string(bytes), d);
+      if (bytes != 4095) continue;
+      Digest pts;
+      for (const CVec& s : tx.data_symbol_points(f)) pts.cplx(s);
+      golden.add("data-points/" + rate, pts);
+    }
+    Digest sig;
+    sig.cplx(phy::modulate_signal_field({r, 100 + 37 * ri}));
+    golden.add("signal/" + rate, sig);
+  }
+
+  Rng cfg_rng(43);
+  const phy::Transmitter::Config cfgs[] = {
+      {.window_overlap = 6},
+      {.clip_papr_db = 5.0},
+      {.scrambler_seed = 0x31,
+       .output_power_dbm = -10.0,
+       .window_overlap = 4,
+       .clip_papr_db = 6.0}};
+  for (std::size_t i = 0; i < std::size(cfgs); ++i) {
+    const phy::Transmitter tx(cfgs[i]);
+    Digest d;
+    d.cplx(tx.modulate({phy::Rate::kMbps36, phy::random_bytes(300, cfg_rng)}));
+    golden.add("tx-cfg/" + std::to_string(i), d);
+  }
+}
+
+void add_rx_cases(Cases& golden) {
+  const phy::Transmitter tx;
+  Rng rng(44);
+  for (std::size_t ri = 0; ri < phy::kNumRates; ++ri) {
+    const auto r = static_cast<phy::Rate>(ri);
+    CVec rx = padded(tx.modulate({r, phy::random_bytes(200, rng)}), 250, 80);
+    add_noise(rx, 50 + ri, 1e-5);
+    const std::string rate = rate_key(r);
+    golden.add("rx/awgn/" + rate, rx_digest(phy::Receiver().receive(rx)));
+    golden.add("rx-at/awgn/" + rate,
+               rx_digest(phy::Receiver().receive_at(rx, 250)));
+  }
+
+  Rng track_rng(45);
+  const CVec frame =
+      tx.modulate({phy::Rate::kMbps24, phy::random_bytes(400, track_rng)});
+  CVec cfo_rx = padded(dsp::frequency_shift(frame, 0.004), 300, 80);
+  add_noise(cfo_rx, 46, 1e-5);
+  for (const bool phase : {false, true}) {
+    for (const bool timing : {false, true}) {
+      const phy::Receiver rcv({.track_phase = phase, .track_timing = timing});
+      const std::string mode = std::string(phase ? "phase" : "nophase") +
+                               (timing ? "-timing" : "-notiming");
+      golden.add("rx/cfo/" + mode, rx_digest(rcv.receive(cfo_rx)));
+      golden.add("rx-at/cfo/" + mode,
+                 rx_digest(rcv.receive_at(cfo_rx, 300, 0.004)));
+    }
+  }
+
+  Rng fade_rng(47);
+  const CVec fade_frame =
+      tx.modulate({phy::Rate::kMbps12, phy::random_bytes(250, fade_rng)});
+  channel::FadingConfig fcfg;
+  fcfg.rms_delay_spread_s = 50e-9;
+  Rng chan_rng(48);
+  const channel::MultipathChannel chan(fcfg, chan_rng);
+  CVec fade_rx = chan.apply(padded(fade_frame, 300, 100));
+  Rng noise(49);
+  for (std::size_t i = 0; i < fade_rx.size(); ++i) {
+    const double ang = dsp::kTwoPi * 0.11 * static_cast<double>(i);
+    fade_rx[i] += 3e-3 * Cplx{std::cos(ang), std::sin(ang)};
+    fade_rx[i] += noise.cgaussian(1e-5);
+  }
+  for (const std::size_t smoothing : {1, 3}) {
+    const phy::Receiver rcv({.chanest_smoothing = smoothing});
+    const std::string s = "/smooth" + std::to_string(smoothing);
+    golden.add("rx/fading-cw" + s, rx_digest(rcv.receive(fade_rx)));
+    golden.add("rx-at/fading-cw" + s, rx_digest(rcv.receive_at(fade_rx, 300)));
+  }
+
+  Rng cut_rng(52);
+  const CVec cut_frame =
+      tx.modulate({phy::Rate::kMbps6, phy::random_bytes(120, cut_rng)});
+  const std::size_t cut =
+      phy::kPreambleLen + phy::kSymbolLen + 5 * phy::kSymbolLen + 11;
+  const CVec cut_rx =
+      padded(CVec(cut_frame.begin(), cut_frame.begin() + cut), 220, 0);
+  golden.add("rx/truncated", rx_digest(phy::Receiver().receive(cut_rx)));
+  golden.add("rx-at/truncated",
+             rx_digest(phy::Receiver().receive_at(cut_rx, 220)));
+
+  // estimate_channel on both long training symbols through the fading
+  // channel, the receive path's window (3 samples into the guard).
+  const std::size_t lts = 300 + phy::kShortPreambleLen + 32 - 3;
+  const phy::ChannelEstimate est = phy::estimate_channel(
+      std::span<const Cplx>(fade_rx).subspan(lts, 2 * phy::kNfft));
+  Digest h;
+  h.cplx(est.h);
+  golden.add("estimate-channel", h);
+}
+
+void add_sync_cases(Cases& golden) {
+  add_sync(golden, "clean", sync_signal(1e-3, 101));
+  for (const double cfo : {-0.01, -0.003, 0.001, 0.004, 0.01}) {
+    CVec sig = sync_signal(3e-3, 102);
+    phy::correct_cfo(sig, -cfo);
+    add_sync(golden, "cfo" + std::to_string(cfo), sig);
+  }
+  const CVec x = sync_signal(3e-3, 103);
+  CVec two_tap(x.size());
+  for (std::size_t n = 0; n < x.size(); ++n) {
+    two_tap[n] = x[n];
+    if (n >= 3) two_tap[n] += Cplx{0.1, 0.35} * x[n - 3];
+  }
+  add_sync(golden, "two-tap", two_tap);
+  add_detection(golden, "low-snr", sync_signal(0.25, 104));
+
+  Rng rng(105);
+  CVec noise(4000);
+  for (Cplx& v : noise) v = rng.cgaussian(1.0);
+  add_detection(golden, "pure-noise", noise);
+  add_lts(golden, "pure-noise", noise, 0, noise.size());
+
+  const CVec sweep = sync_signal(0.08, 106);
+  for (const double thr : {0.3, 0.5, 0.6, 0.75, 0.9, 0.97, 0.999})
+    add_detection(golden, "threshold" + std::to_string(thr), sweep, thr);
+
+  Rng lead_rng(107);
+  CVec zero_lead(700, Cplx{0.0, 0.0});
+  for (const Cplx& v : phy::full_preamble())
+    zero_lead.push_back(v + lead_rng.cgaussian(1e-3));
+  for (std::size_t i = 0; i < 900; ++i)
+    zero_lead.push_back(lead_rng.cgaussian(0.3));
+  add_sync(golden, "zero-lead", zero_lead);
+  add_lts(golden, "zero-lead-full", zero_lead, 0, zero_lead.size());
+
+  Rng short_rng(108);
+  for (const std::size_t n : {0u, 10u, 48u, 49u, 80u}) {
+    CVec sig(n);
+    for (Cplx& v : sig) v = short_rng.cgaussian(1.0);
+    add_detection(golden, "short" + std::to_string(n), sig);
+    add_lts(golden, "short" + std::to_string(n), sig, 0, sig.size());
+  }
+}
+
+void add_fft_cases(Cases& golden) {
+  constexpr std::size_t kRows = 3, kPad = 5;
+  for (std::size_t n = 2; n <= 4096; n <<= 1) {
+    const dsp::Fft fft(n);
+    Rng rng(600 + n);
+    CVec x((n + kPad) * kRows);
+    for (Cplx& v : x) v = rng.cgaussian(1.0);
+    const std::span<const Cplx> x0(x.data(), n);
+    const std::string sz = "/n" + std::to_string(n);
+
+    Digest in_place;
+    CVec y(x0.begin(), x0.end());
+    fft.forward(std::span<Cplx>(y));
+    in_place.cplx(y);
+    y.assign(x0.begin(), x0.end());
+    fft.inverse(std::span<Cplx>(y));
+    in_place.cplx(y);
+    golden.add("fft/in-place" + sz, in_place);
+
+    Digest out_of_place;
+    fft.forward(x0, std::span<Cplx>(y));
+    out_of_place.cplx(y);
+    fft.inverse(x0, std::span<Cplx>(y));
+    out_of_place.cplx(y);
+    out_of_place.cplx(fft.forward(x0));
+    out_of_place.cplx(fft.inverse(x0));
+    golden.add("fft/out-of-place" + sz, out_of_place);
+
+    Digest batch;
+    CVec rows(n * kRows);
+    fft.forward_batch(x.data(), n + kPad, rows.data(), kRows);
+    batch.cplx(rows);
+    fft.inverse_batch(x.data(), n + kPad, rows.data(), kRows);
+    batch.cplx(rows);
+    golden.add("fft/batch" + sz, batch);
+  }
+}
+
+TEST(Golden, Phy) {
+  Cases golden("phy");
+  add_tx_cases(golden);
+  add_rx_cases(golden);
+  add_sync_cases(golden);
+  add_fft_cases(golden);
   golden.finish();
 }
 
