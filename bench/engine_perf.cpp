@@ -48,8 +48,8 @@ void BM_Fft64(benchmark::State& state) {
 BENCHMARK(BM_Fft64);
 
 void BM_Fft64OutOfPlace(benchmark::State& state) {
-  // The plan the per-symbol OFDM (de)modulator runs: bit-reversed copy into
-  // a caller buffer, no permutation pass, no allocation.
+  // One out-of-place transform (the batch path at one row): bit-reversed
+  // copy into a caller buffer, no permutation pass, no allocation.
   dsp::Fft fft(64);
   dsp::Rng rng(1);
   dsp::CVec x(64), y(64);
@@ -185,8 +185,8 @@ BENCHMARK(BM_RfChainFused);
 void BM_SyncDetect(benchmark::State& state) {
   // Packet detection + long-training fine timing over a realistic frame:
   // a noise lead, the full 802.11a preamble, and a noise-like payload. This
-  // is the O(N) sliding-window path; the O(N*W) references stay available
-  // as detect_packet_reference / locate_long_training_reference.
+  // is the O(N) sliding-window path; the O(N*W) references are test
+  // oracles (tests/reference/phy_reference.h).
   dsp::Rng rng(8);
   const dsp::CVec pre = phy::full_preamble();
   dsp::CVec sig;

@@ -32,45 +32,22 @@ Fft::Fft(std::size_t n) : n_(n) {
   }
 }
 
-void Fft::butterflies(Cplx* __restrict x, const Cplx* __restrict twiddle) const {
-  for (std::size_t len = 2; len <= n_; len <<= 1) {
-    const std::size_t half = len / 2;
-    const std::size_t step = n_ / len;
-    for (std::size_t base = 0; base < n_; base += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const Cplx w = twiddle[k * step];
-        const Cplx u = x[base + k];
-        const Cplx v = x[base + k + half] * w;
-        x[base + k] = u + v;
-        x[base + k + half] = u - v;
-      }
-    }
+void Fft::permute_in_place(std::span<Cplx> x) const {
+  if (x.size() != n_) throw std::invalid_argument("Fft: size mismatch");
+  for (std::size_t i = 0; i < n_; ++i) {
+    const std::size_t j = bitrev_[i];
+    if (j > i) std::swap(x[i], x[j]);
   }
-}
-
-void Fft::scatter_bitrev(std::span<const Cplx> in, std::span<Cplx> out) const {
-  const Cplx* __restrict src = in.data();
-  Cplx* __restrict dst = out.data();
-  const std::size_t* __restrict rev = bitrev_.data();
-  for (std::size_t i = 0; i < n_; ++i) dst[i] = src[rev[i]];
 }
 
 void Fft::forward(std::span<Cplx> x) const {
-  if (x.size() != n_) throw std::invalid_argument("Fft: size mismatch");
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (j > i) std::swap(x[i], x[j]);
-  }
-  butterflies(x.data(), twiddle_fwd_.data());
+  permute_in_place(x);
+  kernels::fft_butterflies_batch(x.data(), 1, n_, twiddle_fwd_.data());
 }
 
 void Fft::inverse(std::span<Cplx> x) const {
-  if (x.size() != n_) throw std::invalid_argument("Fft: size mismatch");
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (j > i) std::swap(x[i], x[j]);
-  }
-  butterflies(x.data(), twiddle_inv_.data());
+  permute_in_place(x);
+  kernels::fft_butterflies_batch(x.data(), 1, n_, twiddle_inv_.data());
   const double s = 1.0 / static_cast<double>(n_);
   for (Cplx& v : x) v *= s;
 }
@@ -78,21 +55,17 @@ void Fft::inverse(std::span<Cplx> x) const {
 void Fft::forward(std::span<const Cplx> in, std::span<Cplx> out) const {
   if (in.size() != n_ || out.size() != n_)
     throw std::invalid_argument("Fft: size mismatch");
-  scatter_bitrev(in, out);
-  butterflies(out.data(), twiddle_fwd_.data());
+  forward_batch(in.data(), n_, out.data(), 1);
 }
 
 void Fft::inverse(std::span<const Cplx> in, std::span<Cplx> out) const {
   if (in.size() != n_ || out.size() != n_)
     throw std::invalid_argument("Fft: size mismatch");
-  scatter_bitrev(in, out);
-  butterflies(out.data(), twiddle_inv_.data());
-  const double s = 1.0 / static_cast<double>(n_);
-  for (Cplx& v : out) v *= s;
+  inverse_batch(in.data(), n_, out.data(), 1);
 }
 
-void Fft::forward_batch(const Cplx* in, std::size_t in_stride, Cplx* out,
-                        std::size_t m) const {
+void Fft::permute_rows(const Cplx* in, std::size_t in_stride, Cplx* out,
+                       std::size_t m) const {
   if (in_stride < n_)
     throw std::invalid_argument("Fft: batch stride below size");
   const std::size_t* __restrict rev = bitrev_.data();
@@ -101,19 +74,17 @@ void Fft::forward_batch(const Cplx* in, std::size_t in_stride, Cplx* out,
     Cplx* __restrict dst = out + r * n_;
     for (std::size_t i = 0; i < n_; ++i) dst[i] = src[rev[i]];
   }
+}
+
+void Fft::forward_batch(const Cplx* in, std::size_t in_stride, Cplx* out,
+                        std::size_t m) const {
+  permute_rows(in, in_stride, out, m);
   kernels::fft_butterflies_batch(out, m, n_, twiddle_fwd_.data());
 }
 
 void Fft::inverse_batch(const Cplx* in, std::size_t in_stride, Cplx* out,
                         std::size_t m) const {
-  if (in_stride < n_)
-    throw std::invalid_argument("Fft: batch stride below size");
-  const std::size_t* __restrict rev = bitrev_.data();
-  for (std::size_t r = 0; r < m; ++r) {
-    const Cplx* __restrict src = in + r * in_stride;
-    Cplx* __restrict dst = out + r * n_;
-    for (std::size_t i = 0; i < n_; ++i) dst[i] = src[rev[i]];
-  }
+  permute_rows(in, in_stride, out, m);
   kernels::fft_butterflies_batch(out, m, n_, twiddle_inv_.data());
   const double s = 1.0 / static_cast<double>(n_);
   for (std::size_t i = 0; i < m * n_; ++i) out[i] *= s;

@@ -5,11 +5,13 @@
 // caching is sufficient and allocation-free on the hot path.
 //
 // Hot-path design notes:
+//  * every transform runs the one butterfly loop,
+//    kernels::fft_butterflies_batch (AVX2-cloned), a single transform as
+//    one row;
 //  * forward and inverse twiddles are both precomputed, so the butterfly
 //    inner loop carries no direction branch and no per-butterfly conj;
 //  * the out-of-place transforms copy the input in bit-reversed order,
-//    which removes the separate in-place permutation pass — this is the
-//    plan the per-symbol OFDM (de)modulator uses;
+//    which removes the separate in-place permutation pass;
 //  * `fft()`/`ifft()` draw their engine from a process-wide plan cache
 //    keyed by size instead of rebuilding twiddle tables per call.
 #pragma once
@@ -38,9 +40,8 @@ class Fft {
   void inverse(std::span<Cplx> x) const;
 
   /// Out-of-place transforms into a caller-provided buffer (`out` must not
-  /// alias `in`; both sized size()). The input copy happens in bit-reversed
-  /// order, skipping the in-place permutation pass — the fastest plan for
-  /// repeated fixed-size transforms. Allocation-free.
+  /// alias `in`; both sized size()): forward_batch / inverse_batch at
+  /// m = 1. Allocation-free.
   void forward(std::span<const Cplx> in, std::span<Cplx> out) const;
   void inverse(std::span<const Cplx> in, std::span<Cplx> out) const;
 
@@ -50,23 +51,23 @@ class Fft {
 
   /// Batched out-of-place transforms: `m` stacked size()-point transforms
   /// through one twiddle walk (kernels::fft_butterflies_batch). Row r
-  /// reads in[r*in_stride .. r*in_stride+size()) and writes the contiguous
-  /// row out[r*size() ..). Each row's result is bit-identical to the
-  /// single-row forward()/inverse() — batching amortizes dispatch and
-  /// keeps the symbol matrix cache-resident, it never reassociates a
-  /// butterfly. `in_stride >= size()` lets callers lift symbol windows
-  /// straight out of a longer signal (e.g. 80-sample OFDM symbol spacing)
-  /// without a gather pass. `out` must not alias `in`. Allocation-free.
+  /// reads in[r*in_stride .. r*in_stride+size()) in bit-reversed order and
+  /// writes the contiguous row out[r*size() ..). Rows are independent, so
+  /// each row's result does not depend on m. `in_stride >= size()` lets
+  /// callers lift symbol windows straight out of a longer signal (e.g.
+  /// 80-sample OFDM symbol spacing) without a gather pass. `out` must not
+  /// alias `in`. Allocation-free.
   void forward_batch(const Cplx* in, std::size_t in_stride, Cplx* out,
                      std::size_t m) const;
   void inverse_batch(const Cplx* in, std::size_t in_stride, Cplx* out,
                      std::size_t m) const;
 
  private:
-  // Raw pointers, not span/vector refs: g++ -O2 keeps reloading a
-  // vector-reference's data pointer in the inner loop (~1.8x slower).
-  void butterflies(Cplx* x, const Cplx* twiddle) const;
-  void scatter_bitrev(std::span<const Cplx> in, std::span<Cplx> out) const;
+  /// Bit-reversal permutation of one transform, in place.
+  void permute_in_place(std::span<Cplx> x) const;
+  /// Bit-reversed copy of m rows (the batch transforms' input pass).
+  void permute_rows(const Cplx* in, std::size_t in_stride, Cplx* out,
+                    std::size_t m) const;
 
   std::size_t n_;
   std::vector<std::size_t> bitrev_;

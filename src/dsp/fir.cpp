@@ -38,26 +38,6 @@ RVec design_lowpass_fir(std::size_t taps, double cutoff_norm, WindowType window,
   return h;
 }
 
-RVec design_highpass_fir(std::size_t taps, double cutoff_norm, WindowType window,
-                         double kaiser_beta) {
-  RVec h = design_lowpass_fir(taps, cutoff_norm, window, kaiser_beta);
-  // Spectral inversion: delta[n - m] - lowpass.
-  for (double& v : h) v = -v;
-  h[(taps - 1) / 2] += 1.0;
-  return h;
-}
-
-RVec design_bandpass_fir(std::size_t taps, double lo_norm, double hi_norm,
-                         WindowType window, double kaiser_beta) {
-  if (lo_norm >= hi_norm)
-    throw std::invalid_argument("FIR design: bandpass needs lo < hi");
-  const RVec hl = design_lowpass_fir(taps, hi_norm, window, kaiser_beta);
-  const RVec hs = design_lowpass_fir(taps, lo_norm, window, kaiser_beta);
-  RVec h(taps);
-  for (std::size_t i = 0; i < taps; ++i) h[i] = hl[i] - hs[i];
-  return h;
-}
-
 RVec design_kaiser_lowpass(double cutoff_norm, double transition_norm,
                            double atten_db) {
   const std::size_t taps = kaiser_length(atten_db, transition_norm);
@@ -241,20 +221,6 @@ Cplx CFirFilter::response(double f_norm) const {
     acc += taps_[k] * Cplx{std::cos(ang), std::sin(ang)};
   }
   return acc;
-}
-
-CVec filter_aligned(const RVec& taps, std::span<const Cplx> in) {
-  FirFilter f(taps);
-  const std::size_t delay = (taps.size() - 1) / 2;
-  CVec out;
-  out.reserve(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const Cplx y = f.step(in[i]);
-    if (i >= delay) out.push_back(y);
-  }
-  // Flush: feed zeros to recover the last `delay` aligned outputs.
-  for (std::size_t i = 0; i < delay; ++i) out.push_back(f.step(Cplx{0.0, 0.0}));
-  return out;
 }
 
 }  // namespace wlansim::dsp

@@ -15,16 +15,6 @@ RVec design_lowpass_fir(std::size_t taps, double cutoff_norm,
                         WindowType window = WindowType::kHamming,
                         double kaiser_beta = 8.6);
 
-/// Highpass FIR taps (spectral inversion of the lowpass). `taps` must be odd.
-RVec design_highpass_fir(std::size_t taps, double cutoff_norm,
-                         WindowType window = WindowType::kHamming,
-                         double kaiser_beta = 8.6);
-
-/// Bandpass FIR taps between `lo_norm` and `hi_norm` (fractions of fs).
-RVec design_bandpass_fir(std::size_t taps, double lo_norm, double hi_norm,
-                         WindowType window = WindowType::kHamming,
-                         double kaiser_beta = 8.6);
-
 /// Kaiser-designed lowpass meeting `atten_db` stopband attenuation with the
 /// given transition width (fraction of fs). Tap count chosen automatically.
 RVec design_kaiser_lowpass(double cutoff_norm, double transition_norm,
@@ -79,10 +69,6 @@ class FirFilter {
   CVec delay_;       // doubled delay line (size 2 * num_taps)
   std::size_t pos_;  // newest-sample index, in [0, num_taps)
 };
-
-/// Convolve then trim the tails so the output aligns with and matches the
-/// input length (group delay removed). For one-shot whole-signal filtering.
-CVec filter_aligned(const RVec& taps, std::span<const Cplx> in);
 
 /// Streaming FIR with complex taps — needed for baseband-equivalent
 /// responses of passband systems, which are not conjugate-symmetric.

@@ -186,14 +186,4 @@ BiquadCascade design_chebyshev1_lowpass(std::size_t order, double ripple_db,
   return realize(poles, edge_norm, /*highpass=*/false, ref_gain);
 }
 
-BiquadCascade design_chebyshev1_highpass(std::size_t order, double ripple_db,
-                                         double edge_norm) {
-  check_cutoff(order, edge_norm);
-  if (ripple_db <= 0.0)
-    throw std::invalid_argument("Chebyshev design: ripple must be > 0 dB");
-  double ref_gain = 1.0;
-  const auto poles = chebyshev1_poles(order, ripple_db, &ref_gain);
-  return realize(poles, edge_norm, /*highpass=*/true, ref_gain);
-}
-
 }  // namespace wlansim::dsp

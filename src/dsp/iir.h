@@ -70,8 +70,4 @@ BiquadCascade design_butterworth_highpass(std::size_t order, double cutoff_norm)
 BiquadCascade design_chebyshev1_lowpass(std::size_t order, double ripple_db,
                                         double edge_norm);
 
-/// Chebyshev type-I highpass with passband edge `edge_norm`.
-BiquadCascade design_chebyshev1_highpass(std::size_t order, double ripple_db,
-                                         double edge_norm);
-
 }  // namespace wlansim::dsp

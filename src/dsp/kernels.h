@@ -75,10 +75,11 @@ void fir_interp(const double* taps, std::size_t ntaps, std::size_t os,
                 std::size_t nout);
 
 /// `rows` stacked n-point radix-2 DIT transforms (row-major, contiguous,
-/// already bit-reverse permuted) pushed through one twiddle walk. Each row
-/// is bit-identical to a single dsp::Fft butterfly pass: rows are
+/// already bit-reverse permuted) pushed through one twiddle walk. Rows are
 /// independent, so the row/stage loop interchange cannot reorder any
-/// row's arithmetic. Backs Fft::forward_batch / inverse_batch.
+/// row's arithmetic: each row's result does not depend on `rows`. The one
+/// butterfly loop of every dsp::Fft transform (a single transform is one
+/// row).
 void fft_butterflies_batch(Cplx* x, std::size_t rows, std::size_t n,
                            const Cplx* twiddle);
 

@@ -21,13 +21,6 @@ double mean_power(std::span<const Cplx> x) {
          static_cast<double>(x.size());
 }
 
-double mean_power_real(std::span<const double> x) {
-  if (x.empty()) return 0.0;
-  double acc = 0.0;
-  for (double v : x) acc += v * v;
-  return acc / static_cast<double>(x.size());
-}
-
 double rms(std::span<const Cplx> x) { return std::sqrt(mean_power(x)); }
 
 void set_mean_power(std::span<Cplx> x, double target_watts) {

@@ -25,9 +25,6 @@ double dbm_to_watts(double dbm);
 /// Mean power (mean |x|^2) of a complex signal; 0 for an empty span.
 double mean_power(std::span<const Cplx> x);
 
-/// Mean power of a real signal; 0 for an empty span.
-double mean_power_real(std::span<const double> x);
-
 /// Root-mean-square amplitude of a complex signal.
 double rms(std::span<const Cplx> x);
 

@@ -89,99 +89,11 @@ ChannelEstimate smooth_channel(const ChannelEstimate& est, std::size_t window) {
   return out;
 }
 
-ChannelEstimate flat_channel() {
-  ChannelEstimate est;
-  est.h.fill(dsp::Cplx{1.0, 0.0});
-  est.h[26] = dsp::Cplx{0.0, 0.0};  // DC carrier unused
-  return est;
-}
-
-EqualizedSymbol equalize_symbol(const DemodulatedSymbol& sym,
-                                const ChannelEstimate& est,
-                                std::size_t symbol_index, bool track_phase,
-                                bool track_timing) {
-  EqualizedSymbol out;
-
-  // Common complex gain error from the four pilots (least squares):
-  // c = sum_k Y_k conj(H_k X_k) / sum_k |H_k X_k|^2. The phase part tracks
-  // residual CFO and LO phase noise; the magnitude part tracks slow AGC
-  // gain drift across the frame. A second LS fit over the pilot carrier
-  // indices extracts the linear phase slope — sampling-clock / FFT-window
-  // drift, which rotates carrier k by slope * k and is invisible to the
-  // common-phase term.
-  dsp::Cplx derot{1.0, 0.0};
-  double cpe = 0.0;
-  double slope = 0.0;
-  if (track_phase) {
-    const double pol = pilot_polarity(symbol_index);
-    const auto& pv = pilot_base_values();
-    const auto& pc = pilot_carrier_indices();
-    const auto hp = est.pilot_carriers();
-    dsp::Cplx num{0.0, 0.0};
-    double den = 0.0;
-    std::array<dsp::Cplx, kNumPilots> ratio{};
-    for (std::size_t i = 0; i < kNumPilots; ++i) {
-      const dsp::Cplx ref = hp[i] * (pol * pv[i]);
-      ratio[i] = sym.pilots[i] * std::conj(ref);
-      num += ratio[i];
-      den += std::norm(ref);
-    }
-    if (den > 0.0 && std::abs(num) > 0.0) {
-      dsp::Cplx c = num / den;
-      cpe = std::arg(c);
-      // Clamp the magnitude correction: the four noisy pilots must not be
-      // allowed to scale the whole symbol arbitrarily.
-      const double mag = std::clamp(std::abs(c), 0.5, 2.0);
-      c = mag * dsp::Cplx{std::cos(cpe), std::sin(cpe)};
-      derot = 1.0 / c;
-
-      if (track_timing) {
-        // Residual phase per pilot after common derotation, LS fit against
-        // the pilot carrier index (indices are symmetric, so the slope is
-        // sum(theta k) / sum(k^2)). Working on residuals keeps every
-        // angle small and wrap-free for timing errors within the CP.
-        double num_s = 0.0, den_s = 0.0;
-        for (std::size_t i = 0; i < kNumPilots; ++i) {
-          if (std::abs(ratio[i]) <= 0.0) continue;
-          const double theta = std::arg(ratio[i] * std::conj(c));
-          const double k = static_cast<double>(pc[i]);
-          num_s += theta * k;
-          den_s += k * k;
-        }
-        if (den_s > 0.0) slope = num_s / den_s;
-      }
-    }
-  }
-  out.common_phase_error = cpe;
-  out.phase_slope = slope;
-
-  const auto& dc = data_carrier_indices();
-  const auto hd = est.data_carriers();
-  for (std::size_t i = 0; i < kNumDataCarriers; ++i) {
-    const double mag2 = std::norm(hd[i]);
-    if (mag2 < 1e-18) {
-      out.points[i] = dsp::Cplx{0.0, 0.0};
-      out.weights[i] = 0.0;
-      continue;
-    }
-    dsp::Cplx p = sym.data[i] * derot / hd[i];
-    if (slope != 0.0) {
-      const double ang = -slope * static_cast<double>(dc[i]);
-      p *= dsp::Cplx{std::cos(ang), std::sin(ang)};
-    }
-    out.points[i] = p;
-    out.weights[i] = mag2;  // CSI weighting for the soft demapper
-  }
-  return out;
-}
-
 void equalize_symbols(const dsp::Cplx* data, const dsp::Cplx* pilots,
                       std::size_t nsym, std::size_t first_symbol_index,
                       const ChannelEstimate& est, bool track_phase,
                       bool track_timing, dsp::Cplx* points, double* weights) {
-  // Hoisted once: these are recomputed per call inside equalize_symbol but
-  // their values do not depend on the symbol, so lifting them out of the
-  // loop changes no arithmetic.
+  // The per-carrier channel tables do not depend on the symbol.
   const auto& pv = pilot_base_values();
   const auto& pc = pilot_carrier_indices();
   const auto& dc = data_carrier_indices();
@@ -194,6 +106,13 @@ void equalize_symbols(const dsp::Cplx* data, const dsp::Cplx* pilots,
     dsp::Cplx* __restrict op = points + s * kNumDataCarriers;
     double* __restrict ow = weights + s * kNumDataCarriers;
 
+    // Common complex gain error from the four pilots (least squares):
+    // c = sum_k Y_k conj(H_k X_k) / sum_k |H_k X_k|^2. The phase part
+    // tracks residual CFO and LO phase noise; the magnitude part tracks
+    // slow AGC gain drift across the frame. A second LS fit over the pilot
+    // carrier indices extracts the linear phase slope — sampling-clock /
+    // FFT-window drift, which rotates carrier k by slope * k and is
+    // invisible to the common-phase term.
     dsp::Cplx derot{1.0, 0.0};
     double slope = 0.0;
     if (track_phase) {
@@ -210,11 +129,18 @@ void equalize_symbols(const dsp::Cplx* data, const dsp::Cplx* pilots,
       if (den > 0.0 && std::abs(num) > 0.0) {
         dsp::Cplx c = num / den;
         const double cpe = std::arg(c);
+        // Clamp the magnitude correction: the four noisy pilots must not
+        // be allowed to scale the whole symbol arbitrarily.
         const double mag = std::clamp(std::abs(c), 0.5, 2.0);
         c = mag * dsp::Cplx{std::cos(cpe), std::sin(cpe)};
         derot = 1.0 / c;
 
         if (track_timing) {
+          // Residual phase per pilot after common derotation, LS fit
+          // against the pilot carrier index (indices are symmetric, so the
+          // slope is sum(theta k) / sum(k^2)). Working on residuals keeps
+          // every angle small and wrap-free for timing errors within the
+          // CP.
           double num_s = 0.0, den_s = 0.0;
           for (std::size_t i = 0; i < kNumPilots; ++i) {
             if (std::abs(ratio[i]) <= 0.0) continue;
@@ -241,7 +167,7 @@ void equalize_symbols(const dsp::Cplx* data, const dsp::Cplx* pilots,
         p *= dsp::Cplx{std::cos(ang), std::sin(ang)};
       }
       op[i] = p;
-      ow[i] = mag2;
+      ow[i] = mag2;  // CSI weighting for the soft demapper
     }
   }
 }

@@ -37,36 +37,15 @@ ChannelEstimate estimate_channel(std::span<const dsp::Cplx> lts);
 /// receiver option and quantified by bench/ablation_chanest.
 ChannelEstimate smooth_channel(const ChannelEstimate& est, std::size_t window);
 
-/// An ideal flat channel estimate (gain 1) for genie-aided reception.
-ChannelEstimate flat_channel();
-
-/// Result of equalizing one OFDM data symbol.
-struct EqualizedSymbol {
-  std::array<dsp::Cplx, kNumDataCarriers> points;   ///< equalized data points
-  std::array<double, kNumDataCarriers> weights;     ///< |H|^2 demap weights
-  double common_phase_error = 0.0;                  ///< radians, from pilots
-  double phase_slope = 0.0;  ///< radians/carrier (timing drift), from pilots
-};
-
-/// Equalize a demodulated symbol against `est`, removing the pilot-derived
-/// common phase error when `track_phase` is set, and — when `track_timing`
-/// is also set — the pilot-derived linear phase slope across carriers
+/// Equalize `nsym` demodulated symbols laid out flat (data[s*48 + i],
+/// pilots[s*4 + i]) against `est`, writing points[s*48 + i] and the |H|^2
+/// demap weights weights[s*48 + i]. With `track_phase` each symbol's
+/// pilot-derived common complex gain error is removed; with `track_timing`
+/// too, so is the pilot-derived linear phase slope across carriers
 /// (sampling-clock / window drift: a timing shift of d samples rotates
 /// carrier k by 2 pi k d / 64, which common-phase tracking cannot absorb).
-/// `symbol_index` selects the expected pilot polarity (0 = SIGNAL,
-/// n+1 = DATA n).
-EqualizedSymbol equalize_symbol(const DemodulatedSymbol& sym,
-                                const ChannelEstimate& est,
-                                std::size_t symbol_index,
-                                bool track_phase = true,
-                                bool track_timing = true);
-
-/// Batch equalization over `nsym` demodulated symbols laid out flat
-/// (data[s*48 + i], pilots[s*4 + i]); symbol s uses pilot polarity index
-/// first_symbol_index + s. Writes points[s*48 + i] and weights[s*48 + i].
-/// The per-symbol arithmetic is bit-identical to equalize_symbol — the
-/// batch form only hoists the per-carrier channel tables out of the symbol
-/// loop (their values are the same every iteration).
+/// Symbol s expects pilot polarity index first_symbol_index + s (0 =
+/// SIGNAL, n+1 = DATA n).
 void equalize_symbols(const dsp::Cplx* data, const dsp::Cplx* pilots,
                       std::size_t nsym, std::size_t first_symbol_index,
                       const ChannelEstimate& est, bool track_phase,

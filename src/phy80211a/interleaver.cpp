@@ -24,36 +24,6 @@ Interleaver::Interleaver(std::size_t ncbps, std::size_t nbpsc) {
 Interleaver::Interleaver(Rate r)
     : Interleaver(rate_params(r).ncbps, rate_params(r).nbpsc) {}
 
-Bits Interleaver::interleave(const Bits& in) const {
-  if (in.size() != fwd_.size())
-    throw std::invalid_argument("Interleaver: block size mismatch");
-  Bits out(in.size());
-  for (std::size_t k = 0; k < in.size(); ++k) out[fwd_[k]] = in[k];
-  return out;
-}
-
-Bits Interleaver::deinterleave(const Bits& in) const {
-  if (in.size() != inv_.size())
-    throw std::invalid_argument("Interleaver: block size mismatch");
-  Bits out(in.size());
-  for (std::size_t j = 0; j < in.size(); ++j) out[inv_[j]] = in[j];
-  return out;
-}
-
-SoftBits Interleaver::deinterleave_soft(const SoftBits& in) const {
-  if (in.size() != inv_.size())
-    throw std::invalid_argument("Interleaver: block size mismatch");
-  SoftBits out(in.size());
-  deinterleave_soft_into(in.data(), out.data());
-  return out;
-}
-
-void Interleaver::deinterleave_soft_into(const double* in, double* out) const {
-  const std::size_t* __restrict inv = inv_.data();
-  const std::size_t n = inv_.size();
-  for (std::size_t j = 0; j < n; ++j) out[inv[j]] = in[j];
-}
-
 const Interleaver& interleaver_for(Rate r) {
   // Function-local statics: thread-safe lazy construction, one table per
   // rate for the life of the process.

@@ -7,8 +7,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "phy80211a/bits.h"
-#include "phy80211a/convcode.h"
 #include "phy80211a/params.h"
 
 namespace wlansim::phy {
@@ -23,26 +21,14 @@ class Interleaver {
 
   std::size_t block_size() const { return fwd_.size(); }
 
-  /// Interleave exactly one symbol block (size must equal block_size()).
-  Bits interleave(const Bits& in) const;
-
-  /// De-interleave one symbol block of hard bits.
-  Bits deinterleave(const Bits& in) const;
-
-  /// De-interleave one symbol block of soft metrics.
-  SoftBits deinterleave_soft(const SoftBits& in) const;
-
-  /// deinterleave_soft into a caller-provided buffer of block_size()
-  /// doubles (no aliasing) — the allocation-free form of the RX data path.
-  void deinterleave_soft_into(const double* in, double* out) const;
-
   /// fwd()[k] is the post-interleaving position of input bit k.
   const std::vector<std::size_t>& fwd() const { return fwd_; }
 
   /// inv()[j] is the pre-interleaving position of post-interleaving bit j:
   /// a soft metric produced at demap position j belongs at deinterleaved
-  /// position inv()[j]. The batched receiver uses this as a scatter table
-  /// so LLRs land in decoder order without an intermediate copy.
+  /// position inv()[j]. The transmitter gathers its constellation bits
+  /// through it, and the receiver scatters its LLRs through it into
+  /// decoder order.
   const std::vector<std::size_t>& inv() const { return inv_; }
 
  private:

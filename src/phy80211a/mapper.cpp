@@ -4,8 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "dsp/kernels.h"
-
 namespace wlansim::phy {
 
 namespace {
@@ -93,16 +91,6 @@ Bits Mapper::demap_hard_point(dsp::Cplx y) const {
   return out;
 }
 
-Bits Mapper::demap_hard(std::span<const dsp::Cplx> pts) const {
-  Bits out;
-  out.reserve(pts.size() * nbpsc_);
-  for (dsp::Cplx p : pts) {
-    const Bits b = demap_hard_point(p);
-    out.insert(out.end(), b.begin(), b.end());
-  }
-  return out;
-}
-
 void Mapper::demap_axis_raw(double y, double* out) const {
   // Max-log: LLR_i = min_{s:bit=1} (y-s)^2 - min_{s:bit=0} (y-s)^2;
   // positive favors bit 0. The caller applies the CSI weight.
@@ -150,30 +138,6 @@ SoftBits Mapper::demap_soft_point(dsp::Cplx y, double weight) const {
   demap_axis_soft(y.real(), weight, &out);
   if (mod_ != Modulation::kBpsk) demap_axis_soft(y.imag(), weight, &out);
   return out;
-}
-
-SoftBits Mapper::demap_soft(std::span<const dsp::Cplx> pts,
-                            std::span<const double> weights) const {
-  SoftBits out(pts.size() * nbpsc_);
-  demap_soft_into(pts, weights, out.data());
-  return out;
-}
-
-void Mapper::demap_soft_into(std::span<const dsp::Cplx> pts,
-                             std::span<const double> weights,
-                             double* out) const {
-  if (pts.size() != weights.size())
-    throw std::invalid_argument("Mapper: weights size mismatch");
-  // Indexed writes (no per-point vector), with the CSI weight applied as
-  // a block scale over each point's LLRs: w*(d1-d0) bit-identically
-  // equals (d1-d0)*w.
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    double* dst = out + i * nbpsc_;
-    demap_axis_raw(pts[i].real(), dst);
-    if (mod_ != Modulation::kBpsk)
-      demap_axis_raw(pts[i].imag(), dst + bits_per_axis_);
-    dsp::kernels::scale(dst, nbpsc_, weights[i]);
-  }
 }
 
 void Mapper::demap_soft_deinterleaved(std::span<const dsp::Cplx> pts,

@@ -35,37 +35,24 @@ class Mapper {
   /// Hard-decide one received point back to bits.
   Bits demap_hard_point(dsp::Cplx y) const;
 
-  /// Hard-decide a symbol stream.
-  Bits demap_hard(std::span<const dsp::Cplx> pts) const;
-
   /// Max-log LLRs for one equalized point. `weight` scales the metrics
   /// (use |H|^2 / N0 for CSI-weighted decoding); positive LLR means the
   /// bit is more likely 0.
   SoftBits demap_soft_point(dsp::Cplx y, double weight) const;
 
-  /// Soft-demap a symbol stream with per-point weights.
-  SoftBits demap_soft(std::span<const dsp::Cplx> pts,
-                      std::span<const double> weights) const;
-
-  /// demap_soft into a caller-provided buffer of pts.size()*bits_per_point()
-  /// doubles — the allocation-free form. Bit-identical to demap_soft.
-  void demap_soft_into(std::span<const dsp::Cplx> pts,
-                       std::span<const double> weights, double* out) const;
-
-  /// Fused demap + deinterleave scatter: the LLR that demap_soft would
-  /// write at position j lands at out[deint[j]] instead (deint is the
-  /// per-rate Interleaver::inv() table; j in [0, pts.size()*nbpsc)). Each
-  /// LLR value is bit-identical to demap_soft's — only the destination
-  /// index changes — so batch RX can emit decoder-ordered LLRs with zero
-  /// intermediate copies.
+  /// Soft-demap `pts` with per-point weights, scattered through the
+  /// deinterleaver: the LLR of bit b of point i, which demap_soft_point
+  /// returns, lands at out[deint[i*nbpsc + b]] (deint is the per-rate
+  /// Interleaver::inv() table), so the receiver emits decoder-ordered LLRs
+  /// with no intermediate copy.
   void demap_soft_deinterleaved(std::span<const dsp::Cplx> pts,
                                 std::span<const double> weights,
                                 const std::size_t* deint, double* out) const;
 
-  /// Fused interleave + map gather: point i is mapped from the bits
+  /// Interleave + map gather: point i is mapped from the bits
   /// bits[perm[i*nbpsc + t]], t ascending. With perm = Interleaver::inv()
-  /// this equals map(interleave(bits)) bit-for-bit, skipping the
-  /// intermediate interleaved block entirely.
+  /// it maps one symbol block in transmission order without building the
+  /// interleaved block.
   void map_permuted(const std::uint8_t* bits, const std::size_t* perm,
                     std::size_t npoints, dsp::Cplx* out) const;
 
@@ -87,8 +74,7 @@ class Mapper {
   /// levels_[g] = unnormalized axis level for gray code g.
   std::vector<double> levels_;
   /// slevels_[g] = levels_[g] * norm_, the normalized constellation axis —
-  /// precomputed so the demap inner loop carries no multiply. The product
-  /// is the same double the reference expression produced inline.
+  /// precomputed so the demap inner loop carries no multiply.
   std::vector<double> slevels_;
 };
 

@@ -85,62 +85,12 @@ std::size_t carrier_to_bin(int carrier) {
   return static_cast<std::size_t>((carrier + kNfft) % kNfft);
 }
 
-dsp::CVec ofdm_modulate_symbol(std::span<const dsp::Cplx> data48,
-                               std::size_t symbol_index) {
-  dsp::CVec out;
-  ofdm_modulate_symbol_into(data48, symbol_index, out);
-  return out;
-}
-
-void ofdm_modulate_symbol_into(std::span<const dsp::Cplx> data48,
-                               std::size_t symbol_index, dsp::CVec& out) {
-  if (data48.size() != kNumDataCarriers)
-    throw std::invalid_argument("ofdm_modulate_symbol: need 48 points");
-  thread_local dsp::CVec fd, td;
-  fd.assign(kNfft, dsp::Cplx{0.0, 0.0});
-  td.resize(kNfft);
-  const auto& dc = data_carrier_indices();
-  for (std::size_t i = 0; i < kNumDataCarriers; ++i)
-    fd[carrier_to_bin(dc[i])] = data48[i];
-  const double pol = pilot_polarity(symbol_index);
-  const auto& pc = pilot_carrier_indices();
-  const auto& pv = pilot_base_values();
-  for (std::size_t i = 0; i < kNumPilots; ++i)
-    fd[carrier_to_bin(pc[i])] = pol * pv[i];
-
-  fft64().inverse(std::span<const dsp::Cplx>(fd), std::span<dsp::Cplx>(td));
-  // The 64-point IFFT with 52 unit-power carriers yields mean power 52/64;
-  // no extra scaling — the transmitter normalizes the whole frame.
-  out.resize(kSymbolLen);
-  for (std::size_t i = 0; i < kCpLen; ++i)
-    out[i] = td[kNfft - kCpLen + i];  // cyclic prefix
-  for (std::size_t i = 0; i < kNfft; ++i) out[kCpLen + i] = td[i];
-}
-
-DemodulatedSymbol ofdm_demodulate_symbol(std::span<const dsp::Cplx> time64) {
-  if (time64.size() != kNfft)
-    throw std::invalid_argument("ofdm_demodulate_symbol: need 64 samples");
-  thread_local dsp::CVec fd;
-  fd.resize(kNfft);
-  fft64().forward(time64, std::span<dsp::Cplx>(fd));
-  DemodulatedSymbol out;
-  const auto& dc = data_carrier_indices();
-  for (std::size_t i = 0; i < kNumDataCarriers; ++i)
-    out.data[i] = fd[carrier_to_bin(dc[i])];
-  const auto& pc = pilot_carrier_indices();
-  for (std::size_t i = 0; i < kNumPilots; ++i)
-    out.pilots[i] = fd[carrier_to_bin(pc[i])];
-  return out;
-}
-
 void ofdm_demodulate_symbols_into(const dsp::Cplx* time, std::size_t stride,
                                   std::size_t nsym, dsp::Cplx* data48,
                                   dsp::Cplx* pilots4) {
   if (nsym == 0) return;
   // One batch FFT over all symbols (row r reads time[r*stride..+64)), then
-  // a table-driven bin gather. Rows are transformed independently with the
-  // same butterfly schedule as the single-symbol path, so every extracted
-  // bin matches ofdm_demodulate_symbol bit-for-bit.
+  // a table-driven bin gather.
   thread_local dsp::CVec fd;
   fd.resize(nsym * kNfft);
   fft64().forward_batch(time, stride, fd.data(), nsym);
@@ -180,14 +130,6 @@ void ofdm_modulate_symbols_into(const dsp::Cplx* points48, std::size_t nsym,
       sym[i] = body[kNfft - kCpLen + i];  // cyclic prefix
     for (std::size_t i = 0; i < kNfft; ++i) sym[kCpLen + i] = body[i];
   }
-}
-
-std::array<dsp::Cplx, 53> extract_occupied_bins(std::span<const dsp::Cplx> fd64) {
-  if (fd64.size() != kNfft)
-    throw std::invalid_argument("extract_occupied_bins: need 64 bins");
-  std::array<dsp::Cplx, 53> out;
-  for (int k = -26; k <= 26; ++k) out[k + 26] = fd64[carrier_to_bin(k)];
-  return out;
 }
 
 }  // namespace wlansim::phy

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <array>
-#include <span>
 
 #include "dsp/types.h"
 #include "phy80211a/params.h"
@@ -25,49 +24,25 @@ const std::array<double, kNumPilots>& pilot_base_values();
 /// symbol uses index 0, DATA symbol n uses index n+1.
 double pilot_polarity(std::size_t symbol_index);
 
-/// Assemble one time-domain OFDM symbol (CP + 64 samples) from 48 data
-/// constellation points. `symbol_index` selects the pilot polarity (0 for
-/// SIGNAL, n+1 for DATA symbol n).
-dsp::CVec ofdm_modulate_symbol(std::span<const dsp::Cplx> data48,
-                               std::size_t symbol_index);
-
-/// Same, into a caller-provided buffer (resized to kSymbolLen). With a warm
-/// `out` this performs no heap allocation: the 64-point IFFT runs through a
-/// cached out-of-place plan and per-thread scratch.
-void ofdm_modulate_symbol_into(std::span<const dsp::Cplx> data48,
-                               std::size_t symbol_index, dsp::CVec& out);
-
-/// FFT of one received symbol (64 samples, CP already removed) and
-/// extraction of the 48 data bins and 4 pilot bins.
-struct DemodulatedSymbol {
-  std::array<dsp::Cplx, kNumDataCarriers> data;
-  std::array<dsp::Cplx, kNumPilots> pilots;
-};
-DemodulatedSymbol ofdm_demodulate_symbol(std::span<const dsp::Cplx> time64);
-
-/// Batch demodulate `nsym` symbols through one batch FFT: symbol s's 64
-/// FFT-input samples start at time[s*stride] (stride >= 64; the receiver
-/// passes kSymbolLen to lift the FFT windows straight out of the frame
-/// without a copy). Writes data48[s*48 + i] and pilots4[s*4 + i]. Each
-/// symbol's transform and bin extraction is bit-identical to
-/// ofdm_demodulate_symbol.
+/// Demodulate `nsym` received symbols through one batch FFT: symbol s's
+/// 64 FFT-input samples (CP already skipped) start at time[s*stride]
+/// (stride >= 64; the receiver passes kSymbolLen to lift the FFT windows
+/// straight out of the frame without a copy). Writes the 48 data bins to
+/// data48[s*48 + i] and the 4 pilot bins to pilots4[s*4 + i]. The receiver
+/// runs the SIGNAL symbol through it at nsym = 1.
 void ofdm_demodulate_symbols_into(const dsp::Cplx* time, std::size_t stride,
                                   std::size_t nsym, dsp::Cplx* data48,
                                   dsp::Cplx* pilots4);
 
-/// Batch modulate `nsym` symbols through one batch IFFT: symbol s is built
-/// from points48[s*48..] with pilot polarity index first_symbol_index + s,
-/// and written to out[s*kSymbolLen..] as cyclic prefix + body.
-/// Bit-identical per symbol to ofdm_modulate_symbol_into.
+/// Modulate `nsym` symbols through one batch IFFT: symbol s is built from
+/// the 48 constellation points points48[s*48..] plus the pilots at
+/// polarity index first_symbol_index + s (0 for SIGNAL, n+1 for DATA
+/// symbol n), and written to out[s*kSymbolLen..] as cyclic prefix + body.
 void ofdm_modulate_symbols_into(const dsp::Cplx* points48, std::size_t nsym,
                                 std::size_t first_symbol_index,
                                 dsp::Cplx* out);
 
 /// Map a logical subcarrier index (-32..31) to its FFT bin (0..63).
 std::size_t carrier_to_bin(int carrier);
-
-/// Full 53-entry frequency-domain view used by channel estimation:
-/// carriers -26..26 (index i corresponds to carrier i-26).
-std::array<dsp::Cplx, 53> extract_occupied_bins(std::span<const dsp::Cplx> fd64);
 
 }  // namespace wlansim::phy

@@ -1,5 +1,6 @@
 #include "phy80211a/receiver.h"
 
+#include <array>
 #include <cmath>
 
 #include "phy80211a/convcode.h"
@@ -46,15 +47,18 @@ RxResult Receiver::decode_from(std::span<const dsp::Cplx> rx,
   if (cfg_.chanest_smoothing > 1)
     est = smooth_channel(est, cfg_.chanest_smoothing);
 
-  // SIGNAL symbol.
+  // SIGNAL symbol: the batch path at one symbol, pilot polarity index 0.
   const std::size_t sig_fft = lts_start + 2 * kNfft + kCpLen - kTimingBackoff;
   if (sig_fft + kNfft > rx.size()) return res;
-  const DemodulatedSymbol sig_sym =
-      ofdm_demodulate_symbol(rx.subspan(sig_fft, kNfft));
-  const EqualizedSymbol sig_eq =
-      equalize_symbol(sig_sym, est, /*symbol_index=*/0, cfg_.track_phase,
-                      cfg_.track_timing);
-  const auto header = decode_signal_field(sig_eq.points, sig_eq.weights);
+  std::array<dsp::Cplx, kNumDataCarriers> sig_data, sig_points;
+  std::array<dsp::Cplx, kNumPilots> sig_pilots;
+  std::array<double, kNumDataCarriers> sig_weights;
+  ofdm_demodulate_symbols_into(rx.data() + sig_fft, kNfft, 1, sig_data.data(),
+                               sig_pilots.data());
+  equalize_symbols(sig_data.data(), sig_pilots.data(), 1,
+                   /*first_symbol_index=*/0, est, cfg_.track_phase,
+                   cfg_.track_timing, sig_points.data(), sig_weights.data());
+  const auto header = decode_signal_field(sig_points, sig_weights);
   if (!header) return res;
   res.header_ok = true;
   res.signal = *header;
@@ -65,13 +69,7 @@ RxResult Receiver::decode_from(std::span<const dsp::Cplx> rx,
 
   SoftBits soft_all;
   res.data_points.reserve(nsym);
-  const bool complete =
-      cfg_.batched_data_path
-          ? demod_data_batched(rx, data_base, nsym, header->rate, est, res,
-                               soft_all)
-          : demod_data_reference(rx, data_base, nsym, header->rate, est, res,
-                                 soft_all);
-  if (!complete) {
+  if (!demod_data(rx, data_base, nsym, header->rate, est, res, soft_all)) {
     res.header_ok = false;  // truncated frame
     return res;
   }
@@ -97,44 +95,15 @@ RxResult Receiver::decode_from(std::span<const dsp::Cplx> rx,
   return res;
 }
 
-bool Receiver::demod_data_reference(std::span<const dsp::Cplx> rx,
-                                    std::size_t data_base, std::size_t nsym,
-                                    Rate rate, const ChannelEstimate& est,
-                                    RxResult& res, SoftBits& soft_all) const {
-  const RateParams& p = rate_params(rate);
-  const Interleaver& il = interleaver_for(rate);
-  const Mapper mapper(p.modulation);
-  soft_all.reserve(nsym * p.ncbps);
-
-  for (std::size_t s = 0; s < nsym; ++s) {
-    const std::size_t fft_pos =
-        data_base + s * kSymbolLen + kCpLen - kTimingBackoff;
-    if (fft_pos + kNfft > rx.size()) return false;  // truncated frame
-    const DemodulatedSymbol sym =
-        ofdm_demodulate_symbol(rx.subspan(fft_pos, kNfft));
-    const EqualizedSymbol eq =
-        equalize_symbol(sym, est, /*symbol_index=*/s + 1, cfg_.track_phase,
-                        cfg_.track_timing);
-    res.data_points.emplace_back(eq.points.begin(), eq.points.end());
-
-    const SoftBits soft = mapper.demap_soft(
-        std::span<const dsp::Cplx>(eq.points),
-        std::span<const double>(eq.weights));
-    const SoftBits deint = il.deinterleave_soft(soft);
-    soft_all.insert(soft_all.end(), deint.begin(), deint.end());
-  }
-  return true;
-}
-
-bool Receiver::demod_data_batched(std::span<const dsp::Cplx> rx,
-                                  std::size_t data_base, std::size_t nsym,
-                                  Rate rate, const ChannelEstimate& est,
-                                  RxResult& res, SoftBits& soft_all) const {
+bool Receiver::demod_data(std::span<const dsp::Cplx> rx, std::size_t data_base,
+                          std::size_t nsym, Rate rate,
+                          const ChannelEstimate& est, RxResult& res,
+                          SoftBits& soft_all) const {
   const RateParams& p = rate_params(rate);
 
   // The FFT windows advance by kSymbolLen, so the symbols that fit in the
-  // buffer form a prefix; a truncated frame demodulates exactly the
-  // symbols the reference loop would have before bailing out.
+  // buffer form a prefix: a truncated frame demodulates the symbols before
+  // the cut.
   const std::size_t off = data_base + kCpLen - kTimingBackoff;
   std::size_t navail = 0;
   if (rx.size() >= off + kNfft)
@@ -208,6 +177,7 @@ RxResult Receiver::receive(std::span<const dsp::Cplx> rx) const {
 
 RxResult Receiver::receive_at(std::span<const dsp::Cplx> rx,
                               std::size_t frame_start, double cfo_norm) const {
+  if (frame_start >= rx.size()) return {};
   dsp::CVec buf(rx.begin() + static_cast<std::ptrdiff_t>(frame_start), rx.end());
   if (cfo_norm != 0.0) correct_cfo(buf, cfo_norm);
   const std::size_t lts_start = kShortPreambleLen + 32;

@@ -40,11 +40,6 @@ class Receiver {
     /// Reduces estimation noise on near-flat channels, biases the estimate
     /// on frequency-selective ones (see bench/ablation_chanest).
     std::size_t chanest_smoothing = 1;
-    /// Use the fused batch data path (batch FFT over all DATA symbols,
-    /// vectorized equalization, demap scattered straight into decoder
-    /// order). Bit-identical to the per-symbol reference loop; `false`
-    /// selects the reference for equivalence testing.
-    bool batched_data_path = true;
   };
 
   Receiver();
@@ -63,19 +58,13 @@ class Receiver {
   RxResult decode_from(std::span<const dsp::Cplx> aligned,
                        std::size_t frame_start, double cfo_total) const;
 
-  /// Demodulate/equalize/demap the DATA symbols starting at `data_base`,
-  /// appending equalized points to res.data_points and decoder-ordered
-  /// (deinterleaved) LLRs to soft_all. Returns false if the frame is
-  /// truncated before `nsym` symbols. The two implementations are
-  /// bit-identical; the reference is the per-symbol semantic definition.
-  bool demod_data_reference(std::span<const dsp::Cplx> rx,
-                            std::size_t data_base, std::size_t nsym, Rate rate,
-                            const ChannelEstimate& est, RxResult& res,
-                            SoftBits& soft_all) const;
-  bool demod_data_batched(std::span<const dsp::Cplx> rx, std::size_t data_base,
-                          std::size_t nsym, Rate rate,
-                          const ChannelEstimate& est, RxResult& res,
-                          SoftBits& soft_all) const;
+  /// Demodulate/equalize/demap the DATA symbols starting at `data_base`
+  /// through one batch FFT, appending equalized points to res.data_points
+  /// and decoder-ordered (deinterleaved) LLRs to soft_all. Returns false if
+  /// the frame is truncated before `nsym` symbols.
+  bool demod_data(std::span<const dsp::Cplx> rx, std::size_t data_base,
+                  std::size_t nsym, Rate rate, const ChannelEstimate& est,
+                  RxResult& res, SoftBits& soft_all) const;
 
   Config cfg_;
 };

@@ -1,5 +1,6 @@
 #include "phy80211a/signal_field.h"
 
+#include <array>
 #include <stdexcept>
 
 #include "phy80211a/interleaver.h"
@@ -43,26 +44,30 @@ std::optional<SignalField> parse_signal_field(const Bits& bits) {
 }
 
 dsp::CVec modulate_signal_field(const SignalField& sf) {
-  const Bits info = signal_field_bits(sf);
-  const Bits coded = convolutional_encode(info);  // 48 bits, R=1/2
-  // SIGNAL is always BPSK over 48 carriers — the 6 Mbps permutation.
+  const Bits coded = convolutional_encode(signal_field_bits(sf));  // 48 bits
+  // SIGNAL is always BPSK over 48 carriers — the 6 Mbps permutation —
+  // gathered and modulated as a one-symbol batch.
   const Interleaver& il = interleaver_for(Rate::kMbps6);
-  const Bits inter = il.interleave(coded);
-  const Mapper mapper(Modulation::kBpsk);
-  const dsp::CVec pts = mapper.map(inter);
-  return ofdm_modulate_symbol(pts, /*symbol_index=*/0);
+  std::array<dsp::Cplx, kNumDataCarriers> pts;
+  Mapper(Modulation::kBpsk)
+      .map_permuted(coded.data(), il.inv().data(), kNumDataCarriers,
+                    pts.data());
+  dsp::CVec out(kSymbolLen);
+  ofdm_modulate_symbols_into(pts.data(), 1, /*first_symbol_index=*/0,
+                             out.data());
+  return out;
 }
 
 std::optional<SignalField> decode_signal_field(
     std::span<const dsp::Cplx> data48, std::span<const double> weights) {
   if (data48.size() != kNumDataCarriers || weights.size() != kNumDataCarriers)
     throw std::invalid_argument("decode_signal_field: need 48 points");
-  const Mapper mapper(Modulation::kBpsk);
-  const SoftBits soft = mapper.demap_soft(data48, weights);
   const Interleaver& il = interleaver_for(Rate::kMbps6);
-  const SoftBits deinter = il.deinterleave_soft(soft);
-  const Bits info = viterbi_decode(deinter);
-  return parse_signal_field(info);
+  SoftBits deinter(kNumDataCarriers);
+  Mapper(Modulation::kBpsk)
+      .demap_soft_deinterleaved(data48, weights, il.inv().data(),
+                                deinter.data());
+  return parse_signal_field(viterbi_decode(deinter));
 }
 
 }  // namespace wlansim::phy

@@ -19,10 +19,10 @@ constexpr std::size_t kCorrLen = 32;  // detection correlation window
 // roundings, and whenever a slid power sum falls below the worst-case
 // rounding bound for those slides (kDriftSlides * eps * largest term seen
 // since the refresh, with slack). The guard matters for all-zero stretches:
-// a slid p can drift to a tiny nonzero value where the reference computes an
+// a slid p can drift to a tiny nonzero value where a full re-sum computes an
 // exact 0 — and a near-zero denominator would turn that drift into an O(1)
 // metric error. After the guard fires, a true zero window re-sums to exactly
-// 0.0 and takes the same p <= 0 branch as the reference.
+// 0.0 and takes the same p <= 0 branch as a full re-sum.
 constexpr std::size_t kRefresh = 256;
 constexpr double kDriftEps = 64.0 * DBL_EPSILON;
 }  // namespace
@@ -30,10 +30,12 @@ constexpr double kDriftEps = 64.0 * DBL_EPSILON;
 std::optional<DetectionResult> detect_packet(std::span<const dsp::Cplx> rx,
                                              double threshold) {
   if (rx.size() < kCorrLen + kLag + 1) return std::nullopt;
-  // Same metric and plateau logic as detect_packet_reference, but the three
-  // window sums (delay correlation c, power p, mean) advance in O(1) per
-  // position: the window over n..n+31 becomes the window over n+1..n+32 by
-  // subtracting the leaving term and adding the entering one.
+  // m(n) = |sum r[n+k+16] conj(r[n+k])| / sum |r[n+k+16]|^2; a plateau near
+  // 1 marks the short preamble. Require the metric to hold for 32
+  // consecutive positions to reject noise spikes. The three window sums
+  // (delay correlation c, power p, mean) advance in O(1) per position: the
+  // window over n..n+31 becomes the window over n+1..n+32 by subtracting
+  // the leaving term and adding the entering one.
   std::size_t run = 0;
   const std::size_t last = rx.size() - kCorrLen - kLag;
   dsp::Cplx c{0.0, 0.0};
@@ -68,40 +70,6 @@ std::optional<DetectionResult> detect_packet(std::span<const dsp::Cplx> rx,
       if (enter2 > peak_norm) peak_norm = enter2;
       if (p < kDriftEps * static_cast<double>(kCorrLen) * peak_norm)
         recompute(n);
-    }
-    double m = (p > 0.0) ? std::abs(c) / p : 0.0;
-    const double dc_frac =
-        (p > 0.0) ? std::norm(mean) / (static_cast<double>(kCorrLen) * p) : 0.0;
-    if (dc_frac > 0.5) m = 0.0;
-    if (m > threshold) {
-      ++run;
-      if (run >= 32) {
-        const std::size_t det = n + 1 - run;
-        return DetectionResult{det, coarse_cfo(rx, det)};
-      }
-    } else {
-      run = 0;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<DetectionResult> detect_packet_reference(
-    std::span<const dsp::Cplx> rx, double threshold) {
-  if (rx.size() < kCorrLen + kLag + 1) return std::nullopt;
-  // m(n) = |sum r[n+k+16] conj(r[n+k])| / sum |r[n+k+16]|^2; a plateau near
-  // 1 marks the short preamble. Require the metric to hold for 32
-  // consecutive positions to reject noise spikes.
-  std::size_t run = 0;
-  const std::size_t last = rx.size() - kCorrLen - kLag;
-  for (std::size_t n = 0; n < last; ++n) {
-    dsp::Cplx c{0.0, 0.0};
-    dsp::Cplx mean{0.0, 0.0};
-    double p = 0.0;
-    for (std::size_t k = 0; k < kCorrLen; ++k) {
-      c += rx[n + k + kLag] * std::conj(rx[n + k]);
-      p += std::norm(rx[n + k + kLag]);
-      mean += rx[n + k + kLag];
     }
     double m = (p > 0.0) ? std::abs(c) / p : 0.0;
     // A DC offset (LO self-mixing residue) is periodic at every lag and
@@ -195,49 +163,6 @@ std::optional<std::size_t> locate_long_training(std::span<const dsp::Cplx> rx,
     dsp::kernels::xcorr_accum(rx.data() + prev, ref.data(), kNfft, &re, &im);
     const double pp = dsp::kernels::power_sum(rx.data() + prev, kNfft);
     const double m = (pp > 0.0) ? (re * re + im * im) / pp : 0.0;
-    if (m > 0.5 * best) return prev;
-  }
-  return best_idx;
-}
-
-std::optional<std::size_t> locate_long_training_reference(
-    std::span<const dsp::Cplx> rx, std::size_t search_start,
-    std::size_t search_end) {
-  const dsp::CVec& ref = long_training_symbol();
-  if (search_end > rx.size() + 1)
-    search_end = rx.size() >= kNfft ? rx.size() - kNfft + 1 : 0;
-  if (search_start >= search_end) return std::nullopt;
-
-  // Normalized cross-correlation peaks at the two LTS copies; take the
-  // first of the two (they are 64 samples apart).
-  double best = 0.0;
-  std::size_t best_idx = 0;
-  for (std::size_t n = search_start; n < search_end; ++n) {
-    if (n + kNfft > rx.size()) break;
-    dsp::Cplx c{0.0, 0.0};
-    double p = 0.0;
-    for (std::size_t k = 0; k < kNfft; ++k) {
-      c += rx[n + k] * std::conj(ref[k]);
-      p += std::norm(rx[n + k]);
-    }
-    const double m = (p > 0.0) ? std::norm(c) / p : 0.0;
-    if (m > best) {
-      best = m;
-      best_idx = n;
-    }
-  }
-  if (best <= 0.0) return std::nullopt;
-  // best_idx may be the first or the second LTS copy; disambiguate by
-  // testing the correlation 64 samples earlier.
-  if (best_idx >= search_start + kNfft) {
-    const std::size_t prev = best_idx - kNfft;
-    dsp::Cplx c{0.0, 0.0};
-    double p = 0.0;
-    for (std::size_t k = 0; k < kNfft; ++k) {
-      c += rx[prev + k] * std::conj(ref[k]);
-      p += std::norm(rx[prev + k]);
-    }
-    const double m = (p > 0.0) ? std::norm(c) / p : 0.0;
     if (m > 0.5 * best) return prev;
   }
   return best_idx;

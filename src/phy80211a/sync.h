@@ -23,15 +23,10 @@ struct DetectionResult {
 /// sliding-window recurrence (add the entering term, subtract the leaving
 /// one) with an exact recomputation every few hundred positions to bound
 /// rounding drift, instead of re-summing the window at every position.
-/// The decision sequence matches detect_packet_reference on any signal
+/// The decision sequence matches a full re-sum per position on any signal
 /// whose metric is not within ~1e-12 of the threshold.
 std::optional<DetectionResult> detect_packet(std::span<const dsp::Cplx> rx,
                                              double threshold = 0.6);
-
-/// Reference O(N*W) implementation (full window re-sum per position), the
-/// semantic definition detect_packet is tested against.
-std::optional<DetectionResult> detect_packet_reference(
-    std::span<const dsp::Cplx> rx, double threshold = 0.6);
 
 /// Coarse CFO (cycles/sample) from lag-16 autocorrelation over `len`
 /// samples starting at `start`.
@@ -50,18 +45,12 @@ double fine_cfo(std::span<const dsp::Cplx> rx, std::size_t lts_start);
 /// The 64-sample window power slides by recurrence (exact recompute every
 /// few hundred positions) and the cross-correlation runs on the
 /// dsp::kernels xcorr_accum kernel (split re/im 4-lane chains, vectorized
-/// in its AVX2 clone). Peak choice matches the reference except
-/// for metric ties closer than the accumulated ulp drift.
+/// in its AVX2 clone). Peak choice matches sequential complex accumulation
+/// with a full power re-sum except for metric ties closer than the
+/// accumulated ulp drift.
 std::optional<std::size_t> locate_long_training(std::span<const dsp::Cplx> rx,
                                                 std::size_t search_start,
                                                 std::size_t search_end);
-
-/// Reference implementation (sequential complex accumulation, full power
-/// re-sum per position), the semantic definition the fast path is tested
-/// against.
-std::optional<std::size_t> locate_long_training_reference(
-    std::span<const dsp::Cplx> rx, std::size_t search_start,
-    std::size_t search_end);
 
 /// Multiply by e^{-j 2 pi cfo n} in place to remove a frequency offset
 /// (n counted from the start of the span).

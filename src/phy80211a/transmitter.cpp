@@ -47,17 +47,16 @@ std::vector<dsp::CVec> Transmitter::data_symbol_points(const Frame& frame) const
   const Bits data_bits = encode_data_field(frame);
   const Bits coded = puncture(convolutional_encode(data_bits), p.code_rate);
 
-  const Interleaver& il = interleaver_for(frame.rate);
+  // The gather modulate() runs: point i of symbol s reads the coded bits
+  // through the inverse interleaver permutation.
+  const std::size_t* perm = interleaver_for(frame.rate).inv().data();
   const Mapper mapper(p.modulation);
   const std::size_t nsym = coded.size() / p.ncbps;
 
-  std::vector<dsp::CVec> out;
-  out.reserve(nsym);
-  for (std::size_t s = 0; s < nsym; ++s) {
-    Bits block(coded.begin() + static_cast<std::ptrdiff_t>(s * p.ncbps),
-               coded.begin() + static_cast<std::ptrdiff_t>((s + 1) * p.ncbps));
-    out.push_back(mapper.map(il.interleave(block)));
-  }
+  std::vector<dsp::CVec> out(nsym, dsp::CVec(kNumDataCarriers));
+  for (std::size_t s = 0; s < nsym; ++s)
+    mapper.map_permuted(coded.data() + s * p.ncbps, perm, kNumDataCarriers,
+                        out[s].data());
   return out;
 }
 
@@ -96,8 +95,8 @@ void append_cyclic_tail(dsp::CVec& out, std::span<const dsp::Cplx> sym,
              sym.begin() + static_cast<std::ptrdiff_t>(kCpLen + w));
 }
 
-/// Shared post-processing for both modulate paths: fade the final window
-/// extension out, clip envelope peaks, normalize the OFDM portion.
+/// Post-processing of the assembled frame: fade the final window extension
+/// out, clip envelope peaks, normalize the OFDM portion.
 void finish_frame(dsp::CVec& ppdu, const Transmitter::Config& cfg) {
   const std::size_t w = cfg.window_overlap;
   if (w > 0) {
@@ -169,25 +168,6 @@ dsp::CVec Transmitter::modulate(const Frame& frame) const {
   for (std::size_t s = 0; s < nsym; ++s) {
     const std::span<const dsp::Cplx> sym(td.data() + s * kSymbolLen,
                                          kSymbolLen);
-    overlap_add_symbol(ppdu, sym, w);
-    if (w > 0) append_cyclic_tail(ppdu, sym, w);
-  }
-  finish_frame(ppdu, cfg_);
-  return ppdu;
-}
-
-dsp::CVec Transmitter::modulate_reference(const Frame& frame) const {
-  const auto symbols = data_symbol_points(frame);
-  const std::size_t w = cfg_.window_overlap;
-  if (w >= kCpLen / 2)
-    throw std::invalid_argument("Transmitter: window overlap too large");
-
-  dsp::CVec ppdu = full_preamble();
-  const dsp::CVec sig = modulate_signal_field({frame.rate, frame.psdu.size()});
-  ppdu.insert(ppdu.end(), sig.begin(), sig.end());
-  if (w > 0) append_cyclic_tail(ppdu, sig, w);
-  for (std::size_t s = 0; s < symbols.size(); ++s) {
-    const dsp::CVec sym = ofdm_modulate_symbol(symbols[s], s + 1);
     overlap_add_symbol(ppdu, sym, w);
     if (w > 0) append_cyclic_tail(ppdu, sym, w);
   }

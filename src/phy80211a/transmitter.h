@@ -39,12 +39,8 @@ class Transmitter {
   /// Full PPDU: 320-sample preamble, SIGNAL symbol, N DATA symbols.
   /// Runs the batched pipeline (fused interleave+map gather into a flat
   /// points buffer, one batch IFFT over every DATA symbol, one-pass
-  /// CP/window assembly); bit-identical to modulate_reference().
+  /// CP/window assembly).
   dsp::CVec modulate(const Frame& frame) const;
-
-  /// The original symbol-at-a-time modulator, kept as the semantic
-  /// definition for the batch-equivalence tests.
-  dsp::CVec modulate_reference(const Frame& frame) const;
 
   /// The scrambled DATA-field bits after padding, before the convolutional
   /// encoder (one bit per trellis step), exposed for tests against the

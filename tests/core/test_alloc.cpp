@@ -21,6 +21,7 @@
 #include "dsp/rng.h"
 #include "phy80211a/receiver.h"
 #include "phy80211a/transmitter.h"
+#include "phy_reference.h"
 #include "rf/receiver_chain.h"
 #include "testsupport/alloc_hook.h"
 
@@ -107,20 +108,15 @@ TEST(AllocationDiscipline, BatchedRxAllocatesNoMoreThanReference) {
   rx.insert(rx.end(), frame.begin(), frame.end());
   rx.insert(rx.end(), 80, dsp::Cplx{0.0, 0.0});
 
-  phy::Receiver::Config cfg;
-  cfg.batched_data_path = true;
-  const phy::Receiver batched(cfg);
-  cfg.batched_data_path = false;
-  const phy::Receiver reference(cfg);
-
+  const phy::Receiver batched;
   batched.receive(rx);  // warm both paths' persistent scratch
-  reference.receive(rx);
+  phy::ref::receive({}, rx);
 
   reset_allocation_count();
   batched.receive(rx);
   const std::uint64_t nb = allocation_count();
   reset_allocation_count();
-  reference.receive(rx);
+  phy::ref::receive({}, rx);
   const std::uint64_t nr = allocation_count();
 
   // The batch path exists to shed the per-symbol vectors the reference

@@ -229,8 +229,6 @@ TEST(SurrogateFingerprint, EveryLinkFieldIsKeyed) {
       FIELD(kTx, c.lead_samples += 1),
       FIELD(kTx, c.tail_samples += 1),
       FIELD(kTx, c.seed += 1),
-      FIELD(kContract, c.receiver.batched_data_path =
-                           !c.receiver.batched_data_path),
       FIELD(kContract, c.rf.agc.label = "renamed"),
       FIELD(kContract, c.rf.adc.label = "renamed"),
   };

@@ -6,6 +6,7 @@
 
 #include "dsp/mathutil.h"
 #include "dsp/rng.h"
+#include "kernels_reference.h"
 
 namespace wlansim::dsp {
 namespace {
@@ -107,6 +108,44 @@ TEST(Fft, InPlaceMatchesOutOfPlace) {
     EXPECT_NEAR(std::abs(inplace[i] - ref[i]), 0.0, 1e-12);
 }
 
+/// One n-point transform written out independently of dsp::Fft: a
+/// bit-reversed copy of `in`, the kernel oracle's butterflies at one row
+/// over twiddles e^{-j 2 pi k / n} (conjugated for the inverse), and the
+/// inverse's 1/n scale.
+CVec reference_row(const Cplx* in, std::size_t n, bool inverse) {
+  std::size_t log2n = 0;
+  while ((std::size_t{1} << log2n) < n) ++log2n;
+  CVec row(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t r = 0;
+    for (std::size_t b = 0; b < log2n; ++b)
+      if (i & (std::size_t{1} << b)) r |= std::size_t{1} << (log2n - 1 - b);
+    row[i] = in[r];
+  }
+  CVec twiddle(n / 2);
+  for (std::size_t k = 0; k < n / 2; ++k) {
+    const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
+    twiddle[k] = {std::cos(ang), std::sin(ang)};
+    if (inverse) twiddle[k] = std::conj(twiddle[k]);
+  }
+  kernels::ref::fft_butterflies_batch(row.data(), 1, n, twiddle.data());
+  if (inverse) {
+    const double s = 1.0 / static_cast<double>(n);
+    for (Cplx& v : row) v *= s;
+  }
+  return row;
+}
+
+void expect_rows_equal(const Cplx* got, const CVec& want, const char* what,
+                       std::size_t m, std::size_t r) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].real(), want[i].real())
+        << what << " m=" << m << " r=" << r << " i=" << i;
+    EXPECT_EQ(got[i].imag(), want[i].imag())
+        << what << " m=" << m << " r=" << r << " i=" << i;
+  }
+}
+
 TEST(Fft, ForwardBatchMatchesPerRowExactly) {
   Rng rng(21);
   const std::size_t n = 64;
@@ -119,15 +158,12 @@ TEST(Fft, ForwardBatchMatchesPerRowExactly) {
       CVec batch(m * n);
       engine.forward_batch(in.data(), stride, batch.data(), m);
       for (std::size_t r = 0; r < m; ++r) {
+        const CVec want = reference_row(in.data() + r * stride, n, false);
+        expect_rows_equal(batch.data() + r * n, want, "batch", m, r);
         CVec row(n);
         engine.forward(std::span<const Cplx>(in.data() + r * stride, n),
                        std::span<Cplx>(row));
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(batch[r * n + i].real(), row[i].real())
-              << "m=" << m << " r=" << r << " i=" << i;
-          EXPECT_EQ(batch[r * n + i].imag(), row[i].imag())
-              << "m=" << m << " r=" << r << " i=" << i;
-        }
+        expect_rows_equal(row.data(), want, "single", m, r);
       }
     }
   }
@@ -143,15 +179,12 @@ TEST(Fft, InverseBatchMatchesPerRowExactly) {
     CVec batch(m * n);
     engine.inverse_batch(in.data(), n, batch.data(), m);
     for (std::size_t r = 0; r < m; ++r) {
+      const CVec want = reference_row(in.data() + r * n, n, true);
+      expect_rows_equal(batch.data() + r * n, want, "batch", m, r);
       CVec row(n);
       engine.inverse(std::span<const Cplx>(in.data() + r * n, n),
                      std::span<Cplx>(row));
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(batch[r * n + i].real(), row[i].real())
-            << "m=" << m << " r=" << r << " i=" << i;
-        EXPECT_EQ(batch[r * n + i].imag(), row[i].imag())
-            << "m=" << m << " r=" << r << " i=" << i;
-      }
+      expect_rows_equal(row.data(), want, "single", m, r);
     }
   }
 }

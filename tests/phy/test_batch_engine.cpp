@@ -1,8 +1,9 @@
 // Equivalence suite for the batched OFDM symbol engine: the one-pass SoA
-// TX/RX data pipeline (batch FFTs, fused interleave+map gather, demap
-// scattered straight into decoder order) must be bit-identical to the
-// retained per-symbol reference implementations, for every rate and under
-// every impairment the receiver handles.
+// TX/RX pipeline (batch FFTs, fused interleave+map gather, demap scattered
+// straight into decoder order), which runs every symbol, SIGNAL included,
+// must be bit-identical to the symbol-at-a-time references in
+// tests/reference/phy_reference and to the per-point mapper, for every
+// rate and under every impairment the receiver handles.
 #include <algorithm>
 #include <cmath>
 
@@ -16,6 +17,7 @@
 #include "phy80211a/mapper.h"
 #include "phy80211a/receiver.h"
 #include "phy80211a/transmitter.h"
+#include "phy_reference.h"
 
 namespace wlansim::phy {
 namespace {
@@ -48,7 +50,7 @@ TEST(BatchEngine, InterleaverTablesMatchStandardFormula) {
 }
 
 // ---------------------------------------------------------------------------
-// Mapper batch helpers vs the per-point reference entries.
+// Mapper batch helpers vs the per-point entries.
 
 TEST(BatchEngine, MapperBatchHelpersMatchReference) {
   dsp::Rng rng(41);
@@ -62,12 +64,16 @@ TEST(BatchEngine, MapperBatchHelpersMatchReference) {
     Bits bits(p.ncbps);
     for (auto& b : bits) b = rng.uniform() < 0.5 ? 0 : 1;
 
-    // Fused interleave+map gather == map(interleave(bits)).
-    const dsp::CVec want_pts = mapper.map(il.interleave(bits));
+    // Fused interleave+map gather == map_point over the fwd() scatter.
+    Bits inter(p.ncbps);
+    for (std::size_t k = 0; k < p.ncbps; ++k) inter[il.fwd()[k]] = bits[k];
+    dsp::CVec want_pts(kNumDataCarriers);
+    for (std::size_t i = 0; i < kNumDataCarriers; ++i)
+      want_pts[i] = mapper.map_point(
+          std::span<const std::uint8_t>(inter).subspan(i * p.nbpsc, p.nbpsc));
     dsp::CVec got_pts(kNumDataCarriers);
     mapper.map_permuted(bits.data(), il.inv().data(), kNumDataCarriers,
                         got_pts.data());
-    ASSERT_EQ(want_pts.size(), got_pts.size());
     for (std::size_t i = 0; i < got_pts.size(); ++i) {
       EXPECT_EQ(got_pts[i].real(), want_pts[i].real()) << rate_name(r) << i;
       EXPECT_EQ(got_pts[i].imag(), want_pts[i].imag()) << rate_name(r) << i;
@@ -81,16 +87,14 @@ TEST(BatchEngine, MapperBatchHelpersMatchReference) {
       weights[i] = 0.25 + rng.uniform();
     }
 
-    const SoftBits want_soft = mapper.demap_soft(pts, weights);
-    ASSERT_EQ(want_soft.size(), p.ncbps);
-
-    SoftBits got_into(p.ncbps);
-    mapper.demap_soft_into(pts, weights, got_into.data());
-    for (std::size_t j = 0; j < p.ncbps; ++j)
-      EXPECT_EQ(got_into[j], want_soft[j]) << rate_name(r) << " j=" << j;
-
-    // Fused demap+deinterleave scatter == deinterleave_soft(demap_soft).
-    const SoftBits want_deint = il.deinterleave_soft(want_soft);
+    // Fused demap+deinterleave == demap_soft_point scattered through inv().
+    SoftBits want_deint(p.ncbps);
+    for (std::size_t i = 0; i < kNumDataCarriers; ++i) {
+      const SoftBits llr = mapper.demap_soft_point(pts[i], weights[i]);
+      ASSERT_EQ(llr.size(), p.nbpsc);
+      for (std::size_t b = 0; b < p.nbpsc; ++b)
+        want_deint[il.inv()[i * p.nbpsc + b]] = llr[b];
+    }
     SoftBits got_deint(p.ncbps);
     mapper.demap_soft_deinterleaved(pts, weights, il.inv().data(),
                                     got_deint.data());
@@ -100,7 +104,7 @@ TEST(BatchEngine, MapperBatchHelpersMatchReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Transmitter: batched modulate vs the per-symbol reference.
+// Transmitter: batched modulate vs the symbol-at-a-time reference.
 
 /// PSDU size putting `nsym` DATA symbols on the air at rate r (clamped to
 /// the legal 1..4095 range).
@@ -127,9 +131,8 @@ TEST(BatchEngine, TxModulateMatchesReferenceAllRates) {
     const Rate r = static_cast<Rate>(ri);
     for (const std::size_t bytes :
          {std::size_t{1}, psdu_bytes_for_symbols(r, 7), std::size_t{4095}}) {
-      Transmitter tx;
       const Frame f{r, random_bytes(bytes, rng)};
-      expect_same_waveform(tx.modulate(f), tx.modulate_reference(f),
+      expect_same_waveform(Transmitter().modulate(f), ref::modulate({}, f),
                            rate_name(r).data());
     }
   }
@@ -144,14 +147,14 @@ TEST(BatchEngine, TxModulateMatchesReferenceWithWindowAndClipping) {
                             .output_power_dbm = -10.0,
                             .window_overlap = 4,
                             .clip_papr_db = 6.0}}) {
-    Transmitter tx(cfg);
     const Frame f{Rate::kMbps36, random_bytes(300, rng)};
-    expect_same_waveform(tx.modulate(f), tx.modulate_reference(f), "cfg");
+    expect_same_waveform(Transmitter(cfg).modulate(f), ref::modulate(cfg, f),
+                         "cfg");
   }
 }
 
 // ---------------------------------------------------------------------------
-// Receiver: batched data path vs the per-symbol reference loop.
+// Receiver: the batch path vs the symbol-at-a-time reference receiver.
 
 void expect_same_rx_result(const RxResult& a, const RxResult& b) {
   ASSERT_EQ(a.detected, b.detected);
@@ -183,12 +186,8 @@ dsp::CVec padded(const dsp::CVec& frame, std::size_t lead, std::size_t tail) {
 }
 
 void expect_batched_matches_reference(const dsp::CVec& rx,
-                                      Receiver::Config cfg) {
-  cfg.batched_data_path = true;
-  const Receiver batched(cfg);
-  cfg.batched_data_path = false;
-  const Receiver reference(cfg);
-  expect_same_rx_result(batched.receive(rx), reference.receive(rx));
+                                      const Receiver::Config& cfg) {
+  expect_same_rx_result(Receiver(cfg).receive(rx), ref::receive(cfg, rx));
 }
 
 TEST(BatchEngine, RxMatchesReferenceAllRatesAwgn) {
@@ -266,13 +265,8 @@ TEST(BatchEngine, RxMatchesReferenceOnTruncatedFrame) {
   const dsp::CVec rx =
       padded(dsp::CVec(frame.begin(), frame.begin() + cut), 220, 0);
 
-  Receiver::Config cfg;
-  cfg.batched_data_path = true;
-  const Receiver batched(cfg);
-  cfg.batched_data_path = false;
-  const Receiver reference(cfg);
-  const RxResult a = batched.receive(rx);
-  const RxResult b = reference.receive(rx);
+  const RxResult a = Receiver().receive(rx);
+  const RxResult b = ref::receive({}, rx);
   EXPECT_FALSE(a.header_ok);
   EXPECT_TRUE(a.detected);
   expect_same_rx_result(a, b);

@@ -46,6 +46,10 @@ TEST(EdgeCases, ReceiverHandlesEmptyAndTinyBuffers) {
   EXPECT_FALSE(rx.receive(dsp::CVec{}).detected);
   EXPECT_FALSE(rx.receive(dsp::CVec(10, dsp::Cplx{1.0, 0.0})).detected);
   EXPECT_FALSE(rx.receive(dsp::CVec(100, dsp::Cplx{0.0, 0.0})).detected);
+  // A genie frame start at or past the end of the buffer.
+  const dsp::CVec tiny(100, dsp::Cplx{0.0, 0.0});
+  for (const std::size_t start : {99u, 100u, 101u, 5000u})
+    EXPECT_FALSE(rx.receive_at(tiny, start).detected) << start;
 }
 
 TEST(EdgeCases, TruncatedFrameFailsCleanly) {

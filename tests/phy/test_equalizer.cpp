@@ -13,6 +13,35 @@
 namespace wlansim::phy {
 namespace {
 
+/// An ideal flat channel estimate: gain 1, the DC carrier unused.
+ChannelEstimate flat_channel() {
+  ChannelEstimate est;
+  est.h.fill(dsp::Cplx{1.0, 0.0});
+  est.h[26] = dsp::Cplx{0.0, 0.0};
+  return est;
+}
+
+/// One demodulated symbol's bins and its equalized points and weights.
+struct Symbol {
+  std::array<dsp::Cplx, kNumDataCarriers> data{};
+  std::array<dsp::Cplx, kNumPilots> pilots{};
+};
+struct Equalized {
+  std::array<dsp::Cplx, kNumDataCarriers> points;
+  std::array<double, kNumDataCarriers> weights;
+};
+
+/// equalize_symbols at nsym = 1.
+Equalized equalize_one(const Symbol& sym, const ChannelEstimate& est,
+                       std::size_t symbol_index, bool track_phase = true,
+                       bool track_timing = true) {
+  Equalized out;
+  equalize_symbols(sym.data.data(), sym.pilots.data(), 1, symbol_index, est,
+                   track_phase, track_timing, out.points.data(),
+                   out.weights.data());
+  return out;
+}
+
 TEST(ChannelEstimate, RecoversFlatGainFromCleanLts) {
   const dsp::Cplx h{0.7, -0.4};
   dsp::CVec lts;
@@ -110,7 +139,7 @@ TEST(EqualizeSymbol, RemovesChannelAndReportsWeights) {
         (k == 0) ? dsp::Cplx{0.0, 0.0}
                  : dsp::Cplx{1.0 + 0.01 * k, 0.3};
   }
-  DemodulatedSymbol sym;
+  Symbol sym;
   std::array<dsp::Cplx, kNumDataCarriers> tx_pts;
   const auto hd = est.data_carriers();
   for (std::size_t i = 0; i < kNumDataCarriers; ++i) {
@@ -123,19 +152,18 @@ TEST(EqualizeSymbol, RemovesChannelAndReportsWeights) {
   for (std::size_t i = 0; i < kNumPilots; ++i)
     sym.pilots[i] = pol * pv[i] * hp[i];
 
-  const EqualizedSymbol eq = equalize_symbol(sym, est, 4);
+  const Equalized eq = equalize_one(sym, est, 4);
   for (std::size_t i = 0; i < kNumDataCarriers; ++i) {
     EXPECT_NEAR(std::abs(eq.points[i] - tx_pts[i]), 0.0, 1e-9) << i;
     EXPECT_NEAR(eq.weights[i], std::norm(hd[i]), 1e-9);
   }
-  EXPECT_NEAR(eq.common_phase_error, 0.0, 1e-9);
 }
 
 TEST(EqualizeSymbol, TracksCommonPhaseAndGain) {
   // Rotate + scale the whole received symbol; pilots must undo it.
   ChannelEstimate est = flat_channel();
   const dsp::Cplx drift = 1.15 * dsp::Cplx{std::cos(0.35), std::sin(0.35)};
-  DemodulatedSymbol sym;
+  Symbol sym;
   dsp::Rng rng(4);
   std::array<dsp::Cplx, kNumDataCarriers> tx_pts;
   for (std::size_t i = 0; i < kNumDataCarriers; ++i) {
@@ -147,22 +175,26 @@ TEST(EqualizeSymbol, TracksCommonPhaseAndGain) {
   for (std::size_t i = 0; i < kNumPilots; ++i)
     sym.pilots[i] = pol * pv[i] * drift;
 
-  const EqualizedSymbol eq = equalize_symbol(sym, est, 1, true);
+  const Equalized eq = equalize_one(sym, est, 1, true);
   for (std::size_t i = 0; i < kNumDataCarriers; ++i) {
     EXPECT_NEAR(std::abs(eq.points[i] - tx_pts[i]), 0.0, 1e-9) << i;
   }
-  EXPECT_NEAR(eq.common_phase_error, 0.35, 1e-9);
 
-  // With tracking off the drift stays.
-  const EqualizedSymbol raw = equalize_symbol(sym, est, 1, false);
+  // With tracking off the drift stays: the tracker derotated every point
+  // by exactly the common phase (0.35 rad) and gain (1.15).
+  const Equalized raw = equalize_one(sym, est, 1, false);
   EXPECT_GT(std::abs(raw.points[0] - tx_pts[0]), 0.1);
+  for (std::size_t i = 0; i < kNumDataCarriers; ++i) {
+    const dsp::Cplx removed = raw.points[i] / eq.points[i];
+    EXPECT_NEAR(std::arg(removed), 0.35, 1e-9) << i;
+    EXPECT_NEAR(std::abs(removed), 1.15, 1e-9) << i;
+  }
 }
 
 TEST(EqualizeSymbol, ZeroChannelGivesZeroWeight) {
   ChannelEstimate est = flat_channel();
   est.h.fill(dsp::Cplx{0.0, 0.0});
-  DemodulatedSymbol sym{};
-  const EqualizedSymbol eq = equalize_symbol(sym, est, 0, false);
+  const Equalized eq = equalize_one(Symbol{}, est, 0, false);
   for (double w : eq.weights) EXPECT_DOUBLE_EQ(w, 0.0);
 }
 

@@ -38,24 +38,26 @@ TEST(Ofdm, ModDemodRoundTrip) {
   dsp::Rng rng(1);
   dsp::CVec data(kNumDataCarriers);
   for (auto& v : data) v = rng.cgaussian(1.0);
-  const dsp::CVec sym = ofdm_modulate_symbol(data, 3);
-  ASSERT_EQ(sym.size(), kSymbolLen);
-  const DemodulatedSymbol dem = ofdm_demodulate_symbol(
-      std::span<const dsp::Cplx>(sym).subspan(kCpLen, kNfft));
+  dsp::CVec sym(kSymbolLen);
+  ofdm_modulate_symbols_into(data.data(), 1, 3, sym.data());
+  dsp::CVec dem(kNumDataCarriers), pilots(kNumPilots);
+  ofdm_demodulate_symbols_into(sym.data() + kCpLen, kNfft, 1, dem.data(),
+                               pilots.data());
   for (std::size_t i = 0; i < kNumDataCarriers; ++i)
-    EXPECT_NEAR(std::abs(dem.data[i] - data[i]), 0.0, 1e-10);
+    EXPECT_NEAR(std::abs(dem[i] - data[i]), 0.0, 1e-10);
   // Pilots carry the polarity for symbol index 3 (p_3 = 1).
   const double pol = pilot_polarity(3);
   const auto& pv = pilot_base_values();
   for (std::size_t i = 0; i < kNumPilots; ++i)
-    EXPECT_NEAR(std::abs(dem.pilots[i] - pol * pv[i]), 0.0, 1e-10);
+    EXPECT_NEAR(std::abs(pilots[i] - pol * pv[i]), 0.0, 1e-10);
 }
 
 TEST(Ofdm, CyclicPrefixIsTailCopy) {
   dsp::Rng rng(2);
   dsp::CVec data(kNumDataCarriers);
   for (auto& v : data) v = rng.cgaussian(1.0);
-  const dsp::CVec sym = ofdm_modulate_symbol(data, 0);
+  dsp::CVec sym(kSymbolLen);
+  ofdm_modulate_symbols_into(data.data(), 1, 0, sym.data());
   for (std::size_t i = 0; i < kCpLen; ++i) {
     EXPECT_NEAR(std::abs(sym[i] - sym[kNfft + i]), 0.0, 1e-12);
   }

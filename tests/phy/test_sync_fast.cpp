@@ -1,8 +1,8 @@
 // Equivalence of the O(N) sliding-window sync paths against their O(N*W)
-// references across CFO, fading, low SNR, threshold edges, and the
-// all-zero-lead case that exercises the drift guard (a slid power sum must
-// collapse to the reference's exact 0 over zero windows, not drift to a
-// tiny denominator).
+// references in tests/reference/phy_reference, across CFO, fading, low
+// SNR, threshold edges, and the all-zero-lead case that exercises the drift
+// guard (a slid power sum must collapse to the reference's exact 0 over
+// zero windows, not drift to a tiny denominator).
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "dsp/rng.h"
 #include "phy80211a/preamble.h"
 #include "phy80211a/sync.h"
+#include "phy_reference.h"
 
 namespace wlansim::phy {
 namespace {
@@ -18,23 +19,23 @@ namespace {
 void expect_same_detection(std::span<const dsp::Cplx> sig,
                            double threshold = 0.6) {
   const auto fast = detect_packet(sig, threshold);
-  const auto ref = detect_packet_reference(sig, threshold);
-  ASSERT_EQ(fast.has_value(), ref.has_value())
+  const auto want = ref::detect_packet(sig, threshold);
+  ASSERT_EQ(fast.has_value(), want.has_value())
       << "threshold " << threshold;
   if (fast) {
-    EXPECT_EQ(fast->detect_index, ref->detect_index);
+    EXPECT_EQ(fast->detect_index, want->detect_index);
     // Same index => coarse_cfo runs the identical loop on both paths.
-    EXPECT_EQ(fast->coarse_cfo_norm, ref->coarse_cfo_norm);
+    EXPECT_EQ(fast->coarse_cfo_norm, want->coarse_cfo_norm);
   }
 }
 
 void expect_same_lts(std::span<const dsp::Cplx> sig, std::size_t lo,
                      std::size_t hi) {
   const auto fast = locate_long_training(sig, lo, hi);
-  const auto ref = locate_long_training_reference(sig, lo, hi);
-  ASSERT_EQ(fast.has_value(), ref.has_value());
+  const auto want = ref::locate_long_training(sig, lo, hi);
+  ASSERT_EQ(fast.has_value(), want.has_value());
   if (fast) {
-    EXPECT_EQ(*fast, *ref);
+    EXPECT_EQ(*fast, *want);
   }
 }
 
@@ -94,8 +95,7 @@ TEST(SyncFast, NoPacketPureNoise) {
   dsp::Rng rng(105);
   dsp::CVec sig(4000);
   for (auto& v : sig) v = rng.cgaussian(1.0);
-  const auto ref = detect_packet_reference(sig);
-  EXPECT_FALSE(ref.has_value());
+  EXPECT_FALSE(ref::detect_packet(sig).has_value());
   expect_same_detection(sig);
   expect_same_lts(sig, 0, sig.size());
 }
