@@ -1,9 +1,11 @@
-// Golden digests of the RF front end and the 802.11a PHY: "same bits" as a
-// ctest.
+// Golden digests of the RF front end, the 802.11a PHY, the random streams,
+// the drop geometry, the trace text and the daemon's replies: "same bits"
+// as a ctest.
 //
-// Each case runs an RF block, an RF analysis, a link packet, a PHY stage or
-// an FFT and folds the bit patterns of everything it outputs into one
-// FNV-1a-64 digest.
+// Each case runs an RF block, an RF analysis, a link packet, a PHY stage,
+// an FFT, a generator, a geometry draw or a text encoder and folds the bit
+// patterns (or the bytes) of everything it outputs into one FNV-1a-64
+// digest.
 // tests/golden/front_end.txt holds one `<case> <digest>` line per case, and
 // every Golden.* test recomputes its cases and compares them with the file.
 // A change that moves one output bit of one case fails here, on whichever
@@ -15,17 +17,21 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "channel/fading.h"
@@ -43,6 +49,10 @@
 #include "rf/blackbox.h"
 #include "rf/direct_conversion.h"
 #include "rf/receiver_chain.h"
+#include "scenario/drop.h"
+#include "scenario/geometry.h"
+#include "scenario/trace.h"
+#include "service/protocol.h"
 #include "sim/cosim.h"
 
 namespace wlansim {
@@ -74,6 +84,14 @@ class Digest {
     for (const Cplx& v : x) {
       real(v.real());
       real(v.imag());
+    }
+  }
+  /// The length, then every byte.
+  void text(std::string_view s) {
+    word(s.size());
+    for (const char c : s) {
+      h_ ^= static_cast<unsigned char>(c);
+      h_ *= 1099511628211ULL;
     }
   }
   std::string hex() const {
@@ -836,6 +854,271 @@ TEST(Golden, Phy) {
   add_rx_cases(golden);
   add_sync_cases(golden);
   add_fft_cases(golden);
+  golden.finish();
+}
+
+// ---- random streams ----------------------------------------------------------
+
+/// Seeds of the generator cases: the edges of the seed word, the engine's
+/// default, and seeds the code base uses.
+constexpr std::uint64_t kRngSeeds[] = {
+    0, 1, 2003, 5489, 0xdeadbeef, 0x9e3779b97f4a7c15ull,
+    std::numeric_limits<std::uint64_t>::max()};
+
+/// Draw counts that start, cross and finish the engine's first 312-word
+/// block, at its 156-word half and past the second block.
+constexpr std::size_t kRngCounts[] = {1,   2,   8,   9,   155, 156,
+                                      157, 311, 312, 313, 1000};
+
+/// Every draw of one kind from a fresh generator, per seed: `draw(rng, n,
+/// d)` reads n values from rng and folds them into d.
+void add_rng_case(Cases& golden, const std::string& kind,
+                  const std::function<void(Rng&, std::size_t, Digest&)>& draw) {
+  for (const std::size_t n : kRngCounts) {
+    Digest d;
+    for (const std::uint64_t seed : kRngSeeds) {
+      Rng rng(seed);
+      draw(rng, n, d);
+    }
+    golden.add(kind + "/n" + std::to_string(n), d);
+  }
+}
+
+TEST(Golden, Rng) {
+  Cases golden("rng");
+  add_rng_case(golden, "raw", [](Rng& rng, std::size_t n, Digest& d) {
+    for (std::size_t i = 0; i < n; ++i) d.word(rng.engine()());
+  });
+  add_rng_case(golden, "block", [](Rng& rng, std::size_t n, Digest& d) {
+    std::vector<std::uint64_t> raw(n);
+    rng.engine().block(raw.data(), n);
+    for (const std::uint64_t w : raw) d.word(w);
+    d.word(rng.engine()());
+  });
+  add_rng_case(golden, "uniform", [](Rng& rng, std::size_t n, Digest& d) {
+    for (std::size_t i = 0; i < n; ++i)
+      d.real(i % 2 == 0 ? rng.uniform() : rng.uniform(-60.0, 60.0));
+  });
+  add_rng_case(golden, "uniform-int", [](Rng& rng, std::size_t n, Digest& d) {
+    for (std::size_t i = 0; i < n; ++i)
+      d.word(static_cast<std::uint64_t>(
+          i % 2 == 0 ? rng.uniform_int(0, 126) : rng.uniform_int(-5, 1000)));
+  });
+  add_rng_case(golden, "gaussian", [](Rng& rng, std::size_t n, Digest& d) {
+    for (std::size_t i = 0; i < n; ++i) d.real(rng.gaussian());
+  });
+  add_rng_case(golden, "fill-gaussian", [](Rng& rng, std::size_t n, Digest& d) {
+    std::vector<double> g(n);
+    rng.fill_gaussian(g.data(), n);
+    d.reals(g);
+    d.real(rng.gaussian());
+  });
+  // Two levels of forks, each child read before and after its parent.
+  add_rng_case(golden, "fork", [](Rng& rng, std::size_t n, Digest& d) {
+    Rng child = rng.fork();
+    Rng grandchild = child.fork();
+    Rng sibling = rng.fork();
+    for (Rng* r : {&grandchild, &child, &sibling, &rng})
+      for (std::size_t i = 0; i < n; ++i) d.word(r->engine()());
+  });
+  golden.finish();
+}
+
+// ---- drop geometry -------------------------------------------------------------
+
+TEST(Golden, Geometry) {
+  // The e2ebench drop: 600 stations x 10 steps in a 120 m square, 1 m
+  // random-walk steps, the AP and two interferer BSSs.
+  constexpr std::size_t kStations = 600, kSteps = 10;
+  constexpr double kHalf = 60.0, kStep = 1.0;
+  Cases golden("geometry");
+  for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{2003}}) {
+    const std::string s = "/s" + std::to_string(seed);
+    std::vector<scenario::Vec2> pos(kStations);
+    Digest place;
+    for (std::size_t i = 0; i < kStations; ++i) {
+      pos[i] = scenario::place_uniform(seed, i, kHalf);
+      place.real(pos[i].x);
+      place.real(pos[i].y);
+    }
+    golden.add("place" + s, place);
+    Digest walk;
+    for (std::size_t step = 1; step < kSteps; ++step) {
+      for (std::size_t i = 0; i < kStations; ++i) {
+        pos[i] = scenario::walk_step(pos[i], seed, i, step, kStep, kHalf);
+        walk.real(pos[i].x);
+        walk.real(pos[i].y);
+      }
+    }
+    golden.add("walk" + s, walk);
+    for (const double sigma : {6.0, 0.0}) {
+      for (std::uint64_t bss = 0; bss < 3; ++bss) {
+        Digest sh;
+        for (std::size_t step = 0; step < kSteps; ++step)
+          for (std::size_t i = 0; i < kStations; ++i)
+            sh.real(scenario::shadowing_db(seed, i, bss, step, sigma));
+        golden.add("shadowing" + s + "/e" + std::to_string(bss) + "/sigma" +
+                       std::to_string(static_cast<int>(sigma)),
+                   sh);
+      }
+    }
+  }
+  golden.finish();
+}
+
+// ---- trace rows and daemon replies ---------------------------------------------
+
+/// Doubles that reach every `%g` shape the number printer emits: zero and
+/// -0, both ends of fixed notation (1e-4 and 1e-5, p digits before the
+/// point and one more), 17 significant digits, subnormals, powers of two
+/// (whose shortest form has an asymmetric interval), integers beyond 2^53
+/// and the extremes of the format.
+std::vector<double> edge_doubles() {
+  std::vector<double> v = {0.0,
+                           -0.0,
+                           1e-5,
+                           1e-4,
+                           1.5e-4,
+                           0.1,
+                           0.1 + 0.2,
+                           1.0 / 3.0,
+                           -2.5,
+                           71.25,
+                           100.0,
+                           123456.0,
+                           1e5,
+                           99999.5,
+                           1e16,
+                           1e17,
+                           123456789012345680.0,
+                           1e23,
+                           -40.0 / 3.0,
+                           12.345678901234567,
+                           std::numeric_limits<double>::denorm_min(),
+                           DBL_MIN,
+                           std::nextafter(DBL_MIN, 0.0),
+                           DBL_MAX,
+                           -DBL_MAX};
+  for (const int e : {-1074, -1022, -1021, -20, -1, 0, 1, 52, 53, 60, 1023})
+    v.push_back(std::ldexp(1.0, e));
+  v.push_back(std::nextafter(std::ldexp(1.0, 60), 0.0));
+  v.push_back(std::nextafter(std::ldexp(1.0, 60), HUGE_VAL));
+  return v;
+}
+
+/// A sample whose eleven doubles are all `v`; its counters vary with `k`.
+scenario::StationSample edge_sample(double v, std::uint32_t k) {
+  scenario::StationSample s;
+  s.step = k;
+  s.station = 7 * k;
+  s.pos = {v, -v};
+  s.dist_m = v;
+  s.path_loss_db = v;
+  s.shadowing_db = v;
+  s.snr_db = v;
+  s.snr_bin_db = v;
+  if (k % 2 == 0) s.adj_level_db = v;
+  s.result.model_ber = v;
+  s.result.model_per = v;
+  s.result.evm_rms_avg = v;
+  s.result.packets = k;
+  s.result.from_surrogate = k % 3 == 0;
+  s.goodput_mbps = v;
+  return s;
+}
+
+/// One small drop: 8 stations x 2 steps, one co-channel and one adjacent
+/// BSS, an 8-packet budget per cold point.
+scenario::DropConfig golden_drop(const std::filesystem::path& store) {
+  scenario::DropConfig cfg;
+  cfg.num_stations = 8;
+  cfg.num_steps = 2;
+  cfg.area_half_m = 60.0;
+  cfg.seed = 20;
+  cfg.link = core::default_link_config();
+  cfg.link.psdu_bytes = 40;
+  cfg.snr_bin_db = 2.0;
+  cfg.snr_min_db = 4.0;
+  cfg.snr_max_db = 24.0;
+  cfg.adj_bin_db = 6.0;
+  cfg.rule.target_rel_ci = 0.5;
+  cfg.rule.min_errors = 16;
+  cfg.rule.min_packets = 8;
+  cfg.rule.max_packets = 8;
+  cfg.interferers.push_back({.position = {45.0, 40.0}, .offset_hz = 0.0});
+  cfg.interferers.push_back({.position = {-50.0, 15.0}, .offset_hz = 20e6});
+  cfg.store_dir = store;
+  return cfg;
+}
+
+TEST(Golden, Trace) {
+  Cases golden("trace");
+  const std::vector<double> values = edge_doubles();
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const auto k = static_cast<std::uint32_t>(i);
+    const scenario::StationSample s = edge_sample(values[i], k);
+    Digest d;
+    d.text(scenario::trace_jsonl_row("golden", s));
+    d.text(scenario::trace_csv_row("golden", s));
+    golden.add("row/" + std::to_string(i), d);
+  }
+
+  const std::filesystem::path store =
+      std::filesystem::path(::testing::TempDir()) / "wlansim-golden-drop";
+  std::filesystem::remove_all(store);
+  const scenario::DropConfig cfg = golden_drop(store);
+  for (const char* pass : {"cold", "warm"}) {
+    std::ostringstream jsonl;
+    scenario::TraceWriter writer(jsonl, scenario::TraceFormat::kJsonl,
+                                 "golden");
+    const scenario::DropSummary summary = scenario::run_drop(cfg, writer.sink());
+    EXPECT_EQ(summary.totals.cold == 0, std::string(pass) == "warm");
+    Digest d;
+    d.text(jsonl.str());
+    golden.add(std::string("drop/") + pass, d);
+  }
+  std::filesystem::remove_all(store);
+  golden.finish();
+}
+
+TEST(Golden, ServiceReply) {
+  // A Monte-Carlo result, a surrogate one (ber_ci_rel +inf) and results
+  // whose doubles walk the printer's edge cases.
+  core::BerResult mc;
+  mc.packets = 48;
+  mc.packets_lost = 1;
+  mc.packet_errors = 5;
+  mc.bits = 48 * 480;
+  mc.bit_errors = 37;
+  mc.evm_rms_avg = std::sqrt(2.0) / 33.0;
+  mc.ber_ci_rel = 0.32171717171717;
+  mc.wall_seconds = 0.125;
+  mc.converged = true;
+  core::BerResult sur;
+  sur.model_ber = 3.3e-4;
+  sur.model_per = 1.0 / 81.0;
+  sur.from_surrogate = true;
+  std::vector<double> axis = {6.0, 7.5, 0.1};
+  std::vector<core::BerResult> results = {mc, sur, mc};
+  for (const double v : edge_doubles()) {
+    core::BerResult r;
+    r.evm_rms_avg = v;
+    r.ber_ci_rel = v;
+    r.wall_seconds = v;
+    r.model_ber = v;
+    r.model_per = -v;
+    axis.push_back(v);
+    results.push_back(r);
+  }
+  core::DedupStats stats;
+  stats.queries = results.size();
+  stats.distinct = 17;
+  stats.warm = 11;
+  stats.cold = 6;
+  Cases golden("service");
+  Digest d;
+  d.text(service::results_response(axis, results, stats).dump());
+  golden.add("results-reply", d);
   golden.finish();
 }
 
