@@ -23,6 +23,16 @@ namespace wlansim::dsp {
 /// against the host libstdc++ directly, because the memoized-TX replay and
 /// graph-vs-direct equivalence tests depend on the noise stream never
 /// moving.
+///
+/// The first block is lazy. seed() stores the seed word only; output i <
+/// 156 of the first block reads seed-chain words x[i], x[i+1] and x[i+156],
+/// where x[k] = 6364136223846793005 * (x[k-1] ^ (x[k-1] >> 62)) + k, so the
+/// first k draws extend the chain to k + 156 words and twist and temper
+/// just those k outputs, in chunks of kChunk. A caller that wants more than
+/// the first kLazyEnd outputs gets the rest of the chain and the rest of
+/// the block in the vectorized loops. A generator built for one or two
+/// draws (a geometry sample, a fork that is never read) thus costs about
+/// 160 chain steps instead of the 311-step chain plus a 312-word twist.
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -31,18 +41,15 @@ class Mt19937_64 {
 
   void seed(std::uint64_t s) {
     state_[0] = s;
-    for (std::size_t i = 1; i < kN; ++i) {
-      state_[i] =
-          6364136223846793005ull * (state_[i - 1] ^ (state_[i - 1] >> 62)) + i;
-    }
-    idx_ = kN;
+    idx_ = 0;
+    lim_ = 0;
   }
 
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ull; }
 
   result_type operator()() {
-    if (idx_ >= kN) regen();
+    if (idx_ >= lim_) refill(1);
     return out_[idx_++];
   }
 
@@ -52,15 +59,39 @@ class Mt19937_64 {
   /// index bookkeeping away.
   void block(std::uint64_t* dst, std::size_t n);
 
+  /// The most engines seed_lockstep interleaves.
+  static constexpr std::size_t kLockstep = 4;
+
  private:
+  friend class Rng;
+
   static constexpr std::size_t kN = 312;
   static constexpr std::size_t kM = 156;
+  /// Outputs a lazy refill serves at least, and the first-block position
+  /// past which a refill finishes the whole block.
+  static constexpr std::size_t kChunk = 4;
+  static constexpr std::size_t kLazyEnd = 32;
 
-  void regen();  // twist + temper the whole block (rng.cpp)
+  /// Make out_[idx_, lim_) non-empty, with room for `want` draws where the
+  /// lazy first block allows it (rng.cpp).
+  void refill(std::size_t want);
+  void extend_chain(std::size_t from, std::size_t to);  // state_[from, to)
+  void twist_temper(std::size_t lo, std::size_t hi);    // state_/out_[lo, hi)
 
+  /// Seed engines[k] with seeds[k] for k < n <= kLockstep, as seed() does,
+  /// and serve each its first kChunk outputs. The n seed chains run in one
+  /// interleaved loop: a chain step waits on the multiply of the step
+  /// before it, so independent chains fill each other's latency.
+  static void seed_lockstep(Mt19937_64* const* engines,
+                            const std::uint64_t* seeds, std::size_t n);
+
+  // First block (lim_ < kN): state_[0, lim_) are twisted, and state_[lim_,
+  // chain) hold the seed chain, chain = lim_ ? lim_ + kM : 1. Afterwards
+  // state_ holds the current block's twisted words.
   std::uint64_t state_[kN];
   std::uint64_t out_[kN];  // tempered, ready-to-serve values
-  std::size_t idx_ = kN;
+  std::uint32_t idx_ = 0;  // next output to serve
+  std::uint32_t lim_ = 0;  // out_[0, lim_) are ready
 };
 
 /// Seedable random source wrapping a 64-bit Mersenne Twister.
@@ -134,6 +165,13 @@ class Rng {
   /// Derive an independent child generator (for giving each block its own
   /// stream while keeping the whole run a function of one master seed).
   Rng fork();
+
+  /// rngs[k] becomes Rng(seeds[k]) for k < n <= Mt19937_64::kLockstep:
+  /// the same streams, for callers that seed several generators at once,
+  /// with the engines' seed chains run in one interleaved loop. Throws
+  /// std::invalid_argument for a larger n.
+  static void seed_lockstep(Rng* rngs, const std::uint64_t* seeds,
+                            std::size_t n);
 
   /// Direct access for std:: distributions.
   Mt19937_64& engine() { return gen_; }

@@ -1,4 +1,8 @@
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -104,13 +108,123 @@ TEST(Rng, UniformIntCoversRangeInclusive) {
 // sampler are pinned bit-for-bit against the host libstdc++ here. If a
 // toolchain change ever breaks one of these, the replacement must
 // reproduce the old stream, not just the distribution.
-TEST(Rng, EngineMatchesStdMt19937_64BitExact) {
-  for (const std::uint64_t seed : {1ull, 2003ull, 0xdeadbeefull}) {
-    std::mt19937_64 ref(seed);
-    Mt19937_64 mine(seed);
-    // > 2 full regeneration blocks so the twist wrap-around is covered.
-    for (int i = 0; i < 1000; ++i) ASSERT_EQ(ref(), mine());
+//
+// The engine builds its first block lazily, in chunks, and finishes it in
+// bulk once a caller reads far enough (see rng.h), so the test reads it
+// every way a caller can: single draws stopping at every count up to
+// 1000, block() spans that start, cross and end at the chunk, lazy-limit,
+// half-block and block boundaries (fresh and after single draws), copies
+// taken mid-block, re-seeding mid-stream, and the gaussian samplers
+// straight after construction.
+
+/// 64 seeds: 0, 1, the engine's default, 2^64 - 1, and a splitmix64 walk.
+std::vector<std::uint64_t> engine_test_seeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, 5489, ~0ull};
+  std::uint64_t z = 2003;
+  while (seeds.size() < 64) {
+    z += 0x9e3779b97f4a7c15ull;
+    std::uint64_t m = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    m = (m ^ (m >> 27)) * 0x94d049bb133111ebull;
+    seeds.push_back(m ^ (m >> 31));
   }
+  return seeds;
+}
+
+std::vector<std::uint64_t> std_stream(std::uint64_t seed, std::size_t n) {
+  std::mt19937_64 ref(seed);
+  std::vector<std::uint64_t> out(n);
+  for (std::uint64_t& v : out) v = ref();
+  return out;
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64BitExact) {
+  constexpr std::size_t kBlocks[] = {1,   7,   8,   9,   155, 156,
+                                     157, 311, 312, 313, 700};
+  constexpr std::size_t kSinglesFirst[] = {0,  1,   3,   4,   5,   31,  32,
+                                           33, 155, 156, 157, 311, 312, 313};
+  for (const std::uint64_t seed : engine_test_seeds()) {
+    const std::vector<std::uint64_t> ref = std_stream(seed, 2000);
+    SCOPED_TRACE(seed);
+    // Single draws, stopping at every count, then the next draw.
+    for (std::size_t n = 1; n <= 1000; ++n) {
+      Mt19937_64 mine(seed);
+      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(mine(), ref[i]) << n;
+      ASSERT_EQ(mine(), ref[n]) << n;
+    }
+    // k single draws, one block() request, then single draws again.
+    for (const std::size_t k : kSinglesFirst) {
+      for (const std::size_t m : kBlocks) {
+        Mt19937_64 mine(seed);
+        for (std::size_t i = 0; i < k; ++i) ASSERT_EQ(mine(), ref[i]);
+        std::vector<std::uint64_t> got(m);
+        mine.block(got.data(), m);
+        for (std::size_t i = 0; i < m; ++i)
+          ASSERT_EQ(got[i], ref[k + i]) << k << " then block " << m;
+        for (std::size_t i = k + m; i < k + m + 5; ++i)
+          ASSERT_EQ(mine(), ref[i]) << k << " then block " << m;
+      }
+    }
+    // A copy taken mid-block: both continue the one stream.
+    for (const std::size_t k : {1, 3, 4, 5, 17, 32, 33, 200}) {
+      Mt19937_64 mine(seed);
+      for (std::size_t i = 0; i < k; ++i) mine();
+      Mt19937_64 copy = mine;
+      std::vector<std::uint64_t> got(600);
+      mine.block(got.data(), got.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], ref[k + i]) << "original after " << k;
+        ASSERT_EQ(copy(), ref[k + i]) << "copy after " << k;
+      }
+    }
+    // seed() mid-stream restarts the stream whatever was read before.
+    for (const std::size_t k : {2, 40, 400}) {
+      Mt19937_64 mine(seed ^ 0x5555);
+      for (std::size_t i = 0; i < k; ++i) mine();
+      mine.seed(seed);
+      for (std::size_t i = 0; i < 700; ++i) ASSERT_EQ(mine(), ref[i]) << k;
+    }
+  }
+}
+
+TEST(Rng, FreshGaussiansMatchStdNormalDistribution) {
+  for (const std::uint64_t seed : engine_test_seeds()) {
+    SCOPED_TRACE(seed);
+    {
+      std::mt19937_64 refg(seed);
+      std::normal_distribution<double> refd(0.0, 1.0);
+      Rng mine(seed);
+      for (int i = 0; i < 3; ++i) ASSERT_EQ(mine.gaussian(), refd(refg));
+    }
+    for (const std::size_t n : {1, 2, 3, 8, 157, 400}) {
+      std::mt19937_64 refg(seed);
+      std::normal_distribution<double> refd(0.0, 1.0);
+      Rng mine(seed);
+      std::vector<double> got(n);
+      mine.fill_gaussian(got.data(), n);
+      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(got[i], refd(refg)) << n;
+      ASSERT_EQ(mine.gaussian(), refd(refg)) << n;
+    }
+  }
+}
+
+TEST(Rng, SeedLockstepMatchesSeparateSeeding) {
+  const std::vector<std::uint64_t> seeds = engine_test_seeds();
+  for (std::size_t n = 1; n <= Mt19937_64::kLockstep; ++n) {
+    for (std::size_t b = 0; b + n <= 12; b += n) {
+      Rng together[Mt19937_64::kLockstep];
+      together[0].gaussian();  // a banked half-pair must not survive
+      Rng::seed_lockstep(together, seeds.data() + b, n);
+      for (std::size_t k = 0; k < n; ++k) {
+        Rng alone(seeds[b + k]);
+        ASSERT_EQ(together[k].gaussian(), alone.gaussian()) << n << " " << k;
+        for (int i = 0; i < 700; ++i)
+          ASSERT_EQ(together[k].engine()(), alone.engine()()) << n << " " << k;
+      }
+    }
+  }
+  Rng five[5];
+  EXPECT_THROW(Rng::seed_lockstep(five, seeds.data(), 5),
+               std::invalid_argument);
 }
 
 TEST(Rng, GaussianMatchesStdNormalDistributionBitExact) {
