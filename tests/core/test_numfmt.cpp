@@ -1,6 +1,7 @@
 // core::append_shortest pinned byte for byte: a golden table, and equality
 // with the reference — the `%.*g` + sscanf loop that tries every precision
-// from 1 up — over random bit patterns and the edges of the double format.
+// from 1 up — over random bit patterns, the edges of the double format and
+// the short decimals that traces and replies print.
 // The reference lives here only; the shipped libraries carry the one fast
 // formatter.
 #include <gtest/gtest.h>
@@ -9,8 +10,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <algorithm>
 #include <random>
 #include <string>
 
@@ -126,6 +129,65 @@ TEST_P(NumFmtRandomBits, MatchReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, NumFmtRandomBits, ::testing::Range(0, 8));
+
+// The values traces and JSON replies actually print are short decimals,
+// which random bit patterns almost never are: integers, k * 10^j, random
+// 1-17 digit decimals with their neighbours one ulp either side, and
+// (p+1)-digit decimals ending in 5, the ties of p-digit rounding. Each is
+// the double nearest the decimal text, as strtod reads it.
+double parse(const std::string& text) { return std::strtod(text.c_str(), nullptr); }
+
+std::string random_digits(std::mt19937_64& rng, int n) {
+  std::string d(static_cast<std::size_t>(n), '0');
+  for (char& c : d) c = static_cast<char>('0' + rng() % 10);
+  d[0] = static_cast<char>('1' + rng() % 9);
+  return d;
+}
+
+/// v and its neighbours one ulp either side, both signs.
+int count_mismatches(double v) {
+  int bad = 0;
+  for (const double w : {v, std::nextafter(v, 0.0), std::nextafter(v, HUGE_VAL)}) {
+    for (const double x : {w, -w}) {
+      const std::string got = shortest(x);
+      const std::string want = reference_shortest(x);
+      if (got != want && ++bad <= 10)
+        ADD_FAILURE() << std::hexfloat << x << ": got " << got << ", want "
+                      << want;
+    }
+  }
+  return bad;
+}
+
+class NumFmtDecimals : public ::testing::TestWithParam<int> {};
+
+TEST_P(NumFmtDecimals, MatchReference) {
+  constexpr int kPerShard = 3000;
+  std::mt19937_64 rng(0xdec0000u + static_cast<unsigned>(GetParam()));
+  int bad = 0;
+  for (int i = 0; i < kPerShard; ++i) {
+    // Integers: small counts, then up to 19 digits (past 2^53).
+    bad += count_mismatches(static_cast<double>(GetParam() * kPerShard + i));
+    bad += count_mismatches(parse(random_digits(rng, 1 + i % 19)));
+    // k * 10^j, k of 1-3 digits, j in [-40, 40].
+    const int j = static_cast<int>(rng() % 81) - 40;
+    bad += count_mismatches(parse(std::to_string(1 + rng() % 999) + "e" +
+                                  std::to_string(j)));
+    // A random decimal of 1-17 significant digits, exponent in [-30, 30].
+    const int p = 1 + static_cast<int>(rng() % 17);
+    const int e = static_cast<int>(rng() % 61) - 30;
+    const std::string d = random_digits(rng, p);
+    bad += count_mismatches(parse(d.substr(0, 1) + "." + d.substr(1) + "e" +
+                                  std::to_string(e)));
+    // p digits and a final 5: halfway between two p-digit decimals.
+    const std::string t = random_digits(rng, std::min(p, 16)) + "5";
+    bad += count_mismatches(parse(t.substr(0, 1) + "." + t.substr(1) + "e" +
+                                  std::to_string(e)));
+  }
+  EXPECT_EQ(bad, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, NumFmtDecimals, ::testing::Range(0, 4));
 
 }  // namespace
 }  // namespace wlansim::core
