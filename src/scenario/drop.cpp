@@ -42,14 +42,17 @@ std::optional<double> adjacent_offset(const DropConfig& cfg) {
   return offset;
 }
 
+/// `shadowing` has room for the AP and every interferer BSS.
 Geo station_geometry(const DropConfig& cfg, double noise_floor_dbm,
-                     std::uint32_t station, std::uint32_t step, Vec2 pos) {
+                     std::uint32_t station, std::uint32_t step, Vec2 pos,
+                     std::span<double> shadowing) {
   Geo g;
   g.pos = pos;
   g.dist_m = distance_m(pos, cfg.ap);
   g.path_loss_db = log_distance_path_loss_db(cfg.path_loss, g.dist_m);
-  g.shadowing_db = shadowing_db(cfg.seed, station, 0, step,
-                                cfg.path_loss.shadowing_sigma_db);
+  shadowing_db(cfg.seed, station, step, cfg.path_loss.shadowing_sigma_db,
+               shadowing);
+  g.shadowing_db = shadowing[0];
   const double wanted_dbm = cfg.tx_power_dbm - g.path_loss_db - g.shadowing_db;
 
   // Interference-as-noise for co-channel BSSs; adjacent BSSs sum into the
@@ -61,9 +64,7 @@ Geo station_geometry(const DropConfig& cfg, double noise_floor_dbm,
     const InterfererBss& bss = cfg.interferers[j];
     const double pl =
         log_distance_path_loss_db(cfg.path_loss, distance_m(pos, bss.position));
-    const double sh = shadowing_db(cfg.seed, station, j + 1, step,
-                                   cfg.path_loss.shadowing_sigma_db);
-    const double rx_dbm = bss.tx_power_dbm - pl - sh;
+    const double rx_dbm = bss.tx_power_dbm - pl - shadowing[j + 1];
     if (bss.offset_hz == 0.0) {
       denom_lin += db_to_lin(rx_dbm);
     } else {
@@ -149,6 +150,7 @@ DropSummary run_drop(const DropConfig& cfg, const SampleSink& sink) {
 
   DropSummary summary;
   std::vector<Geo> geo(cfg.num_stations);
+  std::vector<double> shadowing(1 + cfg.interferers.size());
   std::vector<core::LinkConfig> configs(cfg.num_stations);
   for (std::uint32_t step = 0; step < cfg.num_steps; ++step) {
     if (step > 0) {
@@ -160,7 +162,8 @@ DropSummary run_drop(const DropConfig& cfg, const SampleSink& sink) {
     const double step_t0 = elapsed();
     for (std::size_t i = 0; i < cfg.num_stations; ++i) {
       geo[i] = station_geometry(cfg, noise_floor_dbm,
-                                static_cast<std::uint32_t>(i), step, pos[i]);
+                                static_cast<std::uint32_t>(i), step, pos[i],
+                                shadowing);
       configs[i] = station_link_config(cfg, geo[i].snr_db,
                                        geo[i].adj_level_db, adj_offset);
     }

@@ -1,5 +1,6 @@
 #include "scenario/geometry.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "dsp/rng.h"
@@ -49,14 +50,45 @@ double log_distance_path_loss_db(const PathLossConfig& cfg, double dist) {
          10.0 * cfg.exponent * std::log10(d / cfg.ref_distance_m);
 }
 
+namespace {
+
+/// out[k] = the shadowing term from transmitter first + k.
+void shadowing_terms(std::uint64_t seed, std::uint64_t station,
+                     std::uint64_t first, std::uint64_t step, double sigma_db,
+                     std::span<double> out) {
+  if (!(sigma_db > 0.0)) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
+  constexpr std::size_t kGroup = dsp::Mt19937_64::kLockstep;
+  for (std::size_t b = 0; b < out.size(); b += kGroup) {
+    const std::size_t n = std::min(kGroup, out.size() - b);
+    std::uint64_t seeds[kGroup];
+    for (std::size_t k = 0; k < n; ++k) {
+      // Fold (station, bss) into one entity counter; bss counts are tiny
+      // next to the 2^32 stride, so tuples never alias.
+      const std::uint64_t entity = ((first + b + k) << 32) ^ station;
+      seeds[k] = geo_seed(seed, GeoStream::kShadowing, entity, step);
+    }
+    dsp::Rng rngs[kGroup];
+    dsp::Rng::seed_lockstep(rngs, seeds, n);
+    for (std::size_t k = 0; k < n; ++k)
+      out[b + k] = rngs[k].gaussian(sigma_db);
+  }
+}
+
+}  // namespace
+
 double shadowing_db(std::uint64_t seed, std::uint64_t station,
                     std::uint64_t bss, std::uint64_t step, double sigma_db) {
-  if (!(sigma_db > 0.0)) return 0.0;
-  // Fold (station, bss) into one entity counter; bss counts are tiny next
-  // to the 2^32 stride, so tuples never alias.
-  const std::uint64_t entity = (bss << 32) ^ station;
-  dsp::Rng rng(geo_seed(seed, GeoStream::kShadowing, entity, step));
-  return rng.gaussian(sigma_db);
+  double term = 0.0;
+  shadowing_terms(seed, station, bss, step, sigma_db, {&term, 1});
+  return term;
+}
+
+void shadowing_db(std::uint64_t seed, std::uint64_t station,
+                  std::uint64_t step, double sigma_db, std::span<double> out) {
+  shadowing_terms(seed, station, 0, step, sigma_db, out);
 }
 
 Vec2 place_uniform(std::uint64_t seed, std::uint64_t entity,

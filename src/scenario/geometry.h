@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 namespace wlansim::scenario {
 
@@ -70,6 +71,13 @@ double log_distance_path_loss_db(const PathLossConfig& cfg, double dist);
 /// serving AP; interferer BSS j uses entity j + 1.
 double shadowing_db(std::uint64_t seed, std::uint64_t station,
                     std::uint64_t bss, std::uint64_t step, double sigma_db);
+
+/// The shadowing terms of every transmitter of one station-step: out[k] =
+/// shadowing_db(seed, station, k, step, sigma_db) for k < out.size(). The
+/// generators are seeded together (dsp::Rng::seed_lockstep), so this costs
+/// little more than one term.
+void shadowing_db(std::uint64_t seed, std::uint64_t station,
+                  std::uint64_t step, double sigma_db, std::span<double> out);
 
 /// Uniform placement in the square [-area_half, area_half]^2 from the
 /// kPlacement stream.
