@@ -37,17 +37,21 @@ double tx_evm_db(double clip_db) {
   txc.clip_papr_db = clip_db;
   phy::Transmitter tx(txc);
   const phy::Frame f{phy::Rate::kMbps54, phy::random_bytes(500, rng)};
-  dsp::CVec wave = tx.modulate(f);
+  dsp::CVec ref;
+  dsp::CVec wave = tx.modulate(f, &ref);
   dsp::CVec padded(200, dsp::Cplx{0.0, 0.0});
   padded.insert(padded.end(), wave.begin(), wave.end());
   padded.insert(padded.end(), 100, dsp::Cplx{0.0, 0.0});
   phy::Receiver rx;
   const phy::RxResult res = rx.receive(padded);
   if (!res.header_ok) return 0.0;
-  const auto ref = tx.data_symbol_points(f);
   phy::EvmCounter evm;
-  const std::size_t n = std::min(ref.size(), res.data_points.size());
-  for (std::size_t s = 0; s < n; ++s) evm.add(res.data_points[s], ref[s]);
+  const std::size_t n =
+      std::min(ref.size() / phy::kNumDataCarriers, res.data_points.size());
+  for (std::size_t s = 0; s < n; ++s)
+    evm.add(res.data_points[s],
+            std::span<const dsp::Cplx>(ref).subspan(s * phy::kNumDataCarriers,
+                                                    phy::kNumDataCarriers));
   return evm.evm_db();
 }
 

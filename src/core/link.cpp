@@ -121,13 +121,12 @@ const dsp::CVec& WlanLink::build_tx(std::span<const std::uint8_t> psdu,
       static_cast<std::uint8_t>(1 + rng.uniform_int(0, 126));
   txc.output_power_dbm = cfg_.rx_power_dbm;
   const phy::Transmitter tx(txc);
-  scene.scrambler_seed_ = txc.scrambler_seed;
   scene.frame_.rate = cfg_.rate;
   if (psdu.empty())
     scene.frame_.psdu = phy::random_bytes(cfg_.psdu_bytes, rng);
   else
     scene.frame_.psdu.assign(psdu.begin(), psdu.end());
-  dsp::CVec wave = tx.modulate(scene.frame_);
+  dsp::CVec wave = tx.modulate(scene.frame_, &scene.ref_points_);
 
   // Optional multipath (block-static per packet, applied at 20 Msps).
   if (cfg_.fading.has_value()) {
@@ -168,17 +167,13 @@ PacketResult WlanLink::receiver_epilogue(TxScene& scene, phy::Bytes* rx_psdu) {
 
   // EVM against the transmitted constellation (the equalizer's channel
   // estimate removes the chain gain, so points are directly comparable).
-  if (!scene.ref_points_valid_) {
-    phy::Transmitter::Config txc;
-    txc.scrambler_seed = scene.scrambler_seed_;
-    txc.output_power_dbm = cfg_.rx_power_dbm;
-    scene.ref_points_ = phy::Transmitter(txc).data_symbol_points(scene.frame_);
-    scene.ref_points_valid_ = true;
-  }
-  const std::vector<dsp::CVec>& ref = scene.ref_points_;
+  const std::span<const dsp::Cplx> ref(scene.ref_points_);
   phy::EvmCounter evm;
-  const std::size_t nsym = std::min(ref.size(), res.data_points.size());
-  for (std::size_t s = 0; s < nsym; ++s) evm.add(res.data_points[s], ref[s]);
+  const std::size_t nsym =
+      std::min(ref.size() / phy::kNumDataCarriers, res.data_points.size());
+  for (std::size_t s = 0; s < nsym; ++s)
+    evm.add(res.data_points[s],
+            ref.subspan(s * phy::kNumDataCarriers, phy::kNumDataCarriers));
   out.evm_rms = evm.evm_rms();
   return out;
 }

@@ -29,12 +29,13 @@
 namespace wlansim::core {
 
 /// Memoized TX scene for one (configuration, packet index) pair: the
-/// payload, the pre-noise oversampled composite (TX waveform + impairments
-/// + interferer), the RNG state at the noise-injection point, the unit
-/// noise normals, and the lane path's front-end noise tapes. Everything
-/// stored here is independent of the noise level (SNR / antenna noise
-/// density), so a BER sweep can build the scene once at the first SNR point
-/// and replay it bit-identically at every other — see
+/// payload and its constellation points, the pre-noise oversampled
+/// composite (TX waveform + impairments + interferer), the RNG state at
+/// the noise-injection point, the unit noise normals, and the lane path's
+/// front-end noise tapes. Everything stored here is independent of the
+/// noise level (SNR / antenna noise density), so a BER sweep can build the
+/// scene once at the first SNR point and replay it bit-identically at
+/// every other — see
 /// WlanLink::run_packet_memo. The one stored value that depends on the
 /// front end's configuration, the shaped flicker noise, carries the shape
 /// it was made under and replays only under that shape.
@@ -51,7 +52,6 @@ class TxScene {
   /// through here, so a tape can never replay under the wrong packet.
   void reset() {
     valid_ = false;
-    ref_points_valid_ = false;
     lna_tape_.clear();
     flicker_tape_.noise.clear();
   }
@@ -61,14 +61,14 @@ class TxScene {
 
   bool valid_ = false;
   std::uint64_t packet_index_ = 0;
-  std::uint8_t scrambler_seed_ = 1;
   phy::Frame frame_;           ///< rate and payload
   dsp::CVec scene_;            ///< pre-noise oversampled composite
   std::size_t base_units_ = 0; ///< scene run length in base-rate units
   dsp::Rng rng_post_tx_{0};    ///< packet RNG state at the noise fork
   dsp::RVec noise_units_;      ///< cached unit normals (2 per scene sample)
-  bool ref_points_valid_ = false;
-  std::vector<dsp::CVec> ref_points_;  ///< TX constellation (EVM reference)
+  /// TX constellation, 48 points a DATA symbol (EVM reference), as
+  /// modulate() mapped them.
+  dsp::CVec ref_points_;
   /// Front-end noise tapes recorded by the lane path (see rf/lane_tape.h),
   /// like noise_units_ pure functions of the packet index: the LNA's unit
   /// normals, re-scaled and re-added at every point, and mixer 2's flicker

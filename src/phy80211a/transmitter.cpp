@@ -42,24 +42,6 @@ Bits Transmitter::encode_data_field(const Frame& frame) const {
   return bits;
 }
 
-std::vector<dsp::CVec> Transmitter::data_symbol_points(const Frame& frame) const {
-  const RateParams& p = rate_params(frame.rate);
-  const Bits data_bits = encode_data_field(frame);
-  const Bits coded = puncture(convolutional_encode(data_bits), p.code_rate);
-
-  // The gather modulate() runs: point i of symbol s reads the coded bits
-  // through the inverse interleaver permutation.
-  const std::size_t* perm = interleaver_for(frame.rate).inv().data();
-  const Mapper mapper(p.modulation);
-  const std::size_t nsym = coded.size() / p.ncbps;
-
-  std::vector<dsp::CVec> out(nsym, dsp::CVec(kNumDataCarriers));
-  for (std::size_t s = 0; s < nsym; ++s)
-    mapper.map_permuted(coded.data() + s * p.ncbps, perm, kNumDataCarriers,
-                        out[s].data());
-  return out;
-}
-
 namespace {
 
 /// Append one 80-sample OFDM symbol with a raised-cosine crossfade of `w`
@@ -134,7 +116,7 @@ void finish_frame(dsp::CVec& ppdu, const Transmitter::Config& cfg) {
 
 }  // namespace
 
-dsp::CVec Transmitter::modulate(const Frame& frame) const {
+dsp::CVec Transmitter::modulate(const Frame& frame, dsp::CVec* points) const {
   const std::size_t w = cfg_.window_overlap;
   if (w >= kCpLen / 2)
     throw std::invalid_argument("Transmitter: window overlap too large");
@@ -151,13 +133,14 @@ dsp::CVec Transmitter::modulate(const Frame& frame) const {
   const Interleaver& il = interleaver_for(frame.rate);
   const Mapper mapper(p.modulation);
   const std::size_t* perm = il.inv().data();
-  thread_local dsp::CVec points, td;
-  points.resize(nsym * kNumDataCarriers);
+  thread_local dsp::CVec own_points, td;
+  dsp::CVec& pts = points != nullptr ? *points : own_points;
+  pts.resize(nsym * kNumDataCarriers);
   td.resize(nsym * kSymbolLen);
   for (std::size_t s = 0; s < nsym; ++s)
     mapper.map_permuted(coded.data() + s * p.ncbps, perm, kNumDataCarriers,
-                        points.data() + s * kNumDataCarriers);
-  ofdm_modulate_symbols_into(points.data(), nsym, /*first_symbol_index=*/1,
+                        pts.data() + s * kNumDataCarriers);
+  ofdm_modulate_symbols_into(pts.data(), nsym, /*first_symbol_index=*/1,
                              td.data());
 
   dsp::CVec ppdu = full_preamble();

@@ -39,17 +39,15 @@ class Transmitter {
   /// Full PPDU: 320-sample preamble, SIGNAL symbol, N DATA symbols.
   /// Runs the batched pipeline (fused interleave+map gather into a flat
   /// points buffer, one batch IFFT over every DATA symbol, one-pass
-  /// CP/window assembly).
-  dsp::CVec modulate(const Frame& frame) const;
+  /// CP/window assembly). When `points` is given, the gather writes the
+  /// DATA symbols' constellation points there, 48 a symbol in symbol order
+  /// (the ideal reference of EVM measurement), reusing its capacity.
+  dsp::CVec modulate(const Frame& frame, dsp::CVec* points = nullptr) const;
 
   /// The scrambled DATA-field bits after padding, before the convolutional
   /// encoder (one bit per trellis step), exposed for tests against the
   /// standard's reference flow.
   Bits encode_data_field(const Frame& frame) const;
-
-  /// The 48 constellation points of each DATA symbol (pre-OFDM); used by
-  /// EVM measurement as the ideal reference.
-  std::vector<dsp::CVec> data_symbol_points(const Frame& frame) const;
 
   const Config& config() const { return cfg_; }
 
