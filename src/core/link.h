@@ -35,10 +35,9 @@ namespace wlansim::core {
 /// front-end noise tapes. Everything stored here is independent of the
 /// noise level (SNR / antenna noise density), so a BER sweep can build the
 /// scene once at the first SNR point and replay it bit-identically at
-/// every other — see
-/// WlanLink::run_packet_memo. The one stored value that depends on the
-/// front end's configuration, the shaped flicker noise, carries the shape
-/// it was made under and replays only under that shape.
+/// every other — see WlanLink::run_packet_memo. The one stored value that
+/// depends on the front end's configuration, the shaped flicker noise,
+/// carries the shape it was made under and replays only under that shape.
 class TxScene {
  public:
   TxScene() = default;

@@ -35,7 +35,7 @@ void Mt19937_64::extend_chain(std::size_t from, std::size_t to) {
 
 void Mt19937_64::seed_lockstep(Mt19937_64* const* engines,
                                const std::uint64_t* seeds, std::size_t n) {
-  std::uint64_t* x[kLockstep];
+  std::uint64_t* x[kLockstep] = {};
   for (std::size_t k = 0; k < n; ++k) {
     engines[k]->seed(seeds[k]);
     x[k] = engines[k]->state_;
@@ -187,7 +187,7 @@ void Rng::seed_lockstep(Rng* rngs, const std::uint64_t* seeds,
                        std::size_t n) {
   if (n > Mt19937_64::kLockstep)
     throw std::invalid_argument("Rng::seed_lockstep: too many generators");
-  Mt19937_64* engines[Mt19937_64::kLockstep];
+  Mt19937_64* engines[Mt19937_64::kLockstep] = {};
   for (std::size_t k = 0; k < n; ++k) {
     rngs[k].saved_available_ = false;
     engines[k] = &rngs[k].gen_;

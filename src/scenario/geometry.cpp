@@ -63,7 +63,7 @@ void shadowing_terms(std::uint64_t seed, std::uint64_t station,
   constexpr std::size_t kGroup = dsp::Mt19937_64::kLockstep;
   for (std::size_t b = 0; b < out.size(); b += kGroup) {
     const std::size_t n = std::min(kGroup, out.size() - b);
-    std::uint64_t seeds[kGroup];
+    std::uint64_t seeds[kGroup] = {};
     for (std::size_t k = 0; k < n; ++k) {
       // Fold (station, bss) into one entity counter; bss counts are tiny
       // next to the 2^32 stride, so tuples never alias.
