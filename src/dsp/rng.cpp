@@ -28,11 +28,6 @@ void run_chains(std::uint64_t* const* x, std::size_t from, std::size_t to) {
 
 }  // namespace
 
-void Mt19937_64::extend_chain(std::size_t from, std::size_t to) {
-  std::uint64_t* const x = state_;
-  run_chains<1>(&x, from, to);
-}
-
 void Mt19937_64::seed_lockstep(Mt19937_64* const* engines,
                                const std::uint64_t* seeds, std::size_t n) {
   std::uint64_t* x[kLockstep] = {};
@@ -99,7 +94,8 @@ void Mt19937_64::refill(std::size_t want) {
   const std::size_t chain = lim_ == 0 ? 1 : lim_ + kM;
   std::size_t hi = lim_ + (want > kChunk ? want : kChunk);
   if (hi > kLazyEnd) hi = kN;
-  extend_chain(chain, hi + kM < kN ? hi + kM : kN);
+  std::uint64_t* const x = state_;
+  run_chains<1>(&x, chain, hi + kM < kN ? hi + kM : kN);
   twist_temper(lim_, hi);
   lim_ = static_cast<std::uint32_t>(hi);
 }

@@ -75,8 +75,7 @@ class Mt19937_64 {
   /// Make out_[idx_, lim_) non-empty, with room for `want` draws where the
   /// lazy first block allows it (rng.cpp).
   void refill(std::size_t want);
-  void extend_chain(std::size_t from, std::size_t to);  // state_[from, to)
-  void twist_temper(std::size_t lo, std::size_t hi);    // state_/out_[lo, hi)
+  void twist_temper(std::size_t lo, std::size_t hi);  // state_/out_[lo, hi)
 
   /// Seed engines[k] with seeds[k] for k < n <= kLockstep, as seed() does,
   /// and serve each its first kChunk outputs. The n seed chains run in one
